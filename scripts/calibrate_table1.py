@@ -16,7 +16,7 @@ import argparse
 import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, allocate
-from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec
+from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec, lsa_of_points, sample_points
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel, gain
 from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator
 
@@ -48,7 +48,6 @@ def build_sums(model: PathLossModel, resolution: int):
     plan = ContentPlan.equal_split(3, 3.0, 3 * 2.4e6)
     env = RadioEnv(n0=1.0, pathloss=model)  # gains do not depend on n0
     ev = SinrEvaluator(grid, env, workers=1)
-    lsa1 = grid.lsa1_mask()
     schemes = {
         "reuse1": SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0, label="reuse1"),
         "ps025": SchemeConfig(SchemeKind.IMLSI_PS, beta=0.25),
@@ -58,13 +57,13 @@ def build_sums(model: PathLossModel, resolution: int):
     for area_name, kind in (("a1", AreaKind.A1), ("a2", AreaKind.A2)):
         area = EvalArea(kind=kind, resolution=resolution)
         g = ev.gains_for(area)
-        points_in_lsa1 = ev._lattice(area)[1]
+        points_in_lsa1 = lsa_of_points(sample_points(area, spec), spec)
         for sname, scfg in schemes.items():
             tp = allocate(grid, plan, scfg)
             for m in (1, 2, 3):
-                p = tp.power[:, m - 1]
-                f1 = (p[lsa1][:, None] * g[lsa1]).sum(axis=0)
-                f2 = (p[~lsa1][:, None] * g[~lsa1]).sum(axis=0)
+                p = ev.zone_powers(tp, m)  # g rows are the matching zone gains
+                f1 = p[0] * g[0] + p[1] * g[1]
+                f2 = p[2] * g[2] + p[3] * g[3]
                 if m == 1:
                     own, other = f1 + f2, np.zeros_like(f1)
                 else:

@@ -193,11 +193,13 @@ def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
 
     Each cell footprint receives resolution^2 points placed at sub-square
     midpoints, so a one-cell area at resolution 1 samples the cell center.
+    A1 and A2 step by ``isd / resolution`` from the origin, so the A1 lattice
+    is exactly the leftmost columns of the A2 lattice at the same resolution.
     The ordering never depends on how the evaluation is parallelized.
     """
-    (ny, nx), (x0, x1), (y0, y1) = _lattice(area, spec)
-    xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
-    ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
+    (ny, nx), (x0, y0), (step_x, step_y) = _lattice(area, spec)
+    xs = x0 + (np.arange(nx) + 0.5) * step_x
+    ys = y0 + (np.arange(ny) + 0.5) * step_y
     gx, gy = np.meshgrid(xs, ys)  # row-major: y varies slowest
     return np.column_stack([gx.ravel(), gy.ravel()])
 
@@ -216,7 +218,11 @@ def _lattice(area, spec):
             f"evaluation area is empty: x_range={x0, x1}, y_range={y0, y1} "
             f"at resolution {area.resolution}"
         )
-    return (ny, nx), (x0, x1), (y0, y1)
+    if area.kind is AreaKind.CUSTOM:
+        step = ((x1 - x0) / nx, (y1 - y0) / ny)
+    else:
+        step = (spec.isd / area.resolution,) * 2
+    return (ny, nx), (x0, y0), step
 
 
 def distance(tower_xy, point, d_min: float = D_MIN_M) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from sfn_lsi_sim.allocation import TransmitPlan, allocate
 from sfn_lsi_sim.config import MANIFEST_FORMAT, ExperimentConfig
-from sfn_lsi_sim.grid import Grid
+from sfn_lsi_sim.grid import AreaKind, Grid
 from sfn_lsi_sim.metrics import (
     ContentCountMap,
     content_count_map,
@@ -56,15 +56,16 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def _raster_rows(image: np.ndarray) -> list[str]:
+def _raster_rows(image: np.ndarray, maxval: int) -> list[str]:
     # PNM rows run top to bottom; the lattice's first row is the smallest y.
-    return [" ".join(str(int(v)) for v in row) for row in image[::-1]]
+    levels = [str(v) for v in range(maxval + 1)]
+    return [" ".join([levels[v] for v in row]) for row in image[::-1].tolist()]
 
 
 def _write_pgm(path: str, image: np.ndarray, maxval: int) -> None:
     ny, nx = image.shape
     lines = ["P2", f"{nx} {ny}", str(maxval)]
-    lines.extend(_raster_rows(image))
+    lines.extend(_raster_rows(image, maxval))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -148,6 +149,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> RunResu
     coverage_area = cfg.coverage_area()
     map_area = cfg.map_area()
     contents = list(cfg.plan.content_ids)
+    # A2 first: the evaluator then slices A1 gains from the A2 cache.
+    areas = sorted({coverage_area, map_area}, key=lambda a: a.kind is not AreaKind.A2)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     files: list[str] = []
@@ -170,13 +173,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> RunResu
             spectral_efficiency_from_plan(tp, cfg.plan)
         )
 
-        cov_fields = [
-            evaluator.field(coverage_area, m, tp, cfg.plan) for m in contents
-        ]
+        fields = {
+            area: [evaluator.field(area, m, tp, cfg.plan) for m in contents]
+            for area in areas
+        }
+        cov_fields, map_fields = fields[coverage_area], fields[map_area]
         csv_rows.extend(_coverage_rows(cfg, scheme.label, cov_fields))
         summary_coverage[scheme.label] = _coverage_pct(cfg, cov_fields)
 
-        map_fields = [evaluator.field(map_area, m, tp, cfg.plan) for m in contents]
         count_map = content_count_map(map_fields, cfg.content_map_threshold_db)
         histogram = count_map.histogram()
         map_doc = {

@@ -19,12 +19,15 @@ from typing import NamedTuple
 import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan, TransmitPlan
-from sfn_lsi_sim.errors import ConfigurationError
+from sfn_lsi_sim.errors import ConfigurationError, ConfigValidationError
 from sfn_lsi_sim.grid import (
     D_MIN_M,
+    AreaKind,
     EvalArea,
     Grid,
     GridSpec,
+    Lsa,
+    Zone,
     lsa_of_points,
     sample_points,
     sample_shape,
@@ -93,34 +96,62 @@ def _db(linear: np.ndarray) -> np.ndarray:
     return out
 
 
+ZONES = ("lsa1_interior", "left_buffer", "right_buffer", "lsa2_interior")
+"""The four (LSA, buffer-zone) power bands, in gain-row order.  The first
+two hold the LSA1 cells, the last two the LSA2 cells."""
+
+
+def _zone_cells(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Cell indices of each band in ``ZONES``, ascending; a band may be empty."""
+    index = {
+        (Lsa.LSA1, Zone.SFN_INTERIOR): 0,
+        (Lsa.LSA1, Zone.LEFT_BUFFER): 1,
+        (Lsa.LSA2, Zone.RIGHT_BUFFER): 2,
+        (Lsa.LSA2, Zone.SFN_INTERIOR): 3,
+    }
+    band = np.array([index[(c.lsa, c.zone)] for c in grid.cells])
+    return tuple(np.flatnonzero(band == z) for z in range(len(ZONES)))
+
+
+def _threads_from_env() -> int:
+    text = os.environ.get("SFN_LSI_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigValidationError(
+            [f"SFN_LSI_THREADS: must be an integer >= 1 (got {text!r})"]
+        )
+    return threads
+
+
 class SinrEvaluator:
     """Evaluates SINR fields for one grid and radio environment.
 
-    Tower-to-point gain matrices are cached per evaluation area so that all
-    contents and all transmit plans on the same grid reuse them.  ``workers``
-    sets the thread count for chunked evaluation; chunk boundaries and the
-    per-chunk reductions are identical for any worker count.
+    Each content's power is constant over each band of ``ZONES``, so the
+    received power sum over cells factors into four zone terms, p_z * G_z,
+    with G_z the gain summed over the zone's cells.  Only the four G_z rows
+    are cached per evaluation area and reused by all contents and transmit
+    plans.  A1 is the left part of A2, so A1 gains are sliced from cached A2
+    gains at the same resolution.  ``workers`` sets the thread count for
+    chunked evaluation (default: ``SFN_LSI_THREADS``, else 1); chunk
+    boundaries and every per-point operation are identical for any worker
+    count.
     """
 
     def __init__(self, grid: Grid, env: RadioEnv, workers: int | None = None):
         self.grid = grid
         self.env = env
         if workers is None:
-            workers = int(os.environ.get("SFN_LSI_THREADS", "1"))
-        self.workers = max(1, workers)
+            workers = _threads_from_env()
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1 (got {workers})")
+        self.workers = workers
         self._towers = grid.towers()
-        self._lsa1_rows = grid.lsa1_mask()
+        self._zone_cells = _zone_cells(grid)
         self._gains: dict[EvalArea, np.ndarray] = {}
-        self._lattices: dict[EvalArea, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _lattice(self, area: EvalArea) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._lattices.get(area)
-        if cached is None:
-            points = sample_points(area, self.grid.spec)
-            in_lsa1 = lsa_of_points(points, self.grid.spec)
-            cached = (points, in_lsa1)
-            self._lattices[area] = cached
-        return cached
+        self._in_lsa1: dict[EvalArea, np.ndarray] = {}
 
     def _run_chunks(self, n: int, fn) -> None:
         spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
@@ -133,25 +164,64 @@ class SinrEvaluator:
                 future.result()
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
-        """(n_cells, n_points) channel gain matrix for the area's lattice."""
+        """(4, n_points) read-only zone gains G_z, one row per band of ``ZONES``."""
         cached = self._gains.get(area)
         if cached is not None:
             return cached
-        points, _ = self._lattice(area)
-        n = points.shape[0]
-        g = np.empty((self._towers.shape[0], n))
+        spec = self.grid.spec
+        full = EvalArea(kind=AreaKind.A2, resolution=area.resolution)
+        if area.kind is AreaKind.A1 and full in self._gains:
+            # Both lattices step by isd/resolution from x = 0, so A1 is
+            # exactly the leftmost columns of A2.  The slices are copies.
+            ny, nx = sample_shape(area, spec)
+            g = self._gains[full].reshape(len(ZONES), ny, -1)[:, :, :nx]
+            g = g.reshape(len(ZONES), -1)
+            in_lsa1 = self._in_lsa1[full].reshape(ny, -1)[:, :nx].ravel()
+        else:
+            points = sample_points(area, spec)
+            in_lsa1 = lsa_of_points(points, spec)
+            g = np.empty((len(ZONES), points.shape[0]))
 
-        def fill(lo: int, hi: int) -> None:
-            dx = self._towers[:, 0:1] - points[lo:hi, 0]
-            dy = self._towers[:, 1:2] - points[lo:hi, 1]
-            d = np.hypot(dx, dy)
-            np.maximum(d, D_MIN_M, out=d)
-            g[:, lo:hi] = gain(self.env.pathloss, d)
+            def fill(lo: int, hi: int) -> None:
+                dx = self._towers[:, 0:1] - points[lo:hi, 0]
+                dy = self._towers[:, 1:2] - points[lo:hi, 1]
+                d = np.hypot(dx, dy, out=dx)
+                np.maximum(d, D_MIN_M, out=d)
+                cell_gains = gain(self.env.pathloss, d)
+                # Row-by-row sums in cell-index order: elementwise, so a
+                # point's G_z never depends on the chunk it falls in.
+                for z, cells in enumerate(self._zone_cells):
+                    acc = g[z, lo:hi]
+                    acc[:] = 0.0
+                    for c in cells:
+                        acc += cell_gains[c]
 
-        self._run_chunks(n, fill)
+            self._run_chunks(points.shape[0], fill)
         g.flags.writeable = False
         self._gains[area] = g
+        self._in_lsa1[area] = in_lsa1
         return g
+
+    def zone_powers(self, tp: TransmitPlan, content_id: int) -> np.ndarray:
+        """Content ``content_id``'s transmit power in each band of ``ZONES``.
+
+        Every allocator gives a content one power per band; a plan whose
+        power varies inside a band is rejected, naming the band.  Empty bands
+        carry 0.
+        """
+        p = tp.power[:, content_id - 1]
+        out = np.zeros(len(ZONES))
+        for z, cells in enumerate(self._zone_cells):
+            if cells.size == 0:
+                continue
+            band = p[cells]
+            if (band != band[0]).any():
+                raise ValueError(
+                    f"content {content_id} power varies within zone {ZONES[z]} "
+                    f"(scheme {tp.scheme.label}); the engine needs one power per zone"
+                )
+            out[z] = band[0]
+        return out
 
     def field(
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
@@ -161,27 +231,22 @@ class SinrEvaluator:
         if tp.grid.spec != self.grid.spec:
             raise ConfigurationError("transmit plan was allocated on a different grid")
         g = self.gains_for(area)
-        n = g.shape[1]
-        p = tp.power[:, content_id - 1]
+        in_lsa1 = self._in_lsa1[area]
+        p = self.zone_powers(tp, content_id)
         noise = self.env.n0 * plan.bandwidth_of(content_id)
-        lin = np.empty(n)
-        if content_id == 1:
-            def reduce_chunk(lo: int, hi: int) -> None:
-                total = (p[:, None] * g[:, lo:hi]).sum(axis=0)
-                lin[lo:hi] = total / noise
-        else:
-            _, in_lsa1 = self._lattice(area)
-            p1 = p[self._lsa1_rows]
-            p2 = p[~self._lsa1_rows]
-            g1_rows = self._lsa1_rows
+        lin = np.empty(g.shape[1])
 
-            def reduce_chunk(lo: int, hi: int) -> None:
-                from1 = (p1[:, None] * g[g1_rows, lo:hi]).sum(axis=0)
-                from2 = (p2[:, None] * g[~g1_rows, lo:hi]).sum(axis=0)
+        def reduce_chunk(lo: int, hi: int) -> None:
+            from1 = p[0] * g[0, lo:hi] + p[1] * g[1, lo:hi]
+            from2 = p[2] * g[2, lo:hi] + p[3] * g[3, lo:hi]
+            if content_id == 1:
+                lin[lo:hi] = (from1 + from2) / noise
+            else:
                 own = np.where(in_lsa1[lo:hi], from1, from2)
                 other = np.where(in_lsa1[lo:hi], from2, from1)
                 lin[lo:hi] = own / (other + noise)
-        self._run_chunks(n, reduce_chunk)
+
+        self._run_chunks(lin.size, reduce_chunk)
         return SinrField(
             content_id=content_id,
             scheme_label=tp.scheme.label,

@@ -134,6 +134,16 @@ class TestSampling:
         assert (ny, nx) == (24, 15)
         assert sample_points(area, spec).shape == (ny * nx, 2)
 
+    def test_a1_lattice_is_left_columns_of_a2(self):
+        # both step by isd/resolution, so the slice is exact even for an isd
+        # that is not a whole number of meters
+        spec = GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3)
+        a1 = EvalArea(kind=AreaKind.A1, resolution=7)
+        a2 = EvalArea(kind=AreaKind.A2, resolution=7)
+        ny, nx1 = sample_shape(a1, spec)
+        full = sample_points(a2, spec).reshape(ny, -1, 2)[:, :nx1]
+        assert np.ascontiguousarray(full).tobytes() == sample_points(a1, spec).tobytes()
+
     def test_custom_area(self):
         spec = GridSpec()
         area = EvalArea(

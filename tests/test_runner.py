@@ -22,7 +22,8 @@ from sfn_lsi_sim.runner import (
 )
 from sfn_lsi_sim.sinr import SinrField
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 SMOKE = str(CONFIG_DIR / "smoke_1x2.cfg")
 SCHEME_LABELS = ("olsi", "reuse1", "ps_beta0.5", "imo_beta0.5")
 
@@ -91,6 +92,25 @@ class TestArtifacts:
         first = digest()
         run_experiment(cfg)
         assert digest() == first
+
+    def test_paper_run_matches_committed_reference(self, tmp_path):
+        # out/final is the byte-level reference: a fresh paper run at
+        # resolution 20 reproduces it, except the manifest's output.dir
+        reference = ROOT / "out" / "final"
+        out = tmp_path / "final"
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(out), resolution=20)
+        run_experiment(cfg)
+        names = sorted(p.name for p in reference.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            got = (out / name).read_bytes()
+            if name == "manifest.json":
+                document = json.loads(got)
+                assert document["config"]["output"]["dir"] == str(out)
+                document["config"]["output"]["dir"] = "out/final"
+                got = (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+            assert got == (reference / name).read_bytes(), f"{name} differs from out/final"
 
     def test_pgm_pixels_match_histogram(self, smoke_run):
         out = Path(smoke_run.out_dir)
@@ -179,6 +199,15 @@ class TestEmitHeatmap:
         assert written == [str(path)]
         # bottom lattice row [1, 3] lands on the last raster line
         assert path.read_text() == "P2\n2 2\n3\n3 1\n1 3\n"
+
+    def test_count_map_beyond_255_levels(self, tmp_path):
+        cmap = ContentCountMap(
+            scheme_label="olsi", threshold_db=10.0, area=self.AREA, m_count=300,
+            counts=np.array([0, 256, 300, 9]), shape=(2, 2),
+        )
+        path = tmp_path / "counts.pgm"
+        emit_heatmap(cmap, str(path))
+        assert path.read_text() == "P2\n2 2\n300\n300 9\n0 256\n"
 
     def test_sinr_quantization(self, tmp_path):
         field = SinrField(

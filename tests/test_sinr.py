@@ -5,12 +5,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, allocate
+from sfn_lsi_sim.allocation import (
+    ContentPlan,
+    SchemeConfig,
+    SchemeKind,
+    TransmitPlan,
+    allocate,
+)
 from sfn_lsi_sim.errors import ConfigurationError
-from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec, sample_points
+from sfn_lsi_sim.grid import (
+    AreaKind,
+    EvalArea,
+    Grid,
+    GridSpec,
+    Zone,
+    sample_points,
+    sample_shape,
+)
+from sfn_lsi_sim.oracle import _GRID_SHAPES, _content_plan, _scheme_configs, oracle_sinr
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
 from sfn_lsi_sim.sinr import (
+    _CHUNK,
     SINR_FLOOR_DB,
+    ZONES,
     RadioEnv,
     SinrEvaluator,
     sinr_at,
@@ -134,8 +151,11 @@ class TestSinrField:
     def test_worker_count_does_not_change_bytes(self, kind):
         grid, plan, tp = make_setup()
         env = make_env(kind)
-        # 120 x 150 = 18000 points spans more than one evaluation chunk
-        area = EvalArea(kind=AreaKind.A2, resolution=15)
+        # 320 x 400 = 128000 points: 8 evaluation chunks, so 2 and 7 workers
+        # really interleave chunks
+        area = EvalArea(kind=AreaKind.A2, resolution=40)
+        ny, nx = sample_shape(area, grid.spec)
+        assert -(-ny * nx // _CHUNK) >= 8
         fields = {
             workers: SinrEvaluator(grid, env, workers=workers)
             .field(area, 2, tp, plan).values.tobytes()
@@ -157,6 +177,80 @@ class TestSinrField:
         field = sinr_field(EvalArea(kind=AreaKind.A1, resolution=2), 2, tp,
                            make_env(), plan)
         assert field.scheme_label == "imo_beta0.5"
+
+
+class TestZoneEngine:
+    def test_gains_are_four_read_only_zone_rows(self):
+        grid, _, _ = make_setup()
+        area = EvalArea(kind=AreaKind.A2, resolution=2)
+        g = SinrEvaluator(grid, make_env()).gains_for(area)
+        assert g.shape == (len(ZONES), 8 * 10 * 4)
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind", [PathLossKind.POWER_LAW, PathLossKind.HATA])
+    def test_a1_field_is_column_slice_of_a2(self, kind):
+        spec = GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3)
+        grid, plan, tp = make_setup(SchemeConfig(SchemeKind.IMLSI_O, beta=0.5),
+                                    spec=spec)
+        env = make_env(kind)
+        a1 = EvalArea(kind=AreaKind.A1, resolution=5)
+        a2 = EvalArea(kind=AreaKind.A2, resolution=5)
+        ny, nx1 = sample_shape(a1, spec)
+        shared = SinrEvaluator(grid, env)  # A2 first: A1 gains sliced from it
+        for m in plan.content_ids:
+            full = shared.field(a2, m, tp, plan).as_image()[:, :nx1]
+            sliced = shared.field(a1, m, tp, plan).values
+            # a fresh evaluator builds A1 from its own lattice
+            direct = SinrEvaluator(grid, env).field(a1, m, tp, plan).values
+            assert np.ascontiguousarray(full).tobytes() == sliced.tobytes()
+            assert direct.tobytes() == sliced.tobytes()
+
+    def test_power_varying_within_a_zone_is_rejected(self):
+        grid, plan, tp = make_setup()
+        power = tp.power.copy()
+        lb_cell = next(c for c in grid.cells if c.zone is Zone.LEFT_BUFFER)
+        power[lb_cell.index, 1] *= 0.5
+        bad = TransmitPlan(grid=grid, scheme=tp.scheme, power=power,
+                           active=tp.active.copy())
+        evaluator = SinrEvaluator(grid, make_env())
+        area = EvalArea(kind=AreaKind.A1, resolution=2)
+        with pytest.raises(ValueError, match="content 2 .*zone left_buffer"):
+            evaluator.field(area, 2, bad, plan)
+        # the other contents are still one power per zone
+        evaluator.field(area, 3, bad, plan)
+
+
+_ORACLE_MODELS = (
+    PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5),
+    PathLossModel(kind=PathLossKind.HATA, f_mhz=700.0, hb_m=30.0, hm_m=1.5),
+)
+
+
+@pytest.mark.parametrize("model", _ORACLE_MODELS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("shape", _GRID_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_field_matches_oracle_at_every_lattice_point(shape, model):
+    rows, cols, lsa1_cols = shape
+    spec = GridSpec(rows=rows, cols=cols, lsa1_cols=lsa1_cols, buffer_cols_per_side=1)
+    grid = Grid.from_spec(spec)
+    env = RadioEnv(n0=4e-21, pathloss=model)
+    area = EvalArea(kind=AreaKind.A2, resolution=3)
+    points = [tuple(p) for p in sample_points(area, spec)]
+    evaluator = SinrEvaluator(grid, env)
+    for m_count in (2, 3):
+        plan = _content_plan(m_count)
+        for scheme in _scheme_configs():
+            tp = allocate(grid, plan, scheme)
+            for m in plan.content_ids:
+                got = evaluator.field(area, m, tp, plan).values
+                for point, db in zip(points, got):
+                    want = oracle_sinr(point, m, tp, env, plan)
+                    where = f"{scheme.label} M={m_count} content {m} at {point}"
+                    if want == 0.0:
+                        assert db == SINR_FLOOR_DB, where
+                    else:
+                        rel = abs(10.0 ** (db / 10.0) - want) / want
+                        assert rel <= 1e-9, f"{where}: relative error {rel:.3e}"
 
 
 class TestSchemeEffects:
