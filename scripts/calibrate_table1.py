@@ -47,7 +47,7 @@ def build_sums(model: PathLossModel, resolution: int):
     grid = Grid.from_spec(spec)
     plan = ContentPlan.equal_split(3, 3.0, 3 * 2.4e6)
     env = RadioEnv(n0=1.0, pathloss=model)  # gains do not depend on n0
-    ev = SinrEvaluator(grid, env, workers=1)
+    ev = SinrEvaluator(grid, env)
     schemes = {
         "reuse1": SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0, label="reuse1"),
         "ps025": SchemeConfig(SchemeKind.IMLSI_PS, beta=0.25),

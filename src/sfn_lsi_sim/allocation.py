@@ -279,8 +279,3 @@ def allocate(grid: Grid, plan: ContentPlan, scheme: SchemeConfig) -> TransmitPla
     else:
         tp = allocate_imo(grid, plan, scheme.beta, scheme.buffer_reallocation)
     return TransmitPlan(grid=tp.grid, scheme=scheme, power=tp.power.copy(), active=tp.active.copy())
-
-
-def total_power_check(tp: TransmitPlan) -> np.ndarray:
-    """Per-cell transmit power sums, for budget invariants."""
-    return tp.per_cell_power_sums()

@@ -9,7 +9,6 @@ construction and safe for concurrent read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +17,7 @@ import numpy as np
 from sfn_lsi_sim.errors import ConfigurationError
 
 # Propagation models diverge as d -> 0; below tower height the models are
-# not valid anyway, so distances are clamped here.
+# not valid anyway, so the engine clamps distances to this floor.
 D_MIN_M = 20.0
 
 
@@ -160,9 +159,6 @@ class Grid:
     def from_spec(cls, spec: GridSpec) -> "Grid":
         return cls(spec=spec, cells=tuple(build_grid(spec)))
 
-    def cells_in_lsa(self, lsa: Lsa) -> list[Cell]:
-        return [c for c in self.cells if c.lsa is lsa]
-
     def cells_in_zone(self, zone: Zone) -> list[Cell]:
         return [c for c in self.cells if c.zone is zone]
 
@@ -195,7 +191,6 @@ def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
     midpoints, so a one-cell area at resolution 1 samples the cell center.
     A1 and A2 step by ``isd / resolution`` from the origin, so the A1 lattice
     is exactly the leftmost columns of the A2 lattice at the same resolution.
-    The ordering never depends on how the evaluation is parallelized.
     """
     (ny, nx), (x0, y0), (step_x, step_y) = _lattice(area, spec)
     xs = x0 + (np.arange(nx) + 0.5) * step_x
@@ -223,9 +218,3 @@ def _lattice(area, spec):
     else:
         step = (spec.isd / area.resolution,) * 2
     return (ny, nx), (x0, y0), step
-
-
-def distance(tower_xy, point, d_min: float = D_MIN_M) -> float:
-    """2-D Euclidean tower-to-point distance, clamped below by ``d_min``."""
-    d = math.hypot(point[0] - tower_xy[0], point[1] - tower_xy[1])
-    return max(d, d_min)

@@ -20,7 +20,7 @@ from sfn_lsi_sim.allocation import (
     SchemeConfig,
     SchemeKind,
     TransmitPlan,
-    lsa1_local_contents,
+    allocate,
 )
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import EvalArea, Grid, GridSpec
@@ -139,41 +139,12 @@ def bits_per_symbol(mod_order: int) -> int:
     return mod_order.bit_length() - 1
 
 
-def _spec_of(grid: Grid | GridSpec) -> GridSpec:
-    return grid.spec if isinstance(grid, Grid) else grid
-
-
-def scheme_weights(
-    scheme: SchemeConfig | SchemeKind, grid: Grid | GridSpec, m_count: int
-) -> tuple[Fraction, ...]:
+def plan_weights(tp: TransmitPlan) -> tuple[Fraction, ...]:
     """Per-content transmitting-cell fractions, over all cells of both LSAs.
 
-    The global content is transmitted everywhere (weight 1).  Under the
-    orthogonal scheme each local content is carried by exactly one LSA;
-    under power scaling by every cell; under buffer orthogonality by every
-    cell except the other LSA's buffer column(s).
+    Counted from a realized plan's active flags.  The global content is
+    transmitted everywhere (weight 1).
     """
-    kind = scheme.kind if isinstance(scheme, SchemeConfig) else scheme
-    spec = _spec_of(grid)
-    n_cells = spec.rows * spec.cols
-    n_lsa1 = spec.rows * spec.lsa1_cols
-    n_lsa2 = n_cells - n_lsa1
-    n_buf_side = spec.rows * spec.buffer_cols_per_side
-    lsa1_half = set(lsa1_local_contents(m_count))
-    weights = [Fraction(1)]
-    for m in range(2, m_count + 1):
-        if kind is SchemeKind.OLSI:
-            own = n_lsa1 if m in lsa1_half else n_lsa2
-            weights.append(Fraction(own, n_cells))
-        elif kind is SchemeKind.IMLSI_PS:
-            weights.append(Fraction(1))
-        else:
-            weights.append(Fraction(n_cells - n_buf_side, n_cells))
-    return tuple(weights)
-
-
-def plan_weights(tp: TransmitPlan) -> tuple[Fraction, ...]:
-    """Same fractions, counted from a realized plan's active flags."""
     totals = tp.active.sum(axis=0)
     if totals[0] != len(tp.grid.cells):
         raise ValueError("global content must be active in every cell")
@@ -195,19 +166,12 @@ def _xi(numerator: Fraction, plan: ContentPlan) -> float:
     return float(numerator) / (plan.t_sym * total_bw)
 
 
-def spectral_efficiency(
-    scheme: SchemeConfig | SchemeKind, grid: Grid | GridSpec, plan: ContentPlan
-) -> float:
+def spectral_efficiency_from_plan(tp: TransmitPlan, plan: ContentPlan) -> float:
     """Scheme spectral efficiency in bits/s/Hz.
 
     xi = sum_m w_m * |S_m| * log2(mu_m) / T_sym, divided by sum_m B_m,
-    with w_m the transmitting-cell fraction for content m.
+    with w_m the transmitting-cell fraction of content m in ``tp``.
     """
-    return _xi(_se_numerator(scheme_weights(scheme, grid, plan.m_count), plan), plan)
-
-
-def spectral_efficiency_from_plan(tp: TransmitPlan, plan: ContentPlan) -> float:
-    """Same quantity, with weights counted from the plan's active flags."""
     return _xi(_se_numerator(plan_weights(tp), plan), plan)
 
 
@@ -224,10 +188,15 @@ class SEReport:
 
 
 def se_report(grid: Grid | GridSpec, plan: ContentPlan) -> SEReport:
-    """SE of all three schemes on one grid/content plan, ratios as Fractions."""
-    spec = _spec_of(grid)
+    """SE of all three schemes on one grid/content plan, ratios as Fractions.
+
+    Weights are counted from each scheme's allocation with default settings;
+    the transmitting cells do not depend on beta or buffer reallocation.
+    """
+    if not isinstance(grid, Grid):
+        grid = Grid.from_spec(grid)
     nums = {
-        kind: _se_numerator(scheme_weights(kind, spec, plan.m_count), plan)
+        kind: _se_numerator(plan_weights(allocate(grid, plan, SchemeConfig(kind))), plan)
         for kind in SchemeKind
     }
     return SEReport(
@@ -239,15 +208,3 @@ def se_report(grid: Grid | GridSpec, plan: ContentPlan) -> SEReport:
         ratio_ps_imo=nums[SchemeKind.IMLSI_PS] / nums[SchemeKind.IMLSI_O],
     )
 
-
-def se_ratio_general(m_count: int) -> Fraction:
-    """Orthogonal-to-power-scaling SE ratio for M contents under equal
-    bandwidths, subcarrier counts and modulations: (1 + (M-1)/2) / M.
-
-    Each local content is carried by exactly half the cells under the
-    orthogonal split, so the ratio is (M+1)/(2M) for every M >= 2 and
-    approaches 1/2 from above as M grows.
-    """
-    if m_count < 2:
-        raise ValueError(f"m_count must be >= 2 (got {m_count})")
-    return Fraction(m_count + 1, 2 * m_count)

@@ -75,7 +75,7 @@ def path_loss_db(model: PathLossModel, d_m):
     """Path loss in dB at distance ``d_m`` (meters; scalar or array)."""
     d = np.asarray(d_m, dtype=float)
     if np.any(d <= 0):
-        raise ValueError("distance must be positive; clamp via grid.distance first")
+        raise ValueError("distance must be positive; clamp to grid.D_MIN_M first")
     if model.kind is PathLossKind.POWER_LAW:
         out = 10.0 * model.eta * np.log10(d)
     else:
@@ -93,7 +93,7 @@ def gain(model: PathLossModel, d_m):
     """
     d = np.asarray(d_m, dtype=float)
     if np.any(d <= 0):
-        raise ValueError("distance must be positive; clamp via grid.distance first")
+        raise ValueError("distance must be positive; clamp to grid.D_MIN_M first")
     if model.kind is PathLossKind.POWER_LAW:
         out = d ** (-model.eta)
     else:

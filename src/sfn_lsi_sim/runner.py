@@ -12,7 +12,7 @@ One run evaluates every configured scheme on the configured grid and writes:
 
 All numeric output is printed with 9 significant digits and every
 collection is emitted in a fixed order, so repeated runs produce
-byte-identical files regardless of worker count.
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -141,11 +141,11 @@ def _coverage_pct(cfg, fields) -> dict:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> RunResult:
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run every configured scheme and write all artifacts to cfg.out_dir."""
     grid = Grid.from_spec(cfg.grid)
     env = cfg.env()
-    evaluator = SinrEvaluator(grid, env, workers=workers)
+    evaluator = SinrEvaluator(grid, env)
     coverage_area = cfg.coverage_area()
     map_area = cfg.map_area()
     contents = list(cfg.plan.content_ids)

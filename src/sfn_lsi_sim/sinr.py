@@ -4,28 +4,24 @@ For a receiver point and content m, every cell of the point's own LSA that
 transmits content m contributes signal, and every cell of the other LSA that
 transmits the same subcarriers contributes interference.  The global content
 is carried synchronously by all cells, so it sees no cross-LSA interference,
-only noise.  SINR is evaluated on midpoint sampling lattices; evaluation
-order and chunking are fixed so results are identical regardless of the
-worker count.
+only noise.  Lattice fields and point arrays go through the same two steps,
+zone gains and one own/other/noise expression, so a point gets the same
+bytes on either path.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan, TransmitPlan
-from sfn_lsi_sim.errors import ConfigurationError, ConfigValidationError
+from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
     D_MIN_M,
     AreaKind,
     EvalArea,
     Grid,
-    GridSpec,
     Lsa,
     Zone,
     lsa_of_points,
@@ -38,8 +34,8 @@ SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
 
 _CHUNK = 16384
-"""Points per evaluation chunk; fixed so chunk boundaries never depend on
-the worker count."""
+"""Points per evaluation chunk; bounds the (n_cells, chunk) distance and
+gain temporaries."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +48,6 @@ class RadioEnv:
     def __post_init__(self):
         if self.n0 <= 0:
             raise ConfigurationError(f"n0 must be positive (got {self.n0})")
-
-
-class SinrValue(NamedTuple):
-    linear: float
-    db: float
 
 
 @dataclass(frozen=True)
@@ -113,19 +104,6 @@ def _zone_cells(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(band == z) for z in range(len(ZONES)))
 
 
-def _threads_from_env() -> int:
-    text = os.environ.get("SFN_LSI_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigValidationError(
-            [f"SFN_LSI_THREADS: must be an integer >= 1 (got {text!r})"]
-        )
-    return threads
-
-
 class SinrEvaluator:
     """Evaluates SINR fields for one grid and radio environment.
 
@@ -134,34 +112,35 @@ class SinrEvaluator:
     with G_z the gain summed over the zone's cells.  Only the four G_z rows
     are cached per evaluation area and reused by all contents and transmit
     plans.  A1 is the left part of A2, so A1 gains are sliced from cached A2
-    gains at the same resolution.  ``workers`` sets the thread count for
-    chunked evaluation (default: ``SFN_LSI_THREADS``, else 1); chunk
-    boundaries and every per-point operation are identical for any worker
-    count.
+    gains at the same resolution.
     """
 
-    def __init__(self, grid: Grid, env: RadioEnv, workers: int | None = None):
+    def __init__(self, grid: Grid, env: RadioEnv):
         self.grid = grid
         self.env = env
-        if workers is None:
-            workers = _threads_from_env()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1 (got {workers})")
-        self.workers = workers
         self._towers = grid.towers()
         self._zone_cells = _zone_cells(grid)
         self._gains: dict[EvalArea, np.ndarray] = {}
         self._in_lsa1: dict[EvalArea, np.ndarray] = {}
 
-    def _run_chunks(self, n: int, fn) -> None:
-        spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-        if self.workers == 1 or len(spans) == 1:
-            for lo, hi in spans:
-                fn(lo, hi)
-            return
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for future in [pool.submit(fn, lo, hi) for lo, hi in spans]:
-                future.result()
+    def _zone_gains(self, points: np.ndarray) -> np.ndarray:
+        """(4, n) zone gains G_z at ``points`` (shape (n, 2))."""
+        g = np.empty((len(ZONES), points.shape[0]))
+        for lo in range(0, points.shape[0], _CHUNK):
+            hi = lo + _CHUNK
+            dx = self._towers[:, 0:1] - points[lo:hi, 0]
+            dy = self._towers[:, 1:2] - points[lo:hi, 1]
+            d = np.hypot(dx, dy, out=dx)
+            np.maximum(d, D_MIN_M, out=d)
+            cell_gains = gain(self.env.pathloss, d)
+            # Row-by-row sums in cell-index order: elementwise, so a
+            # point's G_z never depends on the chunk it falls in.
+            for z, cells in enumerate(self._zone_cells):
+                acc = g[z, lo:hi]
+                acc[:] = 0.0
+                for c in cells:
+                    acc += cell_gains[c]
+        return g
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
         """(4, n_points) read-only zone gains G_z, one row per band of ``ZONES``."""
@@ -180,23 +159,7 @@ class SinrEvaluator:
         else:
             points = sample_points(area, spec)
             in_lsa1 = lsa_of_points(points, spec)
-            g = np.empty((len(ZONES), points.shape[0]))
-
-            def fill(lo: int, hi: int) -> None:
-                dx = self._towers[:, 0:1] - points[lo:hi, 0]
-                dy = self._towers[:, 1:2] - points[lo:hi, 1]
-                d = np.hypot(dx, dy, out=dx)
-                np.maximum(d, D_MIN_M, out=d)
-                cell_gains = gain(self.env.pathloss, d)
-                # Row-by-row sums in cell-index order: elementwise, so a
-                # point's G_z never depends on the chunk it falls in.
-                for z, cells in enumerate(self._zone_cells):
-                    acc = g[z, lo:hi]
-                    acc[:] = 0.0
-                    for c in cells:
-                        acc += cell_gains[c]
-
-            self._run_chunks(points.shape[0], fill)
+            g = self._zone_gains(points)
         g.flags.writeable = False
         self._gains[area] = g
         self._in_lsa1[area] = in_lsa1
@@ -223,30 +186,43 @@ class SinrEvaluator:
             out[z] = band[0]
         return out
 
-    def field(
-        self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
-    ) -> SinrField:
+    def _linear(
+        self,
+        g: np.ndarray,
+        in_lsa1: np.ndarray,
+        content_id: int,
+        tp: TransmitPlan,
+        plan: ContentPlan,
+    ) -> np.ndarray:
+        """Linear SINR of content ``content_id`` from zone gains ``g``.
+
+        ``in_lsa1`` marks the points of LSA1.  Own-LSA signal over cross-LSA
+        interference plus noise; the global content is all signal.
+        """
         if not 1 <= content_id <= plan.m_count:
             raise ValueError(f"content_id must be in 1..{plan.m_count} (got {content_id})")
         if tp.grid.spec != self.grid.spec:
             raise ConfigurationError("transmit plan was allocated on a different grid")
-        g = self.gains_for(area)
-        in_lsa1 = self._in_lsa1[area]
         p = self.zone_powers(tp, content_id)
         noise = self.env.n0 * plan.bandwidth_of(content_id)
         lin = np.empty(g.shape[1])
-
-        def reduce_chunk(lo: int, hi: int) -> None:
+        for lo in range(0, lin.size, _CHUNK):
+            hi = lo + _CHUNK
             from1 = p[0] * g[0, lo:hi] + p[1] * g[1, lo:hi]
             from2 = p[2] * g[2, lo:hi] + p[3] * g[3, lo:hi]
             if content_id == 1:
-                lin[lo:hi] = (from1 + from2) / noise
+                own, other = from1 + from2, 0.0
             else:
                 own = np.where(in_lsa1[lo:hi], from1, from2)
                 other = np.where(in_lsa1[lo:hi], from2, from1)
-                lin[lo:hi] = own / (other + noise)
+            lin[lo:hi] = own / (other + noise)
+        return lin
 
-        self._run_chunks(lin.size, reduce_chunk)
+    def field(
+        self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
+    ) -> SinrField:
+        g = self.gains_for(area)
+        lin = self._linear(g, self._in_lsa1[area], content_id, tp, plan)
         return SinrField(
             content_id=content_id,
             scheme_label=tp.scheme.label,
@@ -257,47 +233,18 @@ class SinrEvaluator:
 
 
 def sinr_at(
-    point: tuple[float, float],
+    points: np.ndarray,
     content_id: int,
     tp: TransmitPlan,
     env: RadioEnv,
     plan: ContentPlan,
-) -> SinrValue:
-    """SINR at a single receiver point, as (linear, dB)."""
-    if not 1 <= content_id <= plan.m_count:
-        raise ValueError(f"content_id must be in 1..{plan.m_count} (got {content_id})")
-    spec = tp.grid.spec
-    towers = tp.grid.towers()
-    d = np.hypot(towers[:, 0] - point[0], towers[:, 1] - point[1])
-    np.maximum(d, D_MIN_M, out=d)
-    g = gain(env.pathloss, d)
-    p = tp.power[:, content_id - 1]
-    noise = env.n0 * plan.bandwidth_of(content_id)
-    if content_id == 1:
-        lin = float((p * g).sum() / noise)
-    else:
-        lsa1_rows = tp.grid.lsa1_mask()
-        from1 = float((p[lsa1_rows] * g[lsa1_rows]).sum())
-        from2 = float((p[~lsa1_rows] * g[~lsa1_rows]).sum())
-        if bool(lsa_of_points(np.asarray([point]), spec)[0]):
-            own, other = from1, from2
-        else:
-            own, other = from2, from1
-        lin = own / (other + noise)
-    db = 10.0 * np.log10(lin) if lin > 0.0 else SINR_FLOOR_DB
-    return SinrValue(linear=lin, db=float(db))
+) -> np.ndarray:
+    """Linear SINR at each row of ``points`` (shape (n, 2)).
 
-
-def sinr_field(
-    area: EvalArea,
-    content_id: int,
-    tp: TransmitPlan,
-    env: RadioEnv,
-    plan: ContentPlan,
-    spec: GridSpec | None = None,
-    workers: int | None = None,
-) -> SinrField:
-    """One-shot field evaluation; ``spec``, if given, must match the plan's grid."""
-    if spec is not None and spec != tp.grid.spec:
-        raise ConfigurationError("spec does not match the transmit plan's grid")
-    return SinrEvaluator(tp.grid, env, workers=workers).field(area, content_id, tp, plan)
+    Computed by the same zone-gain and SINR steps as ``SinrEvaluator.field``,
+    so a lattice point gets the same value on either path.
+    """
+    points = np.asarray(points, dtype=float)
+    evaluator = SinrEvaluator(tp.grid, env)
+    in_lsa1 = lsa_of_points(points, tp.grid.spec)
+    return evaluator._linear(evaluator._zone_gains(points), in_lsa1, content_id, tp, plan)

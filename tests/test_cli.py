@@ -44,18 +44,6 @@ class TestRun:
         assert code == 1
         assert "config error: --beta requires --scheme" in captured.err
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_count_names_the_variable(self, value, tmp_path, capsys,
-                                                 monkeypatch):
-        monkeypatch.setenv("SFN_LSI_THREADS", value)
-        out = tmp_path / "threads"
-        code = main(["run", "--config", SMOKE, "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert f"config error: SFN_LSI_THREADS: must be an integer >= 1 (got '{value}')" \
-            in captured.err
-        assert not out.exists()
-
     def test_missing_config_file(self, capsys):
         code = main(["run", "--config", "/nonexistent/run.cfg"])
         captured = capsys.readouterr()

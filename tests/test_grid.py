@@ -7,14 +7,12 @@ import pytest
 
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
-    D_MIN_M,
     AreaKind,
     EvalArea,
     Grid,
     GridSpec,
     Lsa,
     Zone,
-    distance,
     lsa_of_points,
     sample_points,
     sample_shape,
@@ -50,8 +48,8 @@ class TestGridBuild:
     def test_default_grid_counts(self):
         grid = Grid.from_spec(GridSpec())
         assert len(grid.cells) == 80
-        assert len(grid.cells_in_lsa(Lsa.LSA1)) == 40
-        assert len(grid.cells_in_lsa(Lsa.LSA2)) == 40
+        assert np.count_nonzero(grid.lsa1_mask()) == 40
+        assert np.count_nonzero(~grid.lsa1_mask()) == 40
         assert len(grid.cells_in_zone(Zone.LEFT_BUFFER)) == 8
         assert len(grid.cells_in_zone(Zone.RIGHT_BUFFER)) == 8
         assert len(grid.buffer_cells()) == 16
@@ -167,14 +165,3 @@ class TestSampling:
         b = sample_points(area, spec)
         assert a.tobytes() == b.tobytes()
 
-
-class TestDistance:
-    def test_euclidean(self):
-        assert distance((0.0, 0.0), (30.0, 40.0)) == 50.0
-
-    def test_clamped_below(self):
-        assert distance((0.0, 0.0), (1.0, 1.0)) == D_MIN_M
-        assert distance((0.0, 0.0), (0.0, 0.0)) == D_MIN_M
-
-    def test_custom_floor(self):
-        assert distance((0.0, 0.0), (3.0, 4.0), d_min=1.0) == 5.0

@@ -12,6 +12,7 @@ from sfn_lsi_sim.allocation import (
     SchemeConfig,
     SchemeKind,
     allocate,
+    lsa1_local_contents,
 )
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec
@@ -20,10 +21,7 @@ from sfn_lsi_sim.metrics import (
     content_count_map,
     coverage,
     plan_weights,
-    scheme_weights,
-    se_ratio_general,
     se_report,
-    spectral_efficiency,
     spectral_efficiency_from_plan,
 )
 from sfn_lsi_sim.sinr import SinrField
@@ -41,6 +39,41 @@ def make_field(values, content_id=1, scheme="olsi", shape=None, area=AREA):
         values=arr,
         shape=shape or (1, arr.size),
     )
+
+
+def scheme_weights(scheme, spec: GridSpec, m_count: int) -> tuple[Fraction, ...]:
+    """Closed-form transmitting-cell fractions, the cross-check of the weights
+    the package counts from realized plans.
+
+    The global content is transmitted everywhere (weight 1).  Under the
+    orthogonal scheme each local content is carried by exactly one LSA;
+    under power scaling by every cell; under buffer orthogonality by every
+    cell except the other LSA's buffer column(s).
+    """
+    kind = scheme.kind if isinstance(scheme, SchemeConfig) else scheme
+    n_cells = spec.rows * spec.cols
+    n_lsa1 = spec.rows * spec.lsa1_cols
+    n_lsa2 = n_cells - n_lsa1
+    n_buf_side = spec.rows * spec.buffer_cols_per_side
+    lsa1_half = set(lsa1_local_contents(m_count))
+    weights = [Fraction(1)]
+    for m in range(2, m_count + 1):
+        if kind is SchemeKind.OLSI:
+            own = n_lsa1 if m in lsa1_half else n_lsa2
+            weights.append(Fraction(own, n_cells))
+        elif kind is SchemeKind.IMLSI_PS:
+            weights.append(Fraction(1))
+        else:
+            weights.append(Fraction(n_cells - n_buf_side, n_cells))
+    return tuple(weights)
+
+
+def spectral_efficiency(kind: SchemeKind, spec: GridSpec, plan: ContentPlan) -> float:
+    """Closed-form xi = sum_m w_m |S_m| log2(mu_m) / (T_sym sum_m B_m)."""
+    weights = scheme_weights(kind, spec, plan.m_count)
+    rate = sum(w * s * bits_per_symbol(mu)
+               for w, s, mu in zip(weights, plan.subcarriers, plan.mod_order))
+    return float(rate) / (plan.t_sym * sum(plan.bandwidth_hz))
 
 
 def reference_plan() -> ContentPlan:
@@ -192,7 +225,7 @@ class TestSchemeWeights:
         for m_count in (2, 3, 5):
             plan = ContentPlan.equal_split(m_count, 30.0, m_count * 1e6)
             tp = allocate(grid, plan, scheme)
-            assert plan_weights(tp) == scheme_weights(scheme, grid, m_count)
+            assert plan_weights(tp) == scheme_weights(scheme, spec, m_count)
 
 
 class TestSpectralEfficiency:
@@ -232,12 +265,11 @@ class TestSpectralEfficiency:
             t_sym=1e-3,
             base_power=(1.0, 1.0),
         )
+        report = se_report(GridSpec(), plan)
         # ps: (1500*6 + 500*2) / (1e-3 * 4e6) = 10000 / 4000 = 2.5
-        assert spectral_efficiency(SchemeKind.IMLSI_PS, GridSpec(), plan) == (
-            pytest.approx(2.5, abs=1e-12))
+        assert report.xi_ps == pytest.approx(2.5, abs=1e-12)
         # olsi: (1500*6 + 0.5*500*2) / 4000 = 9500 / 4000 = 2.375
-        assert spectral_efficiency(SchemeKind.OLSI, GridSpec(), plan) == (
-            pytest.approx(2.375, abs=1e-12))
+        assert report.xi_olsi == pytest.approx(2.375, abs=1e-12)
 
     def test_non_power_of_two_modulation_rejected(self):
         plan = ContentPlan(
@@ -249,10 +281,33 @@ class TestSpectralEfficiency:
             base_power=(1.0, 1.0),
         )
         with pytest.raises(ConfigurationError, match="power of two"):
-            spectral_efficiency(SchemeKind.IMLSI_PS, GridSpec(), plan)
+            se_report(GridSpec(), plan)
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec(),
+        GridSpec(rows=4, cols=5, lsa1_cols=2),
+        GridSpec(rows=2, cols=6, lsa1_cols=3, buffer_cols_per_side=2),
+    ])
+    def test_report_matches_closed_form(self, spec):
+        for plan in (reference_plan(), ContentPlan(
+                m_count=4, bandwidth_hz=(3e6, 1e6, 2e6, 1e6),
+                subcarriers=(1500, 500, 900, 400), mod_order=(64, 4, 16, 256),
+                t_sym=1e-3, base_power=(1.0,) * 4)):
+            report = se_report(spec, plan)
+            assert report.xi_olsi == spectral_efficiency(SchemeKind.OLSI, spec, plan)
+            assert report.xi_ps == spectral_efficiency(SchemeKind.IMLSI_PS, spec, plan)
+            assert report.xi_imo == spectral_efficiency(SchemeKind.IMLSI_O, spec, plan)
 
 
 class TestSeRatioGeneral:
+    """Equal plans: each local content is carried by half the cells under the
+    orthogonal split, so OLSI/PS = (M+1)/(2M) on a symmetric grid."""
+
+    @staticmethod
+    def ratio(m: int, spec: GridSpec | None = None) -> Fraction:
+        plan = ContentPlan.equal_split(m, float(m), m * 1e6)
+        return se_report(spec or GridSpec(), plan).ratio_olsi_ps
+
     @pytest.mark.parametrize("m,expected", [
         (2, Fraction(3, 4)),
         (3, Fraction(2, 3)),
@@ -260,20 +315,16 @@ class TestSeRatioGeneral:
         (10, Fraction(11, 20)),
     ])
     def test_closed_form(self, m, expected):
-        assert se_ratio_general(m) == expected
+        assert self.ratio(m) == expected
 
     def test_matches_full_report_for_equal_plans(self):
+        symmetric = GridSpec(rows=2, cols=6, lsa1_cols=3, buffer_cols_per_side=2)
         for m in (2, 3, 4, 6, 9):
-            plan = ContentPlan.equal_split(m, float(m), m * 1e6)
-            report = se_report(GridSpec(), plan)
-            assert report.ratio_olsi_ps == se_ratio_general(m)
+            assert self.ratio(m) == Fraction(m + 1, 2 * m)
+            assert self.ratio(m, symmetric) == Fraction(m + 1, 2 * m)
 
     def test_limit_approaches_one_half_from_above(self):
-        values = [se_ratio_general(m) for m in (2, 10, 100, 1000)]
+        values = [self.ratio(m) for m in (2, 10, 100, 1000)]
         assert all(v > Fraction(1, 2) for v in values)
         assert values == sorted(values, reverse=True)
         assert float(values[-1]) == pytest.approx(0.5, abs=1e-3)
-
-    def test_requires_at_least_two_contents(self):
-        with pytest.raises(ValueError, match="m_count"):
-            se_ratio_general(1)

@@ -10,7 +10,7 @@ from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, alloca
 from sfn_lsi_sim.grid import Grid, GridSpec
 from sfn_lsi_sim.oracle import OracleCase, oracle_sinr, run_oracle_suite
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
-from sfn_lsi_sim.sinr import RadioEnv, sinr_at
+from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator, sinr_at
 
 
 def test_single_cell_pair_by_hand():
@@ -34,10 +34,10 @@ def test_oracle_agrees_with_engine_at_arbitrary_point():
     plan = ContentPlan.equal_split(3, 3.0, 7.2e6)
     env = RadioEnv(n0=5e-18, pathloss=PathLossModel(kind=PathLossKind.HATA))
     tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=0.25))
-    for point in [(123.4, 567.8), (3400.0, 1700.0), (6700.0, 3300.0)]:
-        for m in (1, 2, 3):
+    points = [(123.4, 567.8), (3400.0, 1700.0), (6700.0, 3300.0)]
+    for m in (1, 2, 3):
+        for point, got in zip(points, sinr_at(points, m, tp, env, plan)):
             want = oracle_sinr(point, m, tp, env, plan)
-            got = sinr_at(point, m, tp, env, plan).linear
             if want == 0.0:
                 assert got == 0.0
             else:
@@ -79,3 +79,18 @@ def test_suite_is_seed_deterministic():
     a = run_oracle_suite(n_points=5, seed=7)
     b = run_oracle_suite(n_points=5, seed=7)
     assert [c.max_rel_err for c in a] == [c.max_rel_err for c in b]
+
+
+def test_suite_catches_a_broken_shipped_formula(monkeypatch):
+    # Give the right buffer the LSA2-interior power inside the engine that
+    # writes the artifacts; the suite must see it.
+    zone_powers = SinrEvaluator.zone_powers
+
+    def broken(self, tp, content_id):
+        p = zone_powers(self, tp, content_id)
+        p[2] = p[3]
+        return p
+
+    monkeypatch.setattr(SinrEvaluator, "zone_powers", broken)
+    cases = run_oracle_suite(n_points=5, seed=7)
+    assert any(not case.ok for case in cases)

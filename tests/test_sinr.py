@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,12 +33,22 @@ from sfn_lsi_sim.sinr import (
     RadioEnv,
     SinrEvaluator,
     sinr_at,
-    sinr_field,
 )
 
 
 def make_env(kind=PathLossKind.POWER_LAW) -> RadioEnv:
     return RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=kind, eta=3.5))
+
+
+def to_db(linear: np.ndarray) -> np.ndarray:
+    db = np.full(linear.shape, SINR_FLOOR_DB)
+    pos = linear > 0.0
+    db[pos] = 10.0 * np.log10(linear[pos])
+    return db
+
+
+def field_of(area, content_id, tp, env, plan):
+    return SinrEvaluator(tp.grid, env).field(area, content_id, tp, plan)
 
 
 def make_setup(scheme=None, m_count=3, spec=None):
@@ -59,30 +71,34 @@ class TestSinrAt:
         env = make_env()
         # with equal powers everywhere the global SINR is signal over noise only,
         # so it must exceed any single local content's SINR at every point
-        for point in [(850.0, 850.0), (8000.0, 6800.0), (16000.0, 1000.0)]:
-            g1 = sinr_at(point, 1, tp, env, plan)
-            g2 = sinr_at(point, 2, tp, env, plan)
-            assert g1.linear > g2.linear
+        points = [(850.0, 850.0), (8000.0, 6800.0), (16000.0, 1000.0)]
+        g1 = sinr_at(points, 1, tp, env, plan)
+        g2 = sinr_at(points, 2, tp, env, plan)
+        assert (g1 > g2).all()
 
     def test_db_matches_linear(self):
         grid, plan, tp = make_setup()
         env = make_env()
-        value = sinr_at((4000.0, 4000.0), 2, tp, env, plan)
-        assert value.db == pytest.approx(10 * np.log10(value.linear), abs=1e-12)
+        area = EvalArea(kind=AreaKind.A1, resolution=2)
+        linear = sinr_at(sample_points(area, grid.spec), 2, tp, env, plan)
+        db = field_of(area, 2, tp, env, plan).values
+        assert db == pytest.approx(10 * np.log10(linear), abs=1e-12)
 
     def test_zero_signal_reports_floor(self):
         # under the orthogonal scheme a point in LSA1 has no serving cell for
         # the other LSA's local content
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.OLSI))
         env = make_env()
-        value = sinr_at((850.0, 850.0), 3, tp, env, plan)
-        assert value.linear == 0.0
-        assert value.db == SINR_FLOOR_DB
+        assert sinr_at([(850.0, 850.0)], 3, tp, env, plan).tolist() == [0.0]
+        # (850, 850) is the first point of the resolution-1 A1 lattice
+        field = field_of(EvalArea(kind=AreaKind.A1, resolution=1), 3, tp, env, plan)
+        assert field.values[0] == SINR_FLOOR_DB
 
     def test_content_id_bounds(self):
         grid, plan, tp = make_setup()
-        with pytest.raises(ValueError, match="content_id"):
-            sinr_at((0.0, 0.0), 4, tp, make_env(), plan)
+        for content_id in (0, 4):
+            with pytest.raises(ValueError, match="content_id"):
+                sinr_at([(0.0, 0.0)], content_id, tp, make_env(), plan)
 
     def test_symmetry_of_mirror_points(self):
         # reuse-1 with equal powers: the grid is mirror-symmetric about the
@@ -90,28 +106,40 @@ class TestSinrAt:
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
         env = make_env()
         width = grid.spec.width_m
-        for x, y in [(850.0, 850.0), (4000.0, 5000.0), (8200.0, 12000.0)]:
-            left = sinr_at((x, y), 2, tp, env, plan)
-            right = sinr_at((width - x, y), 3, tp, env, plan)
-            assert left.linear == pytest.approx(right.linear, rel=1e-12)
+        points = np.array([(850.0, 850.0), (4000.0, 5000.0), (8200.0, 12000.0)])
+        mirrored = np.column_stack((width - points[:, 0], points[:, 1]))
+        left = sinr_at(points, 2, tp, env, plan)
+        right = sinr_at(mirrored, 3, tp, env, plan)
+        assert left == pytest.approx(right, rel=1e-12)
 
 
 class TestSinrField:
     def test_field_matches_point_evaluation(self):
-        grid, plan, tp = make_setup()
-        env = make_env()
-        area = EvalArea(kind=AreaKind.A1, resolution=2)
-        field = sinr_field(area, 2, tp, env, plan)
-        points = sample_points(area, grid.spec)
-        for i in (0, 7, 63, 159):
-            expected = sinr_at(tuple(points[i]), 2, tp, env, plan)
-            assert field.values[i] == pytest.approx(expected.db, rel=1e-12, abs=1e-12)
+        # The point path and the lattice path share one SINR formula, so
+        # every lattice point gets the same bytes on both, A1 sliced from A2
+        # included.
+        schemes = [SchemeConfig(SchemeKind.OLSI),
+                   SchemeConfig(SchemeKind.IMLSI_PS, beta=0.5),
+                   SchemeConfig(SchemeKind.IMLSI_O, beta=0.25)]
+        areas = [EvalArea(kind=AreaKind.A2, resolution=3),
+                 EvalArea(kind=AreaKind.A1, resolution=3)]
+        for spec in (GridSpec(), GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3)):
+            for kind in (PathLossKind.POWER_LAW, PathLossKind.HATA):
+                env = make_env(kind)
+                for scheme in schemes:
+                    grid, plan, tp = make_setup(scheme, spec=spec)
+                    evaluator = SinrEvaluator(grid, env)
+                    for area, m in itertools.product(areas, plan.content_ids):
+                        field = evaluator.field(area, m, tp, plan).values
+                        point = sinr_at(sample_points(area, spec), m, tp, env, plan)
+                        where = f"{spec} {kind} {scheme.label} {area} content {m}"
+                        assert to_db(point).tobytes() == field.tobytes(), where
 
     def test_all_values_finite_even_with_zero_signal(self):
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.OLSI))
         env = make_env()
         area = EvalArea(kind=AreaKind.A1, resolution=3)
-        field = sinr_field(area, 3, tp, env, plan)
+        field = field_of(area, 3, tp, env, plan)
         assert np.isfinite(field.values).all()
         assert (field.values == SINR_FLOOR_DB).all()
 
@@ -120,25 +148,17 @@ class TestSinrField:
         env = make_env()
         # the map area spans the full grid: 8 rows x 10 cols at 3 samples/isd
         area = EvalArea(kind=AreaKind.A2, resolution=3)
-        field = sinr_field(area, 1, tp, env, plan)
+        field = field_of(area, 1, tp, env, plan)
         assert field.shape == (24, 30)
         assert field.as_image().shape == (24, 30)
         assert field.values.size == 720
 
     def test_values_read_only(self):
         grid, plan, tp = make_setup()
-        field = sinr_field(EvalArea(kind=AreaKind.A1, resolution=2), 1, tp,
-                           make_env(), plan)
+        field = field_of(EvalArea(kind=AreaKind.A1, resolution=2), 1, tp,
+                         make_env(), plan)
         with pytest.raises(ValueError):
             field.values[0] = 0.0
-
-    def test_spec_mismatch_rejected(self):
-        grid, plan, tp = make_setup()
-        with pytest.raises(ConfigurationError, match="spec"):
-            sinr_field(
-                EvalArea(kind=AreaKind.A1, resolution=2), 1, tp, make_env(), plan,
-                spec=GridSpec(rows=2, cols=4, lsa1_cols=2),
-            )
 
     def test_evaluator_rejects_foreign_plan(self):
         grid, plan, tp = make_setup()
@@ -148,20 +168,17 @@ class TestSinrField:
             evaluator.field(EvalArea(kind=AreaKind.A1, resolution=2), 1, tp, plan)
 
     @pytest.mark.parametrize("kind", [PathLossKind.POWER_LAW, PathLossKind.HATA])
-    def test_worker_count_does_not_change_bytes(self, kind):
+    def test_chunk_boundaries_do_not_change_bytes(self, kind):
         grid, plan, tp = make_setup()
         env = make_env(kind)
-        # 320 x 400 = 128000 points: 8 evaluation chunks, so 2 and 7 workers
-        # really interleave chunks
+        # 320 x 400 = 128000 points: 8 evaluation chunks.  Dropping the first
+        # 5 points moves every chunk boundary of the point evaluation.
         area = EvalArea(kind=AreaKind.A2, resolution=40)
         ny, nx = sample_shape(area, grid.spec)
         assert -(-ny * nx // _CHUNK) >= 8
-        fields = {
-            workers: SinrEvaluator(grid, env, workers=workers)
-            .field(area, 2, tp, plan).values.tobytes()
-            for workers in (1, 2, 7)
-        }
-        assert fields[1] == fields[2] == fields[7]
+        field = SinrEvaluator(grid, env).field(area, 2, tp, plan).values
+        shifted = sinr_at(sample_points(area, grid.spec)[5:], 2, tp, env, plan)
+        assert to_db(shifted).tobytes() == field[5:].tobytes()
 
     def test_repeated_evaluation_identical(self):
         grid, plan, tp = make_setup()
@@ -174,8 +191,8 @@ class TestSinrField:
 
     def test_scheme_label_carried(self):
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.IMLSI_O, beta=0.5))
-        field = sinr_field(EvalArea(kind=AreaKind.A1, resolution=2), 2, tp,
-                           make_env(), plan)
+        field = field_of(EvalArea(kind=AreaKind.A1, resolution=2), 2, tp,
+                         make_env(), plan)
         assert field.scheme_label == "imo_beta0.5"
 
 
@@ -261,7 +278,7 @@ class TestSchemeEffects:
         values = {}
         for beta in (1.0, 0.5, 0.25):
             tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=beta))
-            values[beta] = sinr_at(point, 2, tp, env, plan).linear
+            values[beta] = sinr_at([point], 2, tp, env, plan)[0]
         assert values[0.25] > values[0.5] > values[1.0]
 
     def test_global_boost_monotone_in_beta(self):
@@ -271,7 +288,7 @@ class TestSchemeEffects:
         values = []
         for beta in (1.0, 0.5, 0.25, 0.0):
             tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=beta))
-            values.append(sinr_at(point, 1, tp, env, plan).linear)
+            values.append(sinr_at([point], 1, tp, env, plan)[0])
         assert values == sorted(values)
 
     def test_imo_removes_cross_interference_in_buffer(self):
@@ -281,7 +298,4 @@ class TestSchemeEffects:
         ps = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
         imo = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=1.0))
         # the orthogonal buffer silences the nearest interferers of content 2
-        assert (
-            sinr_at(point, 2, imo, env, plan).linear
-            > sinr_at(point, 2, ps, env, plan).linear
-        )
+        assert sinr_at([point], 2, imo, env, plan) > sinr_at([point], 2, ps, env, plan)
