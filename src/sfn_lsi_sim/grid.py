@@ -159,9 +159,6 @@ class Grid:
     def from_spec(cls, spec: GridSpec) -> "Grid":
         return cls(spec=spec, cells=tuple(build_grid(spec)))
 
-    def cells_in_zone(self, zone: Zone) -> list[Cell]:
-        return [c for c in self.cells if c.zone is zone]
-
     def buffer_cells(self) -> list[Cell]:
         return [c for c in self.cells if c.zone is not Zone.SFN_INTERIOR]
 

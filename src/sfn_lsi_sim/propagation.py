@@ -71,19 +71,6 @@ def hata_coefficients(model: PathLossModel) -> tuple[float, float]:
     return float(fixed), float(slope)
 
 
-def path_loss_db(model: PathLossModel, d_m):
-    """Path loss in dB at distance ``d_m`` (meters; scalar or array)."""
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive; clamp to grid.D_MIN_M first")
-    if model.kind is PathLossKind.POWER_LAW:
-        out = 10.0 * model.eta * np.log10(d)
-    else:
-        fixed, slope = hata_coefficients(model)
-        out = fixed + slope * np.log10(d / 1000.0)
-    return float(out) if np.isscalar(d_m) else out
-
-
 def gain(model: PathLossModel, d_m):
     """Linear power gain at distance ``d_m`` (meters; scalar or array).
 

@@ -12,7 +12,9 @@ One run evaluates every configured scheme on the configured grid and writes:
 
 All numeric output is printed with 9 significant digits and every
 collection is emitted in a fixed order, so repeated runs produce
-byte-identical files.
+byte-identical files.  A run is written into a sibling temporary directory
+that then replaces the output directory, so the directory never mixes two
+runs and a failed run leaves the previous output as it was.
 """
 
 from __future__ import annotations
@@ -20,12 +22,16 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from sfn_lsi_sim.allocation import TransmitPlan, allocate
 from sfn_lsi_sim.config import MANIFEST_FORMAT, ExperimentConfig
+from sfn_lsi_sim.errors import ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, Grid
 from sfn_lsi_sim.metrics import (
     ContentCountMap,
@@ -39,6 +45,13 @@ from sfn_lsi_sim.sinr import SinrEvaluator, SinrField
 SUMMARY_FORMAT = "sfn-lsi-sim/summary-v1"
 SINR_DB_RANGE = (-10.0, 40.0)
 """Default dB window quantized into SINR rasters."""
+
+_RUN_FILE = re.compile(
+    r"manifest\.json|coverage\.csv|summary\.json|spectral_efficiency\.json"
+    r"|content_counts_.*|sinr_.*"
+)
+"""Names a run writes; an existing output directory holding only these
+(as plain files) may be replaced."""
 
 
 def fmt9(value: float) -> str:
@@ -141,8 +154,63 @@ def _coverage_pct(cfg, fields) -> dict:
     return out
 
 
+def _check_replaceable(out_dir: str, target: str) -> None:
+    """Refuse to replace ``target`` unless it is absent, empty or holds only
+    files a run writes; ``out_dir`` is the name the user gave."""
+    if not os.path.lexists(target):
+        return
+    if not os.path.isdir(target):
+        raise ConfigValidationError([f"output.dir: {out_dir} is not a directory"])
+    with os.scandir(target) as entries:
+        foreign = sorted(e.name for e in entries
+                         if e.is_dir() or not _RUN_FILE.fullmatch(e.name))
+    if foreign:
+        raise ConfigValidationError([
+            f"output.dir: {out_dir} holds {foreign[0]!r}, which a run does not "
+            "write; refusing to replace it"
+        ])
+
+
+def _umask() -> int:
+    # mkdtemp makes a private directory; the output gets the mode that
+    # os.makedirs would give it.
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Run every configured scheme and write all artifacts to cfg.out_dir."""
+    """Run every configured scheme and write all artifacts to cfg.out_dir.
+
+    The artifacts are written into a temporary sibling of cfg.out_dir,
+    which then takes the place of any previous run there.  An existing
+    directory holding anything a run does not write is refused with
+    ``ConfigValidationError`` before any work is done.
+    """
+    target = os.path.realpath(cfg.out_dir)
+    _check_replaceable(cfg.out_dir, target)
+    parent, name = os.path.split(target)
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{name}.", suffix=".partial", dir=parent)
+    try:
+        files, summary = _write_run(cfg, staging)
+        os.chmod(staging, 0o777 & ~_umask())
+        if os.path.isdir(target):
+            retired = staging + ".old"
+            os.rename(target, retired)
+            os.rename(staging, target)
+            shutil.rmtree(retired)
+        else:
+            os.rename(staging, target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return RunResult(out_dir=cfg.out_dir, files=files, summary=summary)
+
+
+def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], dict]:
+    """Write every artifact of the run into ``out_dir``; returns the sorted
+    file names and the summary document."""
     grid = Grid.from_spec(cfg.grid)
     env = cfg.env()
     evaluator = SinrEvaluator(grid, env)
@@ -152,12 +220,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # A2 first: the evaluator then slices A1 gains from the A2 cache.
     areas = sorted({coverage_area, map_area}, key=lambda a: a.kind is not AreaKind.A2)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     files: list[str] = []
 
     def out_path(name: str) -> str:
         files.append(name)
-        return os.path.join(cfg.out_dir, name)
+        return os.path.join(out_dir, name)
 
     _write_json(out_path("manifest.json"),
                 {"format": MANIFEST_FORMAT, "config": cfg.to_mapping()})
@@ -209,8 +276,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 name = f"sinr_{scheme.label}_content{field.content_id}.pgm"
                 emit_heatmap(field, out_path(name))
                 files.append(name + ".hdr.txt")
+        # Free this scheme's fields before the next scheme builds its own.
+        del fields, cov_fields, map_fields
 
-    with open(os.path.join(cfg.out_dir, "coverage.csv"), "w",
+    with open(os.path.join(out_dir, "coverage.csv"), "w",
               encoding="utf-8", newline="") as handle:
         files.append("coverage.csv")
         writer = csv.writer(handle)
@@ -246,4 +315,4 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     }
     _write_json(out_path("summary.json"), summary)
 
-    return RunResult(out_dir=cfg.out_dir, files=tuple(sorted(set(files))), summary=summary)
+    return tuple(sorted(set(files))), summary

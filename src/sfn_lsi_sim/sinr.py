@@ -34,8 +34,13 @@ SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
 
 _CHUNK = 16384
-"""Points per evaluation chunk; bounds the (n_cells, chunk) distance and
-gain temporaries."""
+"""Points per chunk of the point path (``_zone_gains``); bounds its
+(n_cells, chunk) distance and gain temporaries.  Lattices whose offsets are
+periodic take the kernel path instead, which ``_KERNEL_CHUNK`` bounds."""
+
+_KERNEL_CHUNK = 1 << 18
+"""Elements per row block of the lattice gain kernel; bounds its distance
+and gain temporaries."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,17 @@ def _zone_cells(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(band == z) for z in range(len(ZONES)))
 
 
+def _fold(towers: np.ndarray, samples: np.ndarray, period: int) -> np.ndarray | None:
+    """Offsets ``towers[c] - samples[k]`` at index ``k - c*period +
+    (n_towers-1)*period``, or None if two offsets with one index differ."""
+    table = towers[:, None] - samples
+    index = (np.arange(samples.size) - period * np.arange(towers.size)[:, None]
+             + period * (towers.size - 1))
+    folded = np.zeros(samples.size + period * (towers.size - 1))
+    folded[index] = table
+    return folded if np.array_equal(folded[index], table) else None
+
+
 class SinrEvaluator:
     """Evaluates SINR fields for one grid and radio environment.
 
@@ -113,6 +129,13 @@ class SinrEvaluator:
     are cached per evaluation area and reused by all contents and transmit
     plans.  A1 is the left part of A2, so A1 gains are sliced from cached A2
     gains at the same resolution.
+
+    On a lattice whose tower-to-sample offsets repeat exactly with the
+    tower period (A1 and A2 when ``isd / resolution`` is exact), a gain
+    depends only on the (row, column) offset, so the gains are evaluated
+    once over the offset grid and each G_z adds windows of that kernel.
+    Other lattices, and point arrays, evaluate every tower-to-point gain.
+    Both give the same bytes.
     """
 
     def __init__(self, grid: Grid, env: RadioEnv):
@@ -142,6 +165,42 @@ class SinrEvaluator:
                     acc += cell_gains[c]
         return g
 
+    def _lattice_gains(
+        self, points: np.ndarray, shape: tuple[int, int], period: int
+    ) -> np.ndarray:
+        """(4, n) zone gains at the lattice ``points`` of ``shape`` (ny, nx).
+
+        Towers sit ``period`` samples apart, and a tower's x depends only
+        on its column and its y only on its row.  If the x offsets
+        ``tower_x[c] - xs[k]`` are equal wherever ``k - c*period``
+        agrees, and the y offsets likewise, every tower-to-sample distance
+        is one of the offset grid's, so the gain kernel ``K`` is evaluated
+        on that grid once.  Each G_z then adds its cells' ``K`` windows in
+        cell-index order: the addends and order of ``_zone_gains``, hence
+        its bytes.  Otherwise this falls back to ``_zone_gains``.
+        """
+        ny, nx = shape
+        cols, rows = self.grid.spec.cols, self.grid.spec.rows
+        lattice = points.reshape(ny, nx, 2)
+        kx = _fold(self._towers[:cols, 0], lattice[0, :, 0], period)
+        ky = _fold(self._towers[::cols, 1], lattice[:, 0, 1], period)
+        if kx is None or ky is None:
+            return self._zone_gains(points)
+        kernel = np.empty((ky.size, kx.size))
+        block = max(1, _KERNEL_CHUNK // kx.size)
+        for lo in range(0, ky.size, block):
+            d = np.hypot(kx, ky[lo:lo + block, None])
+            np.maximum(d, D_MIN_M, out=d)
+            kernel[lo:lo + block] = gain(self.env.pathloss, d)
+        g = np.zeros((len(ZONES), ny * nx))
+        for z, cells in enumerate(self._zone_cells):
+            acc = g[z].reshape(ny, nx)
+            for c in cells:
+                y0 = (rows - 1 - c // cols) * period
+                x0 = (cols - 1 - c % cols) * period
+                acc += kernel[y0:y0 + ny, x0:x0 + nx]
+        return g
+
     def gains_for(self, area: EvalArea) -> np.ndarray:
         """(4, n_points) read-only zone gains G_z, one row per band of ``ZONES``."""
         cached = self._gains.get(area)
@@ -159,7 +218,7 @@ class SinrEvaluator:
         else:
             points = sample_points(area, spec)
             in_lsa1 = lsa_of_points(points, spec)
-            g = self._zone_gains(points)
+            g = self._lattice_gains(points, sample_shape(area, spec), area.resolution)
         g.flags.writeable = False
         self._gains[area] = g
         self._in_lsa1[area] = in_lsa1

@@ -37,6 +37,16 @@ class TestRun:
         assert not any("olsi" in n for n in names)
         assert "content_counts_ps_beta0.25.pgm" in captured.out
 
+    def test_foreign_output_directory_refused(self, tmp_path, capsys):
+        out = tmp_path / "mine"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        code = main(["run", "--config", SMOKE, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"config error: output.dir: {out} holds 'notes.txt'" in captured.err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     def test_beta_without_scheme(self, tmp_path, capsys):
         code = main(["run", "--config", SMOKE, "--out", str(tmp_path / "x"),
                      "--beta", "0.5"])

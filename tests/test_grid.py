@@ -19,6 +19,10 @@ from sfn_lsi_sim.grid import (
 )
 
 
+def cells_in_zone(grid: Grid, zone: Zone) -> list:
+    return [c for c in grid.cells if c.zone is zone]
+
+
 class TestGridSpec:
     def test_defaults(self):
         spec = GridSpec()
@@ -50,17 +54,17 @@ class TestGridBuild:
         assert len(grid.cells) == 80
         assert np.count_nonzero(grid.lsa1_mask()) == 40
         assert np.count_nonzero(~grid.lsa1_mask()) == 40
-        assert len(grid.cells_in_zone(Zone.LEFT_BUFFER)) == 8
-        assert len(grid.cells_in_zone(Zone.RIGHT_BUFFER)) == 8
+        assert len(cells_in_zone(grid, Zone.LEFT_BUFFER)) == 8
+        assert len(cells_in_zone(grid, Zone.RIGHT_BUFFER)) == 8
         assert len(grid.buffer_cells()) == 16
 
     def test_buffer_columns_flank_the_boundary(self):
         grid = Grid.from_spec(GridSpec())
-        assert {c.col for c in grid.cells_in_zone(Zone.LEFT_BUFFER)} == {4}
-        assert {c.col for c in grid.cells_in_zone(Zone.RIGHT_BUFFER)} == {5}
-        for cell in grid.cells_in_zone(Zone.LEFT_BUFFER):
+        assert {c.col for c in cells_in_zone(grid, Zone.LEFT_BUFFER)} == {4}
+        assert {c.col for c in cells_in_zone(grid, Zone.RIGHT_BUFFER)} == {5}
+        for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
             assert cell.lsa is Lsa.LSA1
-        for cell in grid.cells_in_zone(Zone.RIGHT_BUFFER):
+        for cell in cells_in_zone(grid, Zone.RIGHT_BUFFER):
             assert cell.lsa is Lsa.LSA2
 
     def test_towers_at_cell_centers_row_major(self):
@@ -75,8 +79,8 @@ class TestGridBuild:
 
     def test_wider_buffer(self):
         grid = Grid.from_spec(GridSpec(buffer_cols_per_side=2))
-        assert {c.col for c in grid.cells_in_zone(Zone.LEFT_BUFFER)} == {3, 4}
-        assert {c.col for c in grid.cells_in_zone(Zone.RIGHT_BUFFER)} == {5, 6}
+        assert {c.col for c in cells_in_zone(grid, Zone.LEFT_BUFFER)} == {3, 4}
+        assert {c.col for c in cells_in_zone(grid, Zone.RIGHT_BUFFER)} == {5, 6}
 
     def test_lsa1_mask_matches_cells(self):
         grid = Grid.from_spec(GridSpec())

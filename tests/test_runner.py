@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sfn_lsi_sim import runner
 from sfn_lsi_sim.config import apply_overrides, parse_config
+from sfn_lsi_sim.errors import ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, EvalArea
 from sfn_lsi_sim.metrics import ContentCountMap
 from sfn_lsi_sim.runner import (
@@ -138,6 +140,59 @@ class TestArtifacts:
         assert fields["scheme"] == "reuse1"
         assert fields["content"] == "1"
         assert fields["area"] == "A2"
+
+
+def digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir() if p.is_file()}
+
+
+class TestOutputDirectory:
+    def test_rerun_leaves_no_stale_files(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
+        run_experiment(cfg)
+        one = run_experiment(apply_overrides(cfg, scheme="ps", beta=0.5))
+        assert {p.name for p in out.iterdir()} == set(one.files)
+        assert set(one.summary["coverage_pct"]) == {"ps_beta0.5"}
+        assert not any("olsi" in name for name in one.files)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_failed_run_keeps_previous_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
+        run_experiment(cfg)
+        before = digests(out)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(runner, "emit_heatmap", boom)
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_experiment(apply_overrides(cfg, scheme="olsi"))
+        assert digests(out) == before
+        # no temporary sibling is left behind
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_empty_directory_is_used(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        result = run_experiment(apply_overrides(parse_config(SMOKE), out_dir=str(out)))
+        assert {p.name for p in out.iterdir()} == set(result.files)
+
+    @pytest.mark.parametrize("name,is_dir", [("notes.txt", False), ("sinr_archive", True)])
+    def test_foreign_directory_is_refused(self, tmp_path, name, is_dir):
+        out = tmp_path / "out"
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
+        run_experiment(cfg)
+        foreign = out / name
+        foreign.mkdir() if is_dir else foreign.write_text("keep me\n")
+        before = digests(out)
+        with pytest.raises(ConfigValidationError, match=f"{out} holds '{name}'"):
+            run_experiment(cfg)
+        assert digests(out) == before
+        assert foreign.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestSummary:

@@ -26,6 +26,7 @@ from sfn_lsi_sim.grid import (
 )
 from sfn_lsi_sim.oracle import _GRID_SHAPES, _content_plan, _scheme_configs, oracle_sinr
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
+from sfn_lsi_sim import sinr
 from sfn_lsi_sim.sinr import (
     _CHUNK,
     SINR_FLOOR_DB,
@@ -121,8 +122,12 @@ class TestSinrField:
         schemes = [SchemeConfig(SchemeKind.OLSI),
                    SchemeConfig(SchemeKind.IMLSI_PS, beta=0.5),
                    SchemeConfig(SchemeKind.IMLSI_O, beta=0.25)]
+        # isd 1700 at resolution 3 is not periodic (point path); at
+        # resolution 4 it is (kernel path)
         areas = [EvalArea(kind=AreaKind.A2, resolution=3),
-                 EvalArea(kind=AreaKind.A1, resolution=3)]
+                 EvalArea(kind=AreaKind.A1, resolution=3),
+                 EvalArea(kind=AreaKind.A2, resolution=4),
+                 EvalArea(kind=AreaKind.A1, resolution=4)]
         for spec in (GridSpec(), GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3)):
             for kind in (PathLossKind.POWER_LAW, PathLossKind.HATA):
                 env = make_env(kind)
@@ -222,6 +227,67 @@ class TestZoneEngine:
             direct = SinrEvaluator(grid, env).field(a1, m, tp, plan).values
             assert np.ascontiguousarray(full).tobytes() == sliced.tobytes()
             assert direct.tobytes() == sliced.tobytes()
+
+    @pytest.mark.parametrize("kind", [PathLossKind.POWER_LAW, PathLossKind.HATA])
+    @pytest.mark.parametrize("spec,resolution", [
+        (GridSpec(), 20),
+        (GridSpec(rows=6, cols=12, isd=1200.0, lsa1_cols=6, buffer_cols_per_side=2), 8),
+    ], ids=["paper-r20", "6x12-r8"])
+    def test_periodic_lattice_takes_the_kernel_path(self, monkeypatch, kind, spec,
+                                                    resolution):
+        grid, env = Grid.from_spec(spec), make_env(kind)
+        areas = [EvalArea(kind=k, resolution=resolution) for k in (AreaKind.A2, AreaKind.A1)]
+        want = [SinrEvaluator(grid, env)._zone_gains(sample_points(a, spec)) for a in areas]
+
+        def point_path(self, points):
+            raise AssertionError("periodic lattice evaluated point by point")
+
+        monkeypatch.setattr(SinrEvaluator, "_zone_gains", point_path)
+        for area, expected in zip(areas, want):
+            # a fresh evaluator per area, so A1 is built, not sliced
+            got = SinrEvaluator(grid, env).gains_for(area)
+            assert got.tobytes() == expected.tobytes(), area
+
+    @pytest.mark.parametrize("spec,area", [
+        (GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3),
+         EvalArea(kind=AreaKind.A2, resolution=5)),
+        (GridSpec(), EvalArea(kind=AreaKind.A2, resolution=3)),
+        # periodic in x only, then in y only
+        (GridSpec(), EvalArea(kind=AreaKind.CUSTOM, x_range=(0.0, 17000.0),
+                              y_range=(0.0, 13000.0), resolution=4)),
+        (GridSpec(), EvalArea(kind=AreaKind.CUSTOM, x_range=(0.0, 16000.0),
+                              y_range=(0.0, 13600.0), resolution=4)),
+    ], ids=["isd1234.567-r5", "paper-r3", "custom-y", "custom-x"])
+    def test_aperiodic_lattice_falls_back_to_points(self, monkeypatch, spec, area):
+        grid, env = Grid.from_spec(spec), make_env(PathLossKind.HATA)
+        want = SinrEvaluator(grid, env)._zone_gains(sample_points(area, spec))
+        calls = []
+        point_path = SinrEvaluator._zone_gains
+
+        def counted(self, points):
+            calls.append(len(points))
+            return point_path(self, points)
+
+        monkeypatch.setattr(SinrEvaluator, "_zone_gains", counted)
+        got = SinrEvaluator(grid, env).gains_for(area)
+        assert calls == [want.shape[1]]
+        assert got.tobytes() == want.tobytes()
+
+    def test_kernel_evaluates_each_offset_once(self, monkeypatch):
+        # paper A2 at resolution 20: 160 x 200 points, 80 towers.  The
+        # offset grid is (160 + 7*20) x (200 + 9*20); point by point it
+        # would be 32,000 x 80 gains.
+        evaluated = []
+        kernel_gain = sinr.gain
+
+        def counted(model, d):
+            evaluated.append(np.size(d))
+            return kernel_gain(model, d)
+
+        monkeypatch.setattr(sinr, "gain", counted)
+        grid = Grid.from_spec(GridSpec())
+        SinrEvaluator(grid, make_env()).gains_for(EvalArea(kind=AreaKind.A2, resolution=20))
+        assert 0 < sum(evaluated) <= (160 + 140) * (200 + 180)
 
     def test_power_varying_within_a_zone_is_rejected(self):
         grid, plan, tp = make_setup()
