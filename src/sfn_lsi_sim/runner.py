@@ -69,18 +69,25 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def _raster_rows(image: np.ndarray, maxval: int) -> list[str]:
-    # PNM rows run top to bottom; the lattice's first row is the smallest y.
-    levels = [str(v) for v in range(maxval + 1)]
-    return [" ".join([levels[v] for v in row]) for row in image[::-1].tolist()]
+def _token_table(maxval: int, terminator: str) -> np.ndarray:
+    """Row ``v`` holds the ASCII of ``str(v)`` and ``terminator``, NUL-padded
+    to one fixed-width word."""
+    width = len(str(maxval)) + len(terminator)
+    tokens = [f"{v}{terminator}".encode("ascii") for v in range(maxval + 1)]
+    return np.array(tokens, dtype=f"S{width}").view(f"V{width}")
 
 
 def _write_pgm(path: str, image: np.ndarray, maxval: int) -> None:
     ny, nx = image.shape
-    lines = ["P2", f"{nx} {ny}", str(maxval)]
-    lines.extend(_raster_rows(image, maxval))
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    # PNM rows run top to bottom; the lattice's first row is the smallest y.
+    rows = image[::-1]
+    words = _token_table(maxval, " ")[rows]
+    words[:, -1] = _token_table(maxval, "\n")[rows[:, -1]]
+    # Tokens hold no NUL, so dropping the padding leaves the raster text.
+    text = words.ravel().view(np.uint8)
+    with open(path, "wb") as handle:
+        handle.write(f"P2\n{nx} {ny}\n{maxval}\n".encode("ascii"))
+        handle.write(text[text != 0].tobytes())
 
 
 def emit_heatmap(
@@ -99,7 +106,7 @@ def emit_heatmap(
     if not hi > lo:
         raise ValueError(f"db_range must be increasing (got {db_range})")
     scaled = (np.clip(obj.as_image(), lo, hi) - lo) * (255.0 / (hi - lo))
-    _write_pgm(path, np.rint(scaled).astype(int), maxval=255)
+    _write_pgm(path, np.rint(scaled).astype(np.uint8), maxval=255)
     sidecar = path + ".hdr.txt"
     with open(sidecar, "w", encoding="ascii", newline="\n") as handle:
         handle.write(
@@ -123,21 +130,19 @@ class RunResult:
     summary: dict
 
 
-def _coverage_rows(cfg, label, fields) -> list[list[str]]:
+def _coverage_rows(label, reports) -> list[list[str]]:
     rows = []
-    for field in fields:
-        report = coverage(field, cfg.thresholds_db)
+    for report in reports:
         for threshold, fraction in zip(report.thresholds_db, report.fractions):
             rows.append(
-                [label, str(field.content_id), report.area_kind,
+                [label, str(report.content_id), report.area_kind,
                  fmt9(threshold), fmt9(fraction), fmt9(100.0 * fraction)]
             )
     return rows
 
 
-def _coverage_pct(cfg, fields) -> dict:
+def _coverage_pct(cfg, reports) -> dict:
     """Per-content and local-average coverage percent, keyed by threshold."""
-    reports = [coverage(f, cfg.thresholds_db) for f in fields]
     out: dict[str, dict[str, float]] = {}
     for report in reports:
         out[f"content_{report.content_id}"] = {
@@ -245,8 +250,9 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
             for area in areas
         }
         cov_fields, map_fields = fields[coverage_area], fields[map_area]
-        csv_rows.extend(_coverage_rows(cfg, scheme.label, cov_fields))
-        summary_coverage[scheme.label] = _coverage_pct(cfg, cov_fields)
+        reports = [coverage(f, cfg.thresholds_db) for f in cov_fields]
+        csv_rows.extend(_coverage_rows(scheme.label, reports))
+        summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
 
         count_map = content_count_map(map_fields, cfg.content_map_threshold_db)
         histogram = count_map.histogram()

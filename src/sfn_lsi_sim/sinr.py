@@ -88,7 +88,7 @@ def _db(linear: np.ndarray) -> np.ndarray:
     out = np.full(linear.shape, SINR_FLOOR_DB)
     pos = linear > 0.0
     np.log10(linear, out=out, where=pos)
-    out[pos] *= 10.0
+    np.multiply(out, 10.0, out=out, where=pos)
     return out
 
 

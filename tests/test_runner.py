@@ -287,6 +287,55 @@ class TestEmitHeatmap:
             emit_heatmap(field, str(tmp_path / "x.pgm"), db_range=(10.0, 10.0))
 
 
+def reference_pgm(image: np.ndarray, maxval: int) -> bytes:
+    """The per-pixel ``str`` / ``" ".join`` encoding the array encoder must match."""
+    ny, nx = image.shape
+    levels = [str(v) for v in range(maxval + 1)]
+    rows = [" ".join([levels[v] for v in row]) for row in image[::-1].tolist()]
+    return ("\n".join(["P2", f"{nx} {ny}", str(maxval), *rows]) + "\n").encode("ascii")
+
+
+class TestPgmEncoder:
+    MAXVALS = (1, 2, 9, 10, 99, 100, 255, 256, 999, 1000, 12345)
+    SHAPES = ((1, 1), (1, 7), (7, 1), (13, 17))
+
+    @staticmethod
+    def assert_matches_reference(tmp_path, image, maxval):
+        path = tmp_path / "x.pgm"
+        runner._write_pgm(str(path), image, maxval)
+        assert path.read_bytes() == reference_pgm(image, maxval)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("maxval", MAXVALS)
+    def test_int64(self, tmp_path, maxval, shape):
+        image = np.random.default_rng(maxval).integers(0, maxval + 1, size=shape)
+        image[0, 0] = maxval  # the widest token
+        self.assert_matches_reference(tmp_path, image, maxval)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("maxval", (1, 9, 255))
+    def test_uint8(self, tmp_path, maxval, shape):
+        image = np.random.default_rng(maxval).integers(
+            0, maxval + 1, size=shape, dtype=np.uint8)
+        self.assert_matches_reference(tmp_path, image, maxval)
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a[:, ::2], lambda a: a[::-1], lambda a: a.T,
+    ], ids=["every_other_column", "rows_reversed", "transposed"])
+    @pytest.mark.parametrize("maxval", (5, 1000))
+    def test_non_contiguous_views(self, tmp_path, maxval, view):
+        image = view(np.random.default_rng(maxval).integers(0, maxval + 1, size=(9, 14)))
+        assert not image.flags.c_contiguous
+        self.assert_matches_reference(tmp_path, image, maxval)
+
+    @pytest.mark.parametrize("maxval", (1, 255, 12345))
+    def test_zero_last_column_and_maxval_column(self, tmp_path, maxval):
+        image = np.random.default_rng(maxval).integers(0, maxval + 1, size=(6, 5))
+        image[:, -1] = 0
+        image[:, 1] = maxval
+        self.assert_matches_reference(tmp_path, image, maxval)
+
+
 class TestNumberFormat:
     @pytest.mark.parametrize("value,text", [
         (0.123456789123, "0.123456789"),
