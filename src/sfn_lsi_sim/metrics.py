@@ -41,9 +41,6 @@ class CoverageReport:
     def fraction_at(self, threshold_db: float) -> float:
         return self.fractions[self.thresholds_db.index(threshold_db)]
 
-    def percent_at(self, threshold_db: float) -> float:
-        return 100.0 * self.fraction_at(threshold_db)
-
 
 def coverage(
     field: SinrField, thresholds_db: tuple[float, ...] | list[float], scheme: str = ""
@@ -117,7 +114,8 @@ def content_count_map(fields: list[SinrField], threshold_db: float) -> ContentCo
             raise ValueError("all fields must share the same sampling lattice")
         if f.scheme_label != first.scheme_label:
             raise ValueError("all fields must come from the same scheme")
-    counts = np.zeros(first.values.size, dtype=np.int64)
+    # The narrowest unsigned type that holds M: uint8 up to 255 contents.
+    counts = np.zeros(first.values.size, dtype=np.min_scalar_type(len(fields)))
     for f in sorted(fields, key=lambda f: f.content_id):
         counts += f.values >= threshold_db
     return ContentCountMap(

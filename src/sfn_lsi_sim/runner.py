@@ -15,6 +15,10 @@ collection is emitted in a fixed order, so repeated runs produce
 byte-identical files.  A run is written into a sibling temporary directory
 that then replaces the output directory, so the directory never mixes two
 runs and a failed run leaves the previous output as it was.
+
+Each distinct SINR field, as ``SinrEvaluator.field_key`` defines it, is
+evaluated once per run, on A2 if either area is A2; A1 results come from
+the left columns of that A2 field.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from sfn_lsi_sim.errors import ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, Grid
 from sfn_lsi_sim.metrics import (
     ContentCountMap,
+    CoverageReport,
     content_count_map,
     coverage,
     se_report,
@@ -217,13 +222,22 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     """Write every artifact of the run into ``out_dir``; returns the sorted
     file names and the summary document."""
     grid = Grid.from_spec(cfg.grid)
-    env = cfg.env()
-    evaluator = SinrEvaluator(grid, env)
+    evaluator = SinrEvaluator(grid, cfg.env())
     coverage_area = cfg.coverage_area()
     map_area = cfg.map_area()
+    # A1 results are the left columns of the A2 field.
+    full = map_area if map_area.kind is AreaKind.A2 else coverage_area
     contents = list(cfg.plan.content_ids)
-    # A2 first: the evaluator then slices A1 gains from the A2 cache.
-    areas = sorted({coverage_area, map_area}, key=lambda a: a.kind is not AreaKind.A2)
+    plans = [allocate(grid, cfg.plan, scheme) for scheme in cfg.schemes]
+    keys = [[evaluator.field_key(m, tp, cfg.plan) for m in contents] for tp in plans]
+    last_use = {key: i for i, scheme_keys in enumerate(keys) for key in scheme_keys}
+    # Per distinct key: its field on the map area and its coverage report.
+    evaluated: dict[tuple, tuple[SinrField, CoverageReport]] = {}
+
+    def evaluate(m: int, tp: TransmitPlan) -> tuple[SinrField, CoverageReport]:
+        field = evaluator.field(full, m, tp, cfg.plan)
+        report = coverage(evaluator.restrict(field, coverage_area), cfg.thresholds_db)
+        return evaluator.restrict(field, map_area), report
 
     files: list[str] = []
 
@@ -239,18 +253,18 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     summary_maps: dict[str, dict] = {}
     per_scheme_xi: dict[str, float] = {}
 
-    for scheme in cfg.schemes:
-        tp: TransmitPlan = allocate(grid, cfg.plan, scheme)
+    for i, (scheme, tp, scheme_keys) in enumerate(zip(cfg.schemes, plans, keys)):
         per_scheme_xi[scheme.label] = round9(
             spectral_efficiency_from_plan(tp, cfg.plan)
         )
 
-        fields = {
-            area: [evaluator.field(area, m, tp, cfg.plan) for m in contents]
-            for area in areas
-        }
-        cov_fields, map_fields = fields[coverage_area], fields[map_area]
-        reports = [coverage(f, cfg.thresholds_db) for f in cov_fields]
+        for m, key in zip(contents, scheme_keys):
+            if key not in evaluated:
+                evaluated[key] = evaluate(m, tp)
+        reports = [replace(evaluated[key][1], scheme_label=scheme.label, content_id=m)
+                   for m, key in zip(contents, scheme_keys)]
+        map_fields = [replace(evaluated[key][0], scheme_label=scheme.label, content_id=m)
+                      for m, key in zip(contents, scheme_keys)]
         csv_rows.extend(_coverage_rows(scheme.label, reports))
         summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
 
@@ -282,8 +296,11 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
                 name = f"sinr_{scheme.label}_content{field.content_id}.pgm"
                 emit_heatmap(field, out_path(name))
                 files.append(name + ".hdr.txt")
-        # Free this scheme's fields before the next scheme builds its own.
-        del fields, cov_fields, map_fields
+        # Free each field after the last scheme that uses it.
+        del map_fields
+        for key in set(scheme_keys):
+            if last_use[key] == i:
+                del evaluated[key]
 
     with open(os.path.join(out_dir, "coverage.csv"), "w",
               encoding="utf-8", newline="") as handle:

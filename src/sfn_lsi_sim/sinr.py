@@ -11,7 +11,7 @@ bytes on either path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,6 +120,16 @@ def _fold(towers: np.ndarray, samples: np.ndarray, period: int) -> np.ndarray | 
     return folded if np.array_equal(folded[index], table) else None
 
 
+def _left_columns(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The leftmost columns of lattice ``shape`` (ny, nx) from ``a``, whose
+    last axis runs over a wider lattice of ny rows in sampling order.  Both
+    A1 and A2 step by isd/resolution from x = 0, so this takes the A1 part
+    of an A2 array at the same resolution."""
+    ny, nx = shape
+    lead = a.shape[:-1]
+    return a.reshape(*lead, ny, -1)[..., :nx].reshape(*lead, ny * nx)
+
+
 class SinrEvaluator:
     """Evaluates SINR fields for one grid and radio environment.
 
@@ -209,12 +219,9 @@ class SinrEvaluator:
         spec = self.grid.spec
         full = EvalArea(kind=AreaKind.A2, resolution=area.resolution)
         if area.kind is AreaKind.A1 and full in self._gains:
-            # Both lattices step by isd/resolution from x = 0, so A1 is
-            # exactly the leftmost columns of A2.  The slices are copies.
-            ny, nx = sample_shape(area, spec)
-            g = self._gains[full].reshape(len(ZONES), ny, -1)[:, :, :nx]
-            g = g.reshape(len(ZONES), -1)
-            in_lsa1 = self._in_lsa1[full].reshape(ny, -1)[:, :nx].ravel()
+            shape = sample_shape(area, spec)
+            g = _left_columns(self._gains[full], shape)
+            in_lsa1 = _left_columns(self._in_lsa1[full], shape)
         else:
             points = sample_points(area, spec)
             in_lsa1 = lsa_of_points(points, spec)
@@ -245,31 +252,35 @@ class SinrEvaluator:
             out[z] = band[0]
         return out
 
-    def _linear(
-        self,
-        g: np.ndarray,
-        in_lsa1: np.ndarray,
-        content_id: int,
-        tp: TransmitPlan,
-        plan: ContentPlan,
-    ) -> np.ndarray:
-        """Linear SINR of content ``content_id`` from zone gains ``g``.
+    def field_key(self, content_id: int, tp: TransmitPlan, plan: ContentPlan) -> tuple:
+        """What fixes content ``content_id``'s field on any area: its zone
+        powers, its noise bandwidth and whether it is the global content.
 
-        ``in_lsa1`` marks the points of LSA1.  Own-LSA signal over cross-LSA
-        interference plus noise; the global content is all signal.
+        ``_linear`` reads nothing else of the content, so contents and plans
+        with equal keys have equal fields.
         """
         if not 1 <= content_id <= plan.m_count:
             raise ValueError(f"content_id must be in 1..{plan.m_count} (got {content_id})")
         if tp.grid.spec != self.grid.spec:
             raise ConfigurationError("transmit plan was allocated on a different grid")
-        p = self.zone_powers(tp, content_id)
-        noise = self.env.n0 * plan.bandwidth_of(content_id)
+        return (tuple(self.zone_powers(tp, content_id)), plan.bandwidth_of(content_id),
+                content_id == 1)
+
+    def _linear(self, g: np.ndarray, in_lsa1: np.ndarray, key: tuple) -> np.ndarray:
+        """Linear SINR of the content with ``field_key`` ``key`` from zone
+        gains ``g``.
+
+        ``in_lsa1`` marks the points of LSA1.  Own-LSA signal over cross-LSA
+        interference plus noise; the global content is all signal.
+        """
+        p, bandwidth, is_global = key
+        noise = self.env.n0 * bandwidth
         lin = np.empty(g.shape[1])
         for lo in range(0, lin.size, _CHUNK):
             hi = lo + _CHUNK
             from1 = p[0] * g[0, lo:hi] + p[1] * g[1, lo:hi]
             from2 = p[2] * g[2, lo:hi] + p[3] * g[3, lo:hi]
-            if content_id == 1:
+            if is_global:
                 own, other = from1 + from2, 0.0
             else:
                 own = np.where(in_lsa1[lo:hi], from1, from2)
@@ -281,7 +292,7 @@ class SinrEvaluator:
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
     ) -> SinrField:
         g = self.gains_for(area)
-        lin = self._linear(g, self._in_lsa1[area], content_id, tp, plan)
+        lin = self._linear(g, self._in_lsa1[area], self.field_key(content_id, tp, plan))
         return SinrField(
             content_id=content_id,
             scheme_label=tp.scheme.label,
@@ -289,6 +300,21 @@ class SinrEvaluator:
             values=_db(lin),
             shape=sample_shape(area, self.grid.spec),
         )
+
+    def restrict(self, field: SinrField, area: EvalArea) -> SinrField:
+        """``field`` on ``area``: the field itself, or the left columns of an
+        A2 field when ``area`` is A1 at the same resolution.  Same bytes as
+        ``field(area, ...)``, since every point's value depends only on that
+        point's zone gains."""
+        if area == field.area:
+            return field
+        if area.kind is not AreaKind.A1 or field.area != EvalArea(
+            kind=AreaKind.A2, resolution=area.resolution
+        ):
+            raise ValueError(f"cannot take area {area} from a field on {field.area}")
+        shape = sample_shape(area, self.grid.spec)
+        return replace(field, area=area, values=_left_columns(field.values, shape),
+                       shape=shape)
 
 
 def sinr_at(
@@ -306,4 +332,5 @@ def sinr_at(
     points = np.asarray(points, dtype=float)
     evaluator = SinrEvaluator(tp.grid, env)
     in_lsa1 = lsa_of_points(points, tp.grid.spec)
-    return evaluator._linear(evaluator._zone_gains(points), in_lsa1, content_id, tp, plan)
+    g = evaluator._zone_gains(points)
+    return evaluator._linear(g, in_lsa1, evaluator.field_key(content_id, tp, plan))

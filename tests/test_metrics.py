@@ -106,7 +106,7 @@ class TestCoverage:
     def test_percent_and_metadata(self):
         field = make_field([10.0, 30.0], content_id=2, scheme="ps_beta0.5")
         report = coverage(field, [20.0])
-        assert report.percent_at(20.0) == 50.0
+        assert 100 * report.fraction_at(20.0) == 50.0
         assert report.scheme_label == "ps_beta0.5"
         assert report.content_id == 2
         assert report.area_kind == "A1"
@@ -155,6 +155,18 @@ class TestContentCountMap:
     def test_as_image_shape(self):
         cmap = content_count_map(self.make_fields(), 15.0)
         assert cmap.as_image().shape == (1, 4)
+
+    @pytest.mark.parametrize("m_count,dtype", [
+        (3, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16),
+    ])
+    def test_counts_take_the_narrowest_type_that_holds_m(self, m_count, dtype):
+        # every content clears the threshold at the first point, none at the last
+        fields = [make_field([20.0, 20.0 if m % 2 else 10.0, 10.0], content_id=m)
+                  for m in range(1, m_count + 1)]
+        cmap = content_count_map(fields, 15.0)
+        assert cmap.counts.dtype == dtype
+        assert cmap.counts.tolist() == [m_count, (m_count + 1) // 2, 0]
+        assert cmap.mean_count() == pytest.approx((m_count + (m_count + 1) // 2) / 3)
 
     def test_requires_contents_one_through_m(self):
         fields = self.make_fields()

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sfn_lsi_sim import runner
+from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, EvalArea
-from sfn_lsi_sim.metrics import ContentCountMap
+from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid
+from sfn_lsi_sim.metrics import ContentCountMap, coverage
 from sfn_lsi_sim.runner import (
     SUMMARY_FORMAT,
     RunResult,
@@ -22,7 +25,7 @@ from sfn_lsi_sim.runner import (
     round9,
     run_experiment,
 )
-from sfn_lsi_sim.sinr import SinrField
+from sfn_lsi_sim.sinr import SinrEvaluator, SinrField
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -193,6 +196,104 @@ class TestOutputDirectory:
         assert digests(out) == before
         assert foreign.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+# Keys repeat across schemes (ps:1 is reuse1) and within them: under reuse1
+# the global and local 2 have equal zone powers, and under reuse1 and PS
+# locals 2 and 3 have equal powers but different bandwidths.
+SHARED_KEYS_CFG = """\
+[grid]
+rows = 2
+cols = 4
+isd_m = 1700
+lsa1_cols = 2
+
+[contents]
+count = 3
+bandwidth_hz = 2.4e6 2.4e6 1.2e6
+subcarriers = 1200
+mod_order = 64
+t_sym_s = 1e-3
+power_w = 1
+
+[propagation]
+model = hata
+
+[radio]
+n0_w_per_hz = 5e-18
+
+[schemes]
+list = reuse1, ps:1, ps:0.5, imo:0.5
+
+[eval]
+resolution = 3
+thresholds_db = 0 5 10 15 20 25
+coverage_area = {coverage_area}
+map_area = {map_area}
+content_map_threshold_db = 10
+
+[output]
+dir = unused
+emit_sinr_maps = true
+"""
+
+
+def csv_rows(out: Path, label: str) -> list[list[str]]:
+    with open(out / "coverage.csv", newline="") as handle:
+        return [row for row in csv.reader(handle) if row[0] == label]
+
+
+class TestDistinctFields:
+    @pytest.mark.parametrize("coverage_area,map_area",
+                             [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2")])
+    def test_each_scheme_matches_its_own_run(self, tmp_path, coverage_area, map_area):
+        path = tmp_path / "shared.cfg"
+        path.write_text(SHARED_KEYS_CFG.format(coverage_area=coverage_area,
+                                               map_area=map_area))
+        cfg = apply_overrides(parse_config(str(path)), out_dir=str(tmp_path / "all"))
+        everything = Path(run_experiment(cfg).out_dir)
+        grid = Grid.from_spec(cfg.grid)
+        for scheme in cfg.schemes:
+            label = scheme.label
+            alone = Path(run_experiment(
+                replace(cfg, schemes=(scheme,), out_dir=str(tmp_path / label))).out_dir)
+            assert csv_rows(everything, label) == csv_rows(alone, label)
+            names = [p.name for p in alone.iterdir()
+                     if p.name.startswith((f"content_counts_{label}.", f"sinr_{label}_"))]
+            assert len(names) == 2 + 2 * cfg.plan.m_count
+            for name in names:
+                assert (everything / name).read_bytes() == (alone / name).read_bytes(), name
+
+            # A one-scheme run shares keys within the scheme too, so check
+            # each content against a field no other content has touched.
+            tp = allocate(grid, cfg.plan, scheme)
+            reports = []
+            for m in cfg.plan.content_ids:
+                cov_field, map_field = (
+                    SinrEvaluator(grid, cfg.env()).field(area, m, tp, cfg.plan)
+                    for area in (cfg.coverage_area(), cfg.map_area()))
+                reports.append(coverage(cov_field, cfg.thresholds_db))
+                name = f"sinr_{label}_content{m}.pgm"
+                emit_heatmap(map_field, str(tmp_path / name))
+                for written in (name, name + ".hdr.txt"):
+                    assert ((everything / written).read_bytes()
+                            == (tmp_path / written).read_bytes()), written
+            assert csv_rows(everything, label) == runner._coverage_rows(label, reports)
+
+    def test_paper_run_evaluates_each_distinct_field_once(self, tmp_path, monkeypatch):
+        # Table I: 6 schemes x 3 contents on two areas, 10 distinct keys.
+        areas = []
+        field = SinrEvaluator.field
+
+        def counted(self, area, *args):
+            areas.append(area)
+            return field(self, area, *args)
+
+        monkeypatch.setattr(SinrEvaluator, "field", counted)
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(tmp_path / "paper"), resolution=4)
+        run_experiment(cfg)
+        assert areas == [EvalArea(kind=AreaKind.A2, resolution=4)] * 10
 
 
 class TestSummary:

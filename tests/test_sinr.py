@@ -221,12 +221,21 @@ class TestZoneEngine:
         ny, nx1 = sample_shape(a1, spec)
         shared = SinrEvaluator(grid, env)  # A2 first: A1 gains sliced from it
         for m in plan.content_ids:
-            full = shared.field(a2, m, tp, plan).as_image()[:, :nx1]
+            a2_field = shared.field(a2, m, tp, plan)
+            full = a2_field.as_image()[:, :nx1]
             sliced = shared.field(a1, m, tp, plan).values
             # a fresh evaluator builds A1 from its own lattice
             direct = SinrEvaluator(grid, env).field(a1, m, tp, plan).values
             assert np.ascontiguousarray(full).tobytes() == sliced.tobytes()
             assert direct.tobytes() == sliced.tobytes()
+            restricted = shared.restrict(a2_field, a1)
+            assert (restricted.area, restricted.shape) == (a1, (ny, nx1))
+            assert restricted.values.tobytes() == sliced.tobytes()
+            assert shared.restrict(a2_field, a2) is a2_field
+        with pytest.raises(ValueError, match="cannot take area"):
+            shared.restrict(shared.field(a1, 1, tp, plan), a2)
+        with pytest.raises(ValueError, match="cannot take area"):
+            shared.restrict(a2_field, EvalArea(kind=AreaKind.A1, resolution=4))
 
     @pytest.mark.parametrize("kind", [PathLossKind.POWER_LAW, PathLossKind.HATA])
     @pytest.mark.parametrize("spec,resolution", [
