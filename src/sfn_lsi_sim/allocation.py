@@ -174,15 +174,6 @@ class TransmitPlan:
         self.power.flags.writeable = False
         self.active.flags.writeable = False
 
-    def power_of(self, cell_index: int, content_id: int) -> float:
-        return float(self.power[cell_index, content_id - 1])
-
-    def is_active(self, cell_index: int, content_id: int) -> bool:
-        return bool(self.active[cell_index, content_id - 1])
-
-    def per_cell_power_sums(self) -> np.ndarray:
-        return self.power.sum(axis=1)
-
 
 def lsa1_local_contents(m_count: int) -> range:
     """Local contents assigned to LSA1 under the orthogonal split: the

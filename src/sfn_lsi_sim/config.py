@@ -2,42 +2,32 @@
 
 A config file fully determines a run.  Parsing validates every field and
 reports all problems at once, each message naming the offending key and the
-accepted range.  The JSON manifest written by a run contains the resolved
-configuration in the same schema and parses back to an identical
-ExperimentConfig, so a manifest alone reproduces its run.
+accepted range; numbers must be finite.  One table of keys (``_KEYS``)
+drives the unknown-key checks, the parsing and the manifest: the JSON
+manifest written by a run contains the resolved configuration in the same
+schema and parses back to an identical ExperimentConfig, so a manifest alone
+reproduces its run.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind
 from sfn_lsi_sim.errors import ConfigurationError, ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, EvalArea, GridSpec
-from sfn_lsi_sim.propagation import HataEnvironment, PathLossKind, PathLossModel
+from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
 from sfn_lsi_sim.sinr import RadioEnv
 
 MANIFEST_FORMAT = "sfn-lsi-sim/manifest-v1"
 
-_SCHEMA: dict[str, dict[str, bool]] = {
-    # section -> key -> required
-    "grid": {"rows": True, "cols": True, "isd_m": True, "lsa1_cols": True,
-             "buffer_cols_per_side": False},
-    "contents": {"count": True, "bandwidth_hz": True, "subcarriers": True,
-                 "mod_order": True, "t_sym_s": True, "power_w": True,
-                 "power_prime_w": False},
-    "propagation": {"model": True, "eta": False, "f_mhz": False, "hb_m": False,
-                    "hm_m": False},
-    "radio": {"n0_w_per_hz": True},
-    "schemes": {"list": True, "imo_buffer_reallocation": False},
-    "eval": {"resolution": True, "thresholds_db": True, "coverage_area": False,
-             "map_area": False, "content_map_threshold_db": False},
-    "output": {"dir": True, "emit_sinr_maps": False, "seed": False},
-}
+# Upper bound on eval.resolution and --resolution: samples per cell edge.
+MAX_RESOLUTION = 200
 
 
 @dataclass(frozen=True)
@@ -67,105 +57,19 @@ class ExperimentConfig:
     def map_area(self) -> EvalArea:
         return EvalArea(kind=self.map_area_kind, resolution=self.resolution)
 
-    def to_mapping(self) -> dict[str, dict[str, Any]]:
-        """Schema-shaped mapping of the resolved config (manifest payload)."""
-        scheme_entries = []
-        for s in self.schemes:
-            if s.label == "reuse1":
-                scheme_entries.append("reuse1")
-            elif s.kind is SchemeKind.OLSI:
-                scheme_entries.append("olsi")
-            else:
-                scheme_entries.append(f"{s.kind.value}:{s.beta!r}")
-        imo_realloc = next(
+    def imo_reallocation(self) -> str:
+        """Buffer reallocation of the IMO schemes ("global" when there are none)."""
+        return next(
             (s.buffer_reallocation for s in self.schemes if s.kind is SchemeKind.IMLSI_O),
             "global",
         )
-        return {
-            "grid": {
-                "rows": self.grid.rows,
-                "cols": self.grid.cols,
-                "isd_m": self.grid.isd,
-                "lsa1_cols": self.grid.lsa1_cols,
-                "buffer_cols_per_side": self.grid.buffer_cols_per_side,
-            },
-            "contents": {
-                "count": self.plan.m_count,
-                "bandwidth_hz": list(self.plan.bandwidth_hz),
-                "subcarriers": list(self.plan.subcarriers),
-                "mod_order": list(self.plan.mod_order),
-                "t_sym_s": self.plan.t_sym,
-                "power_w": list(self.plan.base_power),
-                "power_prime_w": list(self.plan.base_power_prime),
-            },
-            "propagation": {
-                "model": self.pathloss.kind.value,
-                "eta": self.pathloss.eta,
-                "f_mhz": self.pathloss.f_mhz,
-                "hb_m": self.pathloss.hb_m,
-                "hm_m": self.pathloss.hm_m,
-            },
-            "radio": {"n0_w_per_hz": self.n0},
-            "schemes": {
-                "list": ", ".join(scheme_entries),
-                "imo_buffer_reallocation": imo_realloc,
-            },
-            "eval": {
-                "resolution": self.resolution,
-                "thresholds_db": list(self.thresholds_db),
-                "coverage_area": self.coverage_area_kind.value,
-                "map_area": self.map_area_kind.value,
-                "content_map_threshold_db": self.content_map_threshold_db,
-            },
-            "output": {
-                "dir": self.out_dir,
-                "emit_sinr_maps": self.emit_sinr_maps,
-                "seed": self.seed,
-            },
-        }
 
-
-class _Source:
-    """Raw section/key strings plus error accumulation."""
-
-    def __init__(self, mapping: dict[str, dict[str, str]]):
-        self.mapping = mapping
-        self.errors: list[str] = []
-        self.used: set[tuple[str, str]] = set()
-
-    def error(self, message: str) -> None:
-        self.errors.append(message)
-
-    def raw(self, section: str, key: str) -> str | None:
-        self.used.add((section, key))
-        return self.mapping.get(section, {}).get(key)
-
-    def get(self, section: str, key: str, parse: Callable[[str], Any],
-            expect: str, default: Any = None, required: bool = False) -> Any:
-        text = self.raw(section, key)
-        if text is None or text.strip() == "":
-            if required:
-                self.error(f"{section}.{key}: required key is missing; expected {expect}")
-            return default
-        try:
-            return parse(text.strip())
-        except (ValueError, ConfigurationError) as exc:
-            self.error(f"{section}.{key}: {exc}; expected {expect}")
-            return default
-
-    def check_unknown(self) -> None:
-        for section, entries in self.mapping.items():
-            if section not in _SCHEMA:
-                self.error(
-                    f"{section}: unknown section (known: {', '.join(sorted(_SCHEMA))})"
-                )
-                continue
-            for key in entries:
-                if key not in _SCHEMA[section]:
-                    self.error(
-                        f"{section}.{key}: unknown key "
-                        f"(known: {', '.join(sorted(_SCHEMA[section]))})"
-                    )
+    def to_mapping(self) -> dict[str, dict[str, Any]]:
+        """Schema-shaped mapping of the resolved config (manifest payload)."""
+        mapping: dict[str, dict[str, Any]] = {}
+        for row in _KEYS:
+            mapping.setdefault(row.section, {})[row.key] = row.manifest(self)
+        return mapping
 
 
 def _parse_bool(text: str) -> bool:
@@ -177,31 +81,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
-
-
-def _broadcast(values, m_count: int, section: str, key: str, src: _Source):
-    if values is None:
-        return None
-    if len(values) == 1:
-        return values * m_count
-    if len(values) != m_count:
-        src.error(
-            f"{section}.{key}: expected 1 or {m_count} values (got {len(values)})"
-        )
-        return None
-    return values
+def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
+    def parse_list(text: str) -> tuple:
+        parts = text.replace(",", " ").split()
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(parse(p) for p in parts)
+    return parse_list
 
 
 def _parse_scheme_entry(entry: str, imo_realloc: str) -> SchemeConfig:
@@ -223,11 +116,98 @@ def _parse_scheme_entry(entry: str, imo_realloc: str) -> SchemeConfig:
     )
 
 
+def _scheme_entry(scheme: SchemeConfig) -> str:
+    """Inverse of ``_parse_scheme_entry``, without the reallocation."""
+    if scheme.label == "reuse1":
+        return "reuse1"
+    if scheme.kind is SchemeKind.OLSI:
+        return "olsi"
+    return f"{scheme.kind.value}:{scheme.beta!r}"
+
+
 def _area_kind(text: str) -> AreaKind:
     upper = text.upper()
     if upper in ("A1", "A2"):
         return AreaKind(upper)
     raise ValueError(f"unknown area {text!r} (use a1 or a2)")
+
+
+def _resolution_errors(name: str, resolution: int | None) -> list[str]:
+    if resolution is None or 1 <= resolution <= MAX_RESOLUTION:
+        return []
+    return [f"{name}: must satisfy 1 <= resolution <= {MAX_RESOLUTION} (got {resolution})"]
+
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One config key: how to parse it, what it accepts, its default (or
+    ``_REQUIRED``) and its manifest value read back from a config."""
+
+    section: str
+    key: str
+    parse: Callable[[str], Any]
+    expect: str
+    default: Any
+    manifest: Callable[[ExperimentConfig], Any]
+
+
+_FLOATS = _list_of(_finite)
+_INTS = _list_of(int)
+
+# Every config key, once.  Unknown-key checks, parsing and the manifest all
+# read this table.  Tuple-valued [contents] keys hold one value per content
+# and broadcast from a single value.
+_KEYS = (
+    _Key("grid", "rows", int, "integer >= 1", _REQUIRED, lambda c: c.grid.rows),
+    _Key("grid", "cols", int, "integer >= 2", _REQUIRED, lambda c: c.grid.cols),
+    _Key("grid", "isd_m", _finite, "positive meters", _REQUIRED, lambda c: c.grid.isd),
+    _Key("grid", "lsa1_cols", int, "integer in [1, cols-1]", _REQUIRED,
+         lambda c: c.grid.lsa1_cols),
+    _Key("grid", "buffer_cols_per_side", int,
+         "integer in [1, min(lsa1_cols, cols-lsa1_cols)]", 1,
+         lambda c: c.grid.buffer_cols_per_side),
+    _Key("contents", "count", int, "integer >= 2", _REQUIRED, lambda c: c.plan.m_count),
+    _Key("contents", "bandwidth_hz", _FLOATS, "positive Hz, 1 or M values", _REQUIRED,
+         lambda c: list(c.plan.bandwidth_hz)),
+    _Key("contents", "subcarriers", _INTS, "positive integers, 1 or M values",
+         _REQUIRED, lambda c: list(c.plan.subcarriers)),
+    _Key("contents", "mod_order", _INTS, "powers of two >= 2, 1 or M values",
+         _REQUIRED, lambda c: list(c.plan.mod_order)),
+    _Key("contents", "t_sym_s", _finite, "positive seconds", _REQUIRED,
+         lambda c: c.plan.t_sym),
+    _Key("contents", "power_w", _FLOATS, "non-negative watts, 1 or M values",
+         _REQUIRED, lambda c: list(c.plan.base_power)),
+    _Key("contents", "power_prime_w", _FLOATS, "non-negative watts, 1 or M values",
+         None, lambda c: list(c.plan.base_power_prime)),
+    _Key("propagation", "model", str.lower, "power_law or hata", _REQUIRED,
+         lambda c: c.pathloss.kind.value),
+    _Key("propagation", "eta", _finite, "2 <= eta <= 6", 3.5, lambda c: c.pathloss.eta),
+    _Key("propagation", "f_mhz", _finite, "150 <= f_mhz <= 1500", 700.0,
+         lambda c: c.pathloss.f_mhz),
+    _Key("propagation", "hb_m", _finite, "30 <= hb_m <= 200", 30.0, lambda c: c.pathloss.hb_m),
+    _Key("propagation", "hm_m", _finite, "1 <= hm_m <= 10", 1.5, lambda c: c.pathloss.hm_m),
+    _Key("radio", "n0_w_per_hz", _finite, "positive W/Hz", _REQUIRED, lambda c: c.n0),
+    _Key("schemes", "list", str, "comma list of olsi|reuse1|ps:<beta>|imo:<beta>",
+         _REQUIRED, lambda c: ", ".join(_scheme_entry(s) for s in c.schemes)),
+    _Key("schemes", "imo_buffer_reallocation", str.lower, "global or none", "global",
+         ExperimentConfig.imo_reallocation),
+    _Key("eval", "resolution", int, f"integer in [1, {MAX_RESOLUTION}]", _REQUIRED,
+         lambda c: c.resolution),
+    _Key("eval", "thresholds_db", _FLOATS, "one or more dB values", _REQUIRED,
+         lambda c: list(c.thresholds_db)),
+    _Key("eval", "coverage_area", _area_kind, "a1 or a2", AreaKind.A1,
+         lambda c: c.coverage_area_kind.value),
+    _Key("eval", "map_area", _area_kind, "a1 or a2", AreaKind.A2,
+         lambda c: c.map_area_kind.value),
+    _Key("eval", "content_map_threshold_db", _finite, "dB value", 15.0,
+         lambda c: c.content_map_threshold_db),
+    _Key("output", "dir", str, "directory path", _REQUIRED, lambda c: c.out_dir),
+    _Key("output", "emit_sinr_maps", _parse_bool, "true or false", False,
+         lambda c: c.emit_sinr_maps),
+    _Key("output", "seed", int, "integer", 0, lambda c: c.seed),
+)
 
 
 def _load_ini(path: str) -> dict[str, dict[str, str]]:
@@ -263,156 +243,129 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
     Collects every validation problem and raises one ConfigValidationError
     listing them all.
     """
-    src = _Source(mapping)
-    src.check_unknown()
+    errors: list[str] = []
+    known: dict[str, set[str]] = {}
+    for row in _KEYS:
+        known.setdefault(row.section, set()).add(row.key)
+    for section, entries in mapping.items():
+        if section not in known:
+            errors.append(f"{section}: unknown section (known: {', '.join(sorted(known))})")
+            continue
+        for key in entries:
+            if key not in known[section]:
+                errors.append(
+                    f"{section}.{key}: unknown key "
+                    f"(known: {', '.join(sorted(known[section]))})"
+                )
 
-    rows = src.get("grid", "rows", int, "integer >= 1", required=True)
-    cols = src.get("grid", "cols", int, "integer >= 2", required=True)
-    isd = src.get("grid", "isd_m", float, "positive meters", required=True)
-    lsa1_cols = src.get("grid", "lsa1_cols", int, "integer in [1, cols-1]", required=True)
-    buffer_cols = src.get("grid", "buffer_cols_per_side", int,
-                          "integer in [1, min(lsa1_cols, cols-lsa1_cols)]", default=1)
+    # section -> key -> parsed value; None where a required key is missing or bad
+    values: dict[str, dict[str, Any]] = {section: {} for section in known}
+    for row in _KEYS:
+        name = f"{row.section}.{row.key}"
+        text = mapping.get(row.section, {}).get(row.key, "").strip()
+        value = None if row.default is _REQUIRED else row.default
+        if text:
+            try:
+                value = row.parse(text)
+            except (ValueError, ConfigurationError) as exc:
+                errors.append(f"{name}: {exc}; expected {row.expect}")
+        elif row.default is _REQUIRED:
+            errors.append(f"{name}: required key is missing; expected {row.expect}")
+        values[row.section][row.key] = value
 
-    m_count = src.get("contents", "count", int, "integer >= 2", required=True)
-    bandwidth = src.get("contents", "bandwidth_hz", _parse_float_list,
-                        "positive Hz, 1 or M values", required=True)
-    subcarriers = src.get("contents", "subcarriers", _parse_int_list,
-                          "positive integers, 1 or M values", required=True)
-    mod_order = src.get("contents", "mod_order", _parse_int_list,
-                        "powers of two >= 2, 1 or M values", required=True)
-    t_sym = src.get("contents", "t_sym_s", float, "positive seconds", required=True)
-    power = src.get("contents", "power_w", _parse_float_list,
-                    "non-negative watts, 1 or M values", required=True)
-    power_prime = src.get("contents", "power_prime_w", _parse_float_list,
-                          "non-negative watts, 1 or M values")
-
-    model_name = src.get("propagation", "model", str.lower,
-                         "power_law or hata", required=True)
-    eta = src.get("propagation", "eta", float, "2 <= eta <= 6", default=3.5)
-    f_mhz = src.get("propagation", "f_mhz", float, "150 <= f_mhz <= 1500", default=700.0)
-    hb_m = src.get("propagation", "hb_m", float, "30 <= hb_m <= 200", default=30.0)
-    hm_m = src.get("propagation", "hm_m", float, "1 <= hm_m <= 10", default=1.5)
-
-    n0 = src.get("radio", "n0_w_per_hz", float, "positive W/Hz", required=True)
-
-    schemes_text = src.get("schemes", "list", str,
-                           "comma list of olsi|reuse1|ps:<beta>|imo:<beta>", required=True)
-    imo_realloc = src.get("schemes", "imo_buffer_reallocation", str.lower,
-                          "global or none", default="global")
-
-    resolution = src.get("eval", "resolution", int, "integer in [1, 200]", required=True)
-    thresholds = src.get("eval", "thresholds_db", _parse_float_list,
-                         "one or more dB values", required=True)
-    coverage_area = src.get("eval", "coverage_area", _area_kind, "a1 or a2",
-                            default=AreaKind.A1)
-    map_area = src.get("eval", "map_area", _area_kind, "a1 or a2", default=AreaKind.A2)
-    map_threshold = src.get("eval", "content_map_threshold_db", float, "dB value",
-                            default=15.0)
-
-    out_dir = src.get("output", "dir", str, "directory path", required=True)
-    emit_sinr = src.get("output", "emit_sinr_maps", _parse_bool, "true or false",
-                        default=False)
-    seed = src.get("output", "seed", int, "integer", default=0)
-
+    grid = values["grid"]
     grid_spec = None
-    if None not in (rows, cols, isd, lsa1_cols, buffer_cols):
+    if None not in grid.values():
         try:
-            grid_spec = GridSpec(rows=rows, cols=cols, isd=isd, lsa1_cols=lsa1_cols,
-                                 buffer_cols_per_side=buffer_cols)
+            grid_spec = GridSpec(rows=grid["rows"], cols=grid["cols"], isd=grid["isd_m"],
+                                 lsa1_cols=grid["lsa1_cols"],
+                                 buffer_cols_per_side=grid["buffer_cols_per_side"])
         except ConfigurationError as exc:
-            src.error(f"grid: {exc}")
+            errors.append(f"grid: {exc}")
 
+    contents = values["contents"]
+    m_count = contents["count"]
     plan = None
     if m_count is not None:
-        bandwidth = _broadcast(bandwidth, m_count, "contents", "bandwidth_hz", src)
-        subcarriers = _broadcast(subcarriers, m_count, "contents", "subcarriers", src)
-        mod_order = _broadcast(mod_order, m_count, "contents", "mod_order", src)
-        power = _broadcast(power, m_count, "contents", "power_w", src)
-        power_prime = _broadcast(power_prime, m_count, "contents", "power_prime_w", src)
-        if mod_order is not None:
-            for mu in mod_order:
-                if mu < 2 or mu & (mu - 1):
-                    src.error(
-                        f"contents.mod_order: entries must be powers of two >= 2 (got {mu})"
-                    )
-                    break
-        if None not in (bandwidth, subcarriers, mod_order, t_sym, power):
+        for key, seq in contents.items():
+            if isinstance(seq, tuple) and len(seq) == 1:
+                contents[key] = seq * m_count
+            elif isinstance(seq, tuple) and len(seq) != m_count:
+                errors.append(
+                    f"contents.{key}: expected 1 or {m_count} values (got {len(seq)})"
+                )
+                contents[key] = None
+        bad = [mu for mu in contents["mod_order"] or () if mu < 2 or mu & (mu - 1)]
+        if bad:
+            errors.append(
+                f"contents.mod_order: entries must be powers of two >= 2 (got {bad[0]})"
+            )
+        per_content = ("bandwidth_hz", "subcarriers", "mod_order", "t_sym_s", "power_w")
+        if None not in (contents[key] for key in per_content):
             try:
                 plan = ContentPlan(
-                    m_count=m_count, bandwidth_hz=bandwidth, subcarriers=subcarriers,
-                    mod_order=mod_order, t_sym=t_sym, base_power=power,
-                    base_power_prime=power_prime,
+                    m_count=m_count, bandwidth_hz=contents["bandwidth_hz"],
+                    subcarriers=contents["subcarriers"], mod_order=contents["mod_order"],
+                    t_sym=contents["t_sym_s"], base_power=contents["power_w"],
+                    base_power_prime=contents["power_prime_w"],
                 )
             except ConfigurationError as exc:
-                src.error(f"contents: {exc}")
+                errors.append(f"contents: {exc}")
 
+    prop = values["propagation"]
     pathloss = None
-    if model_name is not None:
+    if prop["model"] is not None:
         try:
-            kind = PathLossKind(model_name)
+            kind = PathLossKind(prop["model"])
         except ValueError:
-            src.error(
-                f"propagation.model: unknown model {model_name!r} "
+            errors.append(
+                f"propagation.model: unknown model {prop['model']!r} "
                 "(use power_law or hata)"
             )
             kind = None
-        if kind is not None and None not in (eta, f_mhz, hb_m, hm_m):
+        if kind is not None and None not in prop.values():
             try:
-                pathloss = PathLossModel(
-                    kind=kind, eta=eta, f_mhz=f_mhz, hb_m=hb_m, hm_m=hm_m,
-                    environment=HataEnvironment.URBAN_SMALL_MEDIUM,
-                )
+                pathloss = PathLossModel(kind=kind, eta=prop["eta"], f_mhz=prop["f_mhz"],
+                                         hb_m=prop["hb_m"], hm_m=prop["hm_m"])
             except ConfigurationError as exc:
-                src.error(f"propagation: {exc}")
+                errors.append(f"propagation: {exc}")
 
+    n0 = values["radio"]["n0_w_per_hz"]
     if n0 is not None and n0 <= 0:
-        src.error(f"radio.n0_w_per_hz: must be positive (got {n0})")
-        n0 = None
+        errors.append(f"radio.n0_w_per_hz: must be positive (got {n0})")
 
     schemes: list[SchemeConfig] = []
-    if imo_realloc is not None and imo_realloc not in ("global", "none"):
-        src.error(
+    imo_realloc = values["schemes"]["imo_buffer_reallocation"]
+    if imo_realloc not in ("global", "none"):
+        errors.append(
             f"schemes.imo_buffer_reallocation: must be 'global' or 'none' "
             f"(got {imo_realloc!r})"
         )
         imo_realloc = "global"
-    if schemes_text is not None:
-        entries = [e.strip() for e in schemes_text.split(",") if e.strip()]
+    if values["schemes"]["list"] is not None:
+        entries = [e.strip() for e in values["schemes"]["list"].split(",") if e.strip()]
         if not entries:
-            src.error("schemes.list: must name at least one scheme")
+            errors.append("schemes.list: must name at least one scheme")
         for entry in entries:
             try:
                 schemes.append(_parse_scheme_entry(entry, imo_realloc))
             except (ValueError, ConfigurationError) as exc:
-                src.error(f"schemes.list: {exc}")
+                errors.append(f"schemes.list: {exc}")
         labels = [s.label for s in schemes]
         if len(set(labels)) != len(labels):
-            src.error(f"schemes.list: duplicate scheme labels in {labels}")
+            errors.append(f"schemes.list: duplicate scheme labels in {labels}")
 
-    if resolution is not None and not 1 <= resolution <= 200:
-        src.error(f"eval.resolution: must satisfy 1 <= resolution <= 200 (got {resolution})")
-        resolution = None
-    if thresholds is not None and len(thresholds) == 0:
-        src.error("eval.thresholds_db: must list at least one threshold")
-        thresholds = None
-
-    if src.errors:
-        raise ConfigValidationError(sorted(src.errors))
+    evals, output = values["eval"], values["output"]
+    errors += _resolution_errors("eval.resolution", evals["resolution"])
+    if errors:
+        raise ConfigValidationError(sorted(errors))
 
     return ExperimentConfig(
-        grid=grid_spec,
-        plan=plan,
-        schemes=tuple(schemes),
-        pathloss=pathloss,
-        n0=n0,
-        resolution=resolution,
-        thresholds_db=tuple(thresholds),
-        coverage_area_kind=coverage_area,
-        map_area_kind=map_area,
-        content_map_threshold_db=map_threshold,
-        out_dir=out_dir,
-        emit_sinr_maps=emit_sinr,
-        seed=seed,
+        grid=grid_spec, plan=plan, schemes=tuple(schemes), pathloss=pathloss, n0=n0,
+        resolution=evals["resolution"], thresholds_db=evals["thresholds_db"],
+        coverage_area_kind=evals["coverage_area"], map_area_kind=evals["map_area"],
+        content_map_threshold_db=evals["content_map_threshold_db"],
+        out_dir=output["dir"], emit_sinr_maps=output["emit_sinr_maps"], seed=output["seed"],
     )
 
 
@@ -441,20 +394,15 @@ def apply_overrides(
     if beta is not None and scheme is None:
         raise ConfigValidationError(["--beta requires --scheme"])
     if scheme is not None:
-        imo_realloc = next(
-            (s.buffer_reallocation for s in cfg.schemes if s.kind is SchemeKind.IMLSI_O),
-            "global",
-        )
         entry = scheme if beta is None else f"{scheme}:{beta!r}"
         try:
-            cfg = replace(cfg, schemes=(_parse_scheme_entry(entry, imo_realloc),))
+            cfg = replace(cfg, schemes=(_parse_scheme_entry(entry, cfg.imo_reallocation()),))
         except (ValueError, ConfigurationError) as exc:
             raise ConfigValidationError([f"--scheme: {exc}"]) from exc
     if resolution is not None:
-        if not 1 <= resolution <= 200:
-            raise ConfigValidationError(
-                [f"--resolution: must satisfy 1 <= resolution <= 200 (got {resolution})"]
-            )
+        errors = _resolution_errors("--resolution", resolution)
+        if errors:
+            raise ConfigValidationError(errors)
         cfg = replace(cfg, resolution=resolution)
     if out_dir is not None:
         cfg = replace(cfg, out_dir=out_dir)

@@ -35,7 +35,6 @@ class Zone(Enum):
 class AreaKind(Enum):
     A1 = "A1"
     A2 = "A2"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -93,15 +92,12 @@ class Cell:
 class EvalArea:
     """Rectangular evaluation area sampled on a regular lattice.
 
-    ``A1`` covers exactly the LSA1 columns, ``A2`` the whole grid; a CUSTOM
-    area carries explicit x/y ranges in meters.  ``resolution`` is the number
-    of samples per cell edge, so each cell footprint holds resolution^2
-    points.
+    ``A1`` covers exactly the LSA1 columns, ``A2`` the whole grid.
+    ``resolution`` is the number of samples per cell edge, so each cell
+    footprint holds resolution^2 points.
     """
 
     kind: AreaKind
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
     resolution: int = 10
 
     def __post_init__(self):
@@ -109,16 +105,12 @@ class EvalArea:
             raise ConfigurationError(
                 f"resolution must satisfy resolution >= 1 (got {self.resolution})"
             )
-        if self.kind is AreaKind.CUSTOM and (self.x_range is None or self.y_range is None):
-            raise ConfigurationError("CUSTOM area requires explicit x_range and y_range")
 
     def bounds(self, spec: GridSpec) -> tuple[tuple[float, float], tuple[float, float]]:
         """Concrete (x_range, y_range) in meters for this area on ``spec``."""
         if self.kind is AreaKind.A1:
             return (0.0, spec.lsa1_cols * spec.isd), (0.0, spec.height_m)
-        if self.kind is AreaKind.A2:
-            return (0.0, spec.width_m), (0.0, spec.height_m)
-        return self.x_range, self.y_range
+        return (0.0, spec.width_m), (0.0, spec.height_m)
 
 
 def build_grid(spec: GridSpec) -> list[Cell]:
@@ -205,13 +197,4 @@ def _lattice(area, spec):
     (x0, x1), (y0, y1) = area.bounds(spec)
     nx = int(round((x1 - x0) / spec.isd * area.resolution))
     ny = int(round((y1 - y0) / spec.isd * area.resolution))
-    if nx < 1 or ny < 1:
-        raise ConfigurationError(
-            f"evaluation area is empty: x_range={x0, x1}, y_range={y0, y1} "
-            f"at resolution {area.resolution}"
-        )
-    if area.kind is AreaKind.CUSTOM:
-        step = ((x1 - x0) / nx, (y1 - y0) / ny)
-    else:
-        step = (spec.isd / area.resolution,) * 2
-    return (ny, nx), (x0, y0), step
+    return (ny, nx), (x0, y0), (spec.isd / area.resolution,) * 2

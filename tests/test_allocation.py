@@ -102,13 +102,13 @@ class TestOlsi:
         grid = default_grid()
         tp = allocate_olsi(grid, equal_plan())
         for cell in grid.cells:
-            assert tp.is_active(cell.index, 1)
+            assert tp.active[cell.index, 0]
             if cell.lsa is Lsa.LSA1:
-                assert tp.is_active(cell.index, 2)
-                assert not tp.is_active(cell.index, 3)
+                assert tp.active[cell.index, 1]
+                assert not tp.active[cell.index, 2]
             else:
-                assert not tp.is_active(cell.index, 2)
-                assert tp.is_active(cell.index, 3)
+                assert not tp.active[cell.index, 1]
+                assert tp.active[cell.index, 2]
 
     def test_inactive_means_zero_power_no_reallocation(self):
         grid = default_grid()
@@ -116,11 +116,11 @@ class TestOlsi:
         tp = allocate_olsi(grid, plan)
         third = 40.0 / 3.0
         for cell in grid.cells:
-            assert tp.power_of(cell.index, 1) == third
+            assert tp.power[cell.index, 0] == third
             idle = 3 if cell.lsa is Lsa.LSA1 else 2
-            assert tp.power_of(cell.index, idle) == 0.0
+            assert tp.power[cell.index, idle - 1] == 0.0
         # unused share is not moved onto other contents
-        assert tp.per_cell_power_sums().max() == pytest.approx(2 * third)
+        assert tp.power.sum(axis=1).max() == pytest.approx(2 * third)
 
 
 class TestPowerScaling:
@@ -136,13 +136,13 @@ class TestPowerScaling:
         tp = allocate_ps(grid, plan, beta=beta)
         third = 40.0 / 3.0
         for cell in grid.buffer_cells():
-            assert tp.power_of(cell.index, 2) == pytest.approx(beta * third)
-            assert tp.power_of(cell.index, 3) == pytest.approx(beta * third)
-            assert tp.power_of(cell.index, 1) == pytest.approx(
+            assert tp.power[cell.index, 1] == pytest.approx(beta * third)
+            assert tp.power[cell.index, 2] == pytest.approx(beta * third)
+            assert tp.power[cell.index, 0] == pytest.approx(
                 third + 2 * (1 - beta) * third
             )
         for cell in cells_in_zone(grid, Zone.SFN_INTERIOR):
-            assert tp.power_of(cell.index, 1) == third
+            assert tp.power[cell.index, 0] == third
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0])
     def test_budget_preserved_in_every_cell(self, beta):
@@ -153,7 +153,7 @@ class TestPowerScaling:
             base_power=(18.0, 13.0, 9.0), base_power_prime=(18.0, 10.0, 12.0),
         )
         tp = allocate_ps(grid, plan, beta=beta)
-        sums = tp.per_cell_power_sums()
+        sums = tp.power.sum(axis=1)
         for cell in grid.cells:
             expected = plan.total_power if cell.lsa is Lsa.LSA1 else plan.total_power_prime
             assert sums[cell.index] == pytest.approx(expected, rel=1e-9)
@@ -170,9 +170,9 @@ class TestPowerScaling:
         plan = equal_plan()
         tp = allocate_ps(grid, plan, beta=0.0)
         for cell in grid.buffer_cells():
-            assert tp.power_of(cell.index, 1) == pytest.approx(plan.total_power)
-            assert tp.power_of(cell.index, 2) == 0.0
-            assert tp.is_active(cell.index, 2)
+            assert tp.power[cell.index, 0] == pytest.approx(plan.total_power)
+            assert tp.power[cell.index, 1] == 0.0
+            assert tp.active[cell.index, 1]
 
 
 class TestBufferOrthogonality:
@@ -180,12 +180,12 @@ class TestBufferOrthogonality:
         grid = default_grid()
         tp = allocate_imo(grid, equal_plan(), beta=1.0)
         for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
-            assert tp.is_active(cell.index, 2)
-            assert not tp.is_active(cell.index, 3)
-            assert tp.power_of(cell.index, 3) == 0.0
+            assert tp.active[cell.index, 1]
+            assert not tp.active[cell.index, 2]
+            assert tp.power[cell.index, 2] == 0.0
         for cell in cells_in_zone(grid, Zone.RIGHT_BUFFER):
-            assert not tp.is_active(cell.index, 2)
-            assert tp.is_active(cell.index, 3)
+            assert not tp.active[cell.index, 1]
+            assert tp.active[cell.index, 2]
         for cell in cells_in_zone(grid, Zone.SFN_INTERIOR):
             assert tp.active[cell.index].all()
 
@@ -196,8 +196,8 @@ class TestBufferOrthogonality:
         tp = allocate_imo(grid, plan, beta=1.0)
         for cell in grid.buffer_cells():
             # global share plus the silenced content's share
-            assert tp.power_of(cell.index, 1) == pytest.approx(2 * third)
-            assert tp.per_cell_power_sums()[cell.index] == pytest.approx(40.0, rel=1e-9)
+            assert tp.power[cell.index, 0] == pytest.approx(2 * third)
+            assert tp.power[cell.index].sum() == pytest.approx(40.0, rel=1e-9)
 
     def test_scaling_inside_buffer(self):
         grid = default_grid()
@@ -205,8 +205,8 @@ class TestBufferOrthogonality:
         third = 40.0 / 3.0
         tp = allocate_imo(grid, plan, beta=0.5)
         for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
-            assert tp.power_of(cell.index, 2) == pytest.approx(0.5 * third)
-            assert tp.power_of(cell.index, 1) == pytest.approx(
+            assert tp.power[cell.index, 1] == pytest.approx(0.5 * third)
+            assert tp.power[cell.index, 0] == pytest.approx(
                 third + third + 0.5 * third
             )
 
@@ -216,8 +216,8 @@ class TestBufferOrthogonality:
         third = 40.0 / 3.0
         tp = allocate_imo(grid, plan, beta=1.0, buffer_reallocation="none")
         for cell in grid.buffer_cells():
-            assert tp.power_of(cell.index, 1) == third
-            assert tp.per_cell_power_sums()[cell.index] == pytest.approx(2 * third)
+            assert tp.power[cell.index, 0] == third
+            assert tp.power[cell.index].sum() == pytest.approx(2 * third)
 
     def test_budget_never_exceeded(self):
         grid = default_grid()
@@ -225,7 +225,7 @@ class TestBufferOrthogonality:
         for beta in (0.0, 0.5, 1.0):
             for realloc in ("global", "none"):
                 tp = allocate_imo(grid, plan, beta=beta, buffer_reallocation=realloc)
-                assert (tp.per_cell_power_sums() <= plan.total_power + 1e-9).all()
+                assert (tp.power.sum(axis=1) <= plan.total_power + 1e-9).all()
 
 
 class TestDispatcherAndPlanInvariants:

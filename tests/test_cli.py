@@ -54,6 +54,18 @@ class TestRun:
         assert code == 1
         assert "config error: --beta requires --scheme" in captured.err
 
+    def test_non_finite_value_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "nan.cfg"
+        config.write_text(Path(SMOKE).read_text().replace(
+            "n0_w_per_hz = 5e-18", "n0_w_per_hz = nan"))
+        out = tmp_path / "run"
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert ("config error: radio.n0_w_per_hz: not a finite number: 'nan'; "
+                "expected positive W/Hz") in captured.err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         code = main(["run", "--config", "/nonexistent/run.cfg"])
         captured = capsys.readouterr()

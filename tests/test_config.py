@@ -38,6 +38,119 @@ def base_mapping() -> dict[str, dict[str, str]]:
     }
 
 
+
+def edited(edits: dict[str, str | None]) -> dict[str, dict[str, str]]:
+    """base_mapping() with each "section.key" set to a value, or deleted
+    where the value is None."""
+    mapping = base_mapping()
+    for name, value in edits.items():
+        section, key = name.split(".")
+        if value is None:
+            del mapping[section][key]
+        else:
+            mapping.setdefault(section, {})[key] = value
+    return mapping
+
+
+# One case per kind of message, pinned byte for byte as the sorted list.
+MESSAGE_CASES = [
+    pytest.param({"grid.rows": None}, {},
+                 ["grid.rows: required key is missing; expected integer >= 1"],
+                 id="missing-required"),
+    pytest.param({"grid.rows": "two"}, {},
+                 ["grid.rows: invalid literal for int() with base 10: 'two'; "
+                  "expected integer >= 1"],
+                 id="parse-failure"),
+    pytest.param({"output.bogus": "1"}, {},
+                 ["output.bogus: unknown key (known: dir, emit_sinr_maps, seed)"],
+                 id="unknown-key"),
+    pytest.param({"extras.x": "1"}, {},
+                 ["extras: unknown section (known: contents, eval, grid, output, "
+                  "propagation, radio, schemes)"],
+                 id="unknown-section"),
+    pytest.param({"contents.power_w": "1 2"}, {},
+                 ["contents.power_w: expected 1 or 3 values (got 2)"],
+                 id="list-length"),
+    pytest.param({"contents.mod_order": "12"}, {},
+                 ["contents.mod_order: entries must be powers of two >= 2 (got 12)"],
+                 id="mod-order-power-of-two"),
+    pytest.param({"contents.mod_order": "12", "contents.count": None}, {},
+                 ["contents.count: required key is missing; expected integer >= 2"],
+                 id="mod-order-without-count"),
+    pytest.param({"grid.lsa1_cols": "4"}, {},
+                 ["grid: lsa1_cols must satisfy 1 <= lsa1_cols < cols (got 4, cols=4)"],
+                 id="grid-cross-check"),
+    pytest.param({"propagation.model": "free_space"}, {},
+                 ["propagation.model: unknown model 'free_space' (use power_law or hata)"],
+                 id="unknown-model"),
+    pytest.param({"propagation.eta": "9"}, {},
+                 ["propagation: eta must satisfy 2 <= eta <= 6 (got 9.0)"],
+                 id="propagation-range"),
+    pytest.param({"radio.n0_w_per_hz": "-1"}, {},
+                 ["radio.n0_w_per_hz: must be positive (got -1.0)"],
+                 id="n0-positive"),
+    pytest.param({"schemes.imo_buffer_reallocation": "elsewhere"}, {},
+                 ["schemes.imo_buffer_reallocation: must be 'global' or 'none' "
+                  "(got 'elsewhere')"],
+                 id="imo-reallocation"),
+    pytest.param({"schemes.list": ","}, {},
+                 ["schemes.list: must name at least one scheme"],
+                 id="empty-scheme-list"),
+    pytest.param({"schemes.list": "olsi, mystery"}, {},
+                 ["schemes.list: unknown scheme 'mystery' "
+                  "(use olsi, reuse1, ps:<beta>, imo:<beta>)"],
+                 id="unknown-scheme"),
+    pytest.param({"schemes.list": "ps:0.5, ps:0.5"}, {},
+                 ["schemes.list: duplicate scheme labels in ['ps_beta0.5', 'ps_beta0.5']"],
+                 id="duplicate-schemes"),
+    pytest.param({"eval.resolution": "500"}, {},
+                 ["eval.resolution: must satisfy 1 <= resolution <= 200 (got 500)"],
+                 id="resolution-range"),
+    pytest.param({}, {"resolution": 0},
+                 ["--resolution: must satisfy 1 <= resolution <= 200 (got 0)"],
+                 id="resolution-override-range"),
+]
+
+
+@pytest.mark.parametrize("edits,overrides,expected", MESSAGE_CASES)
+def test_exact_error_messages(edits, overrides, expected):
+    with pytest.raises(ConfigValidationError) as exc_info:
+        apply_overrides(config_from_mapping(edited(edits)), **overrides)
+    assert exc_info.value.errors == expected
+
+
+FLOAT_KEYS = {
+    "grid.isd_m": "positive meters",
+    "contents.bandwidth_hz": "positive Hz, 1 or M values",
+    "contents.t_sym_s": "positive seconds",
+    "contents.power_w": "non-negative watts, 1 or M values",
+    "contents.power_prime_w": "non-negative watts, 1 or M values",
+    "propagation.eta": "2 <= eta <= 6",
+    "propagation.f_mhz": "150 <= f_mhz <= 1500",
+    "propagation.hb_m": "30 <= hb_m <= 200",
+    "propagation.hm_m": "1 <= hm_m <= 10",
+    "radio.n0_w_per_hz": "positive W/Hz",
+    "eval.thresholds_db": "one or more dB values",
+    "eval.content_map_threshold_db": "dB value",
+}
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("name", sorted(FLOAT_KEYS))
+def test_non_finite_numbers_rejected(name, text):
+    with pytest.raises(ConfigValidationError) as exc_info:
+        config_from_mapping(edited({name: text}))
+    assert exc_info.value.errors == [
+        f"{name}: not a finite number: {text!r}; expected {FLOAT_KEYS[name]}"]
+
+
+def test_non_finite_list_entry_named():
+    with pytest.raises(ConfigValidationError) as exc_info:
+        config_from_mapping(edited({"eval.thresholds_db": "10 nan 20"}))
+    assert exc_info.value.errors == [
+        "eval.thresholds_db: not a finite number: 'nan'; expected one or more dB values"]
+
+
 class TestMappingParsing:
     def test_valid_mapping(self):
         cfg = config_from_mapping(base_mapping())
@@ -160,6 +273,15 @@ class TestShippedConfigs:
         assert 15.0 in cfg.thresholds_db and 20.0 in cfg.thresholds_db
 
 
+class TestReadme:
+    def test_readme_example_is_the_table_config(self, tmp_path):
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert parse_config(str(path)) == parse_config(str(CONFIG_DIR / "paper_table1.cfg"))
+
+
 class TestFileHandling:
     def test_missing_file(self):
         with pytest.raises(ConfigValidationError, match="not found"):
@@ -189,6 +311,25 @@ class TestManifestRoundTrip:
         manifest = {"format": MANIFEST_FORMAT, "config": cfg.to_mapping()}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        assert parse_config(str(path)) == cfg
+
+    def test_manifest_reproduces_non_default_config(self, tmp_path):
+        # every key with a default is set to something else
+        mapping = edited({
+            "grid.rows": "3", "grid.cols": "6", "grid.lsa1_cols": "3",
+            "grid.buffer_cols_per_side": "2",
+            "contents.power_w": "1.5 1.0 0.5", "contents.power_prime_w": "1.5 0.75 0.75",
+            "propagation.model": "hata", "propagation.eta": "2.5",
+            "propagation.f_mhz": "900", "propagation.hb_m": "45", "propagation.hm_m": "2",
+            "schemes.imo_buffer_reallocation": "none",
+            "eval.coverage_area": "a2", "eval.map_area": "a1",
+            "eval.content_map_threshold_db": "12.5",
+            "output.emit_sinr_maps": "true", "output.seed": "7",
+        })
+        cfg = config_from_mapping(mapping)
+        assert cfg.pathloss.kind.value == "hata" and cfg.imo_reallocation() == "none"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"format": MANIFEST_FORMAT, "config": cfg.to_mapping()}))
         assert parse_config(str(path)) == cfg
 
     def test_manifest_without_config_key(self, tmp_path):

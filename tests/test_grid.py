@@ -146,18 +146,6 @@ class TestSampling:
         full = sample_points(a2, spec).reshape(ny, -1, 2)[:, :nx1]
         assert np.ascontiguousarray(full).tobytes() == sample_points(a1, spec).tobytes()
 
-    def test_custom_area(self):
-        spec = GridSpec()
-        area = EvalArea(
-            kind=AreaKind.CUSTOM, x_range=(0.0, 1700.0), y_range=(0.0, 3400.0),
-            resolution=2,
-        )
-        assert sample_shape(area, spec) == (4, 2)
-
-    def test_custom_area_requires_ranges(self):
-        with pytest.raises(ConfigurationError, match="CUSTOM"):
-            EvalArea(kind=AreaKind.CUSTOM)
-
     def test_resolution_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="resolution"):
             EvalArea(kind=AreaKind.A1, resolution=0)

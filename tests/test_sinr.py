@@ -261,12 +261,10 @@ class TestZoneEngine:
         (GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3),
          EvalArea(kind=AreaKind.A2, resolution=5)),
         (GridSpec(), EvalArea(kind=AreaKind.A2, resolution=3)),
-        # periodic in x only, then in y only
-        (GridSpec(), EvalArea(kind=AreaKind.CUSTOM, x_range=(0.0, 17000.0),
-                              y_range=(0.0, 13000.0), resolution=4)),
-        (GridSpec(), EvalArea(kind=AreaKind.CUSTOM, x_range=(0.0, 16000.0),
-                              y_range=(0.0, 13600.0), resolution=4)),
-    ], ids=["isd1234.567-r5", "paper-r3", "custom-y", "custom-x"])
+        # aperiodic in x only, then in y only
+        (GridSpec(rows=1, cols=2, lsa1_cols=1), EvalArea(kind=AreaKind.A2, resolution=6)),
+        (GridSpec(rows=3, cols=2, lsa1_cols=1), EvalArea(kind=AreaKind.A2, resolution=3)),
+    ], ids=["isd1234.567-r5", "paper-r3", "1x2-r6-x", "3x2-r3-y"])
     def test_aperiodic_lattice_falls_back_to_points(self, monkeypatch, spec, area):
         grid, env = Grid.from_spec(spec), make_env(PathLossKind.HATA)
         want = SinrEvaluator(grid, env)._zone_gains(sample_points(area, spec))
