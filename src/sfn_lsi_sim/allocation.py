@@ -14,7 +14,9 @@ interference-managed schemes:
   of the local contents (scaled by beta), the freed power again boosting the
   global content by default.
 
-Plans are immutable after allocation and safe for concurrent read.
+Each scheme gives a content one power per band of ``grid.ZONES``, so a plan
+is one (4, M) table expanded to the cells with ``Grid.bands``.  Plans are
+immutable after allocation and safe for concurrent read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from sfn_lsi_sim.errors import ConfigurationError
-from sfn_lsi_sim.grid import Grid, Lsa, Zone
+from sfn_lsi_sim.grid import Grid
 
 
 class SchemeKind(Enum):
@@ -87,11 +89,6 @@ class ContentPlan:
     def total_power(self) -> float:
         """P_t for LSA1 cells."""
         return float(sum(self.base_power))
-
-    @property
-    def total_power_prime(self) -> float:
-        """P_t for LSA2 cells."""
-        return float(sum(self.base_power_prime))
 
     @property
     def content_ids(self) -> range:
@@ -186,15 +183,6 @@ def lsa2_local_contents(m_count: int) -> range:
     return range((m_count + 2) // 2 + 1, m_count + 1)
 
 
-def _base_powers(grid: Grid, plan: ContentPlan) -> np.ndarray:
-    power = np.empty((len(grid.cells), plan.m_count))
-    p1 = np.array(plan.base_power)
-    p2 = np.array(plan.base_power_prime)
-    for cell in grid.cells:
-        power[cell.index] = p1 if cell.lsa is Lsa.LSA1 else p2
-    return power
-
-
 def _boosted_global(base_row: np.ndarray, beta: float, kept: np.ndarray) -> float:
     # S_1 plus the power freed by silencing (~kept) and scaling (kept) the
     # locals; written in freed-power form so beta=1 recovers S_1 bit-exactly.
@@ -203,70 +191,36 @@ def _boosted_global(base_row: np.ndarray, beta: float, kept: np.ndarray) -> floa
     return float(base_row[0] + freed.sum())
 
 
-def allocate_olsi(grid: Grid, plan: ContentPlan) -> TransmitPlan:
-    """Orthogonal insertion: each LSA transmits only its own half of the
-    local contents, everywhere within the LSA, at base powers.  The unused
-    contents' power is not reallocated."""
-    active = np.zeros((len(grid.cells), plan.m_count), dtype=bool)
-    active[:, 0] = True
-    own = {Lsa.LSA1: set(lsa1_local_contents(plan.m_count)),
-           Lsa.LSA2: set(lsa2_local_contents(plan.m_count))}
-    for cell in grid.cells:
-        for m in own[cell.lsa]:
-            active[cell.index, m - 1] = True
-    power = np.where(active, _base_powers(grid, plan), 0.0)
-    return TransmitPlan(grid=grid, scheme=SchemeConfig(SchemeKind.OLSI), power=power, active=active)
+def _zone_tables(plan: ContentPlan, scheme: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(4, M) power and active tables of ``scheme``, one row per band of
+    ``ZONES``; rows 1 and 2 are the left and right buffers.
 
-
-def allocate_ps(grid: Grid, plan: ContentPlan, beta: float) -> TransmitPlan:
-    """Reuse-1 with power-scaled buffers: every cell transmits all contents;
-    buffer cells carry each local content at beta*S_m and the global content
-    boosted by the freed power so the cell sum stays at P_t."""
-    scheme = SchemeConfig(SchemeKind.IMLSI_PS, beta=beta)
-    active = np.ones((len(grid.cells), plan.m_count), dtype=bool)
-    power = _base_powers(grid, plan)
-    all_kept = np.ones(plan.m_count - 1, dtype=bool)
-    for cell in grid.buffer_cells():
-        base_row = power[cell.index].copy()
-        power[cell.index, 1:] = beta * base_row[1:]
-        power[cell.index, 0] = _boosted_global(base_row, beta, all_kept)
-    return TransmitPlan(grid=grid, scheme=scheme, power=power, active=active)
-
-
-def allocate_imo(
-    grid: Grid,
-    plan: ContentPlan,
-    beta: float = 1.0,
-    buffer_reallocation: str = "global",
-) -> TransmitPlan:
-    """Reuse-1 outside the buffer; inside it, each side transmits only its
-    own LSA's orthogonal half of the local contents (scaled by beta).
-
-    By default the power freed by the silenced and scaled local contents
-    boosts the buffer global content to keep the cell at its full budget;
-    with ``buffer_reallocation="none"`` the freed power is left unused.
+    Orthogonal insertion transmits each band's own-LSA half of the locals
+    at base power and leaves the other half's power unused.  The
+    interference-managed schemes transmit every content at base power
+    outside the buffers; in them, power scaling keeps every local and
+    buffer orthogonality the band's own half, each kept local at beta*S_m.
     """
-    scheme = SchemeConfig(SchemeKind.IMLSI_O, beta=beta, buffer_reallocation=buffer_reallocation)
-    active = np.ones((len(grid.cells), plan.m_count), dtype=bool)
-    power = _base_powers(grid, plan)
-    own = {Zone.LEFT_BUFFER: lsa1_local_contents(plan.m_count),
-           Zone.RIGHT_BUFFER: lsa2_local_contents(plan.m_count)}
-    for cell in grid.buffer_cells():
-        kept = np.array([m in own[cell.zone] for m in range(2, plan.m_count + 1)])
-        base_row = power[cell.index].copy()
-        power[cell.index, 1:] = np.where(kept, beta * base_row[1:], 0.0)
-        active[cell.index, 1:] = kept
-        if buffer_reallocation == "global":
-            power[cell.index, 0] = _boosted_global(base_row, beta, kept)
-    return TransmitPlan(grid=grid, scheme=scheme, power=power, active=active)
+    base = np.array([plan.base_power] * 2 + [plan.base_power_prime] * 2)
+    lsa1, lsa2 = ([m in half(plan.m_count) for m in plan.content_ids[1:]]
+                  for half in (lsa1_local_contents, lsa2_local_contents))
+    own = np.array([lsa1, lsa1, lsa2, lsa2])
+    active = np.ones(base.shape, dtype=bool)
+    if scheme.kind is SchemeKind.OLSI:
+        active[:, 1:] = own
+        return np.where(active, base, 0.0), active
+    power = base.copy()
+    kept = own[1:3] if scheme.kind is SchemeKind.IMLSI_O else np.ones_like(own[1:3])
+    power[1:3, 1:] = np.where(kept, scheme.beta * base[1:3, 1:], 0.0)
+    active[1:3, 1:] = kept
+    if scheme.kind is SchemeKind.IMLSI_PS or scheme.buffer_reallocation == "global":
+        for z in (1, 2):
+            power[z, 0] = _boosted_global(base[z], scheme.beta, kept[z - 1])
+    return power, active
 
 
 def allocate(grid: Grid, plan: ContentPlan, scheme: SchemeConfig) -> TransmitPlan:
-    """Dispatch to the scheme's allocator, preserving the scheme label."""
-    if scheme.kind is SchemeKind.OLSI:
-        tp = allocate_olsi(grid, plan)
-    elif scheme.kind is SchemeKind.IMLSI_PS:
-        tp = allocate_ps(grid, plan, scheme.beta)
-    else:
-        tp = allocate_imo(grid, plan, scheme.beta, scheme.buffer_reallocation)
-    return TransmitPlan(grid=tp.grid, scheme=scheme, power=tp.power.copy(), active=tp.active.copy())
+    """``scheme``'s zone tables expanded to every cell of ``grid``."""
+    power, active = _zone_tables(plan, scheme)
+    bands = grid.bands()
+    return TransmitPlan(grid=grid, scheme=scheme, power=power[bands], active=active[bands])

@@ -210,10 +210,17 @@ _KEYS = (
 )
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigValidationError([f"{path}: not UTF-8 text: {exc}"]) from exc
+
+
 def _load_ini(path: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as handle:
-        parser.read_file(handle, source=path)
+    parser.read_string(_read_text(path), source=path)
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
@@ -226,11 +233,19 @@ def _stringify(value: Any) -> str:
 
 
 def _load_manifest(path: str) -> dict[str, dict[str, str]]:
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
+    try:
+        document = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigValidationError([f"{path}: not valid JSON: {exc}"]) from exc
     if not isinstance(document, dict) or "config" not in document:
         raise ConfigValidationError([f"{path}: manifest must be an object with a 'config' key"])
     config = document["config"]
+    if not isinstance(config, dict):
+        raise ConfigValidationError([f"{path}: manifest 'config' must be an object of sections"])
+    errors = [f"{path}: manifest section {section!r} must be an object"
+              for section, entries in config.items() if not isinstance(entries, dict)]
+    if errors:
+        raise ConfigValidationError(errors)
     return {
         section: {key: _stringify(value) for key, value in entries.items()}
         for section, entries in config.items()

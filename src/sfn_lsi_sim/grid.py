@@ -32,6 +32,18 @@ class Zone(Enum):
     RIGHT_BUFFER = "right_buffer"
 
 
+ZONES = ("lsa1_interior", "left_buffer", "right_buffer", "lsa2_interior")
+"""The four (LSA, buffer-zone) power bands, indexed by ``Grid.bands``.  The
+first two hold the LSA1 cells, the last two the LSA2 cells."""
+
+_BAND = {
+    (Lsa.LSA1, Zone.SFN_INTERIOR): 0,
+    (Lsa.LSA1, Zone.LEFT_BUFFER): 1,
+    (Lsa.LSA2, Zone.RIGHT_BUFFER): 2,
+    (Lsa.LSA2, Zone.SFN_INTERIOR): 3,
+}
+
+
 class AreaKind(Enum):
     A1 = "A1"
     A2 = "A2"
@@ -151,8 +163,9 @@ class Grid:
     def from_spec(cls, spec: GridSpec) -> "Grid":
         return cls(spec=spec, cells=tuple(build_grid(spec)))
 
-    def buffer_cells(self) -> list[Cell]:
-        return [c for c in self.cells if c.zone is not Zone.SFN_INTERIOR]
+    def bands(self) -> np.ndarray:
+        """Each cell's index into ``ZONES``, in cell-index order."""
+        return np.array([_BAND[(c.lsa, c.zone)] for c in self.cells])
 
     def towers(self) -> np.ndarray:
         """Tower coordinates, shape (n_cells, 2), in cell-index order."""

@@ -19,11 +19,10 @@ from sfn_lsi_sim.allocation import ContentPlan, TransmitPlan
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
     D_MIN_M,
+    ZONES,
     AreaKind,
     EvalArea,
     Grid,
-    Lsa,
-    Zone,
     lsa_of_points,
     sample_points,
     sample_shape,
@@ -92,23 +91,6 @@ def _db(linear: np.ndarray) -> np.ndarray:
     return out
 
 
-ZONES = ("lsa1_interior", "left_buffer", "right_buffer", "lsa2_interior")
-"""The four (LSA, buffer-zone) power bands, in gain-row order.  The first
-two hold the LSA1 cells, the last two the LSA2 cells."""
-
-
-def _zone_cells(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Cell indices of each band in ``ZONES``, ascending; a band may be empty."""
-    index = {
-        (Lsa.LSA1, Zone.SFN_INTERIOR): 0,
-        (Lsa.LSA1, Zone.LEFT_BUFFER): 1,
-        (Lsa.LSA2, Zone.RIGHT_BUFFER): 2,
-        (Lsa.LSA2, Zone.SFN_INTERIOR): 3,
-    }
-    band = np.array([index[(c.lsa, c.zone)] for c in grid.cells])
-    return tuple(np.flatnonzero(band == z) for z in range(len(ZONES)))
-
-
 def _fold(towers: np.ndarray, samples: np.ndarray, period: int) -> np.ndarray | None:
     """Offsets ``towers[c] - samples[k]`` at index ``k - c*period +
     (n_towers-1)*period``, or None if two offsets with one index differ."""
@@ -152,7 +134,8 @@ class SinrEvaluator:
         self.grid = grid
         self.env = env
         self._towers = grid.towers()
-        self._zone_cells = _zone_cells(grid)
+        bands = grid.bands()
+        self._band_cells = tuple(np.flatnonzero(bands == z) for z in range(len(ZONES)))
         self._gains: dict[EvalArea, np.ndarray] = {}
         self._in_lsa1: dict[EvalArea, np.ndarray] = {}
 
@@ -168,7 +151,7 @@ class SinrEvaluator:
             cell_gains = gain(self.env.pathloss, d)
             # Row-by-row sums in cell-index order: elementwise, so a
             # point's G_z never depends on the chunk it falls in.
-            for z, cells in enumerate(self._zone_cells):
+            for z, cells in enumerate(self._band_cells):
                 acc = g[z, lo:hi]
                 acc[:] = 0.0
                 for c in cells:
@@ -203,7 +186,7 @@ class SinrEvaluator:
             np.maximum(d, D_MIN_M, out=d)
             kernel[lo:lo + block] = gain(self.env.pathloss, d)
         g = np.zeros((len(ZONES), ny * nx))
-        for z, cells in enumerate(self._zone_cells):
+        for z, cells in enumerate(self._band_cells):
             acc = g[z].reshape(ny, nx)
             for c in cells:
                 y0 = (rows - 1 - c // cols) * period
@@ -234,13 +217,13 @@ class SinrEvaluator:
     def zone_powers(self, tp: TransmitPlan, content_id: int) -> np.ndarray:
         """Content ``content_id``'s transmit power in each band of ``ZONES``.
 
-        Every allocator gives a content one power per band; a plan whose
+        Every scheme gives a content one power per band; a plan whose
         power varies inside a band is rejected, naming the band.  Empty bands
         carry 0.
         """
         p = tp.power[:, content_id - 1]
         out = np.zeros(len(ZONES))
-        for z, cells in enumerate(self._zone_cells):
+        for z, cells in enumerate(self._band_cells):
             if cells.size == 0:
                 continue
             band = p[cells]

@@ -10,9 +10,6 @@ from sfn_lsi_sim.allocation import (
     SchemeConfig,
     SchemeKind,
     allocate,
-    allocate_imo,
-    allocate_olsi,
-    allocate_ps,
     lsa1_local_contents,
     lsa2_local_contents,
 )
@@ -22,6 +19,10 @@ from sfn_lsi_sim.grid import Grid, GridSpec, Lsa, Zone
 
 def cells_in_zone(grid: Grid, zone: Zone) -> list:
     return [c for c in grid.cells if c.zone is zone]
+
+
+def buffer_cells(grid: Grid) -> list:
+    return [c for c in grid.cells if c.zone is not Zone.SFN_INTERIOR]
 
 
 def default_grid() -> Grid:
@@ -52,7 +53,7 @@ class TestContentPlan:
     def test_equal_split(self):
         plan = equal_plan()
         assert plan.total_power == pytest.approx(40.0)
-        assert plan.total_power_prime == pytest.approx(40.0)
+        assert sum(plan.base_power_prime) == pytest.approx(40.0)
         assert list(plan.content_ids) == [1, 2, 3]
         assert plan.bandwidth_of(2) == pytest.approx(2.4e6)
 
@@ -100,7 +101,7 @@ class TestSchemeConfig:
 class TestOlsi:
     def test_each_lsa_transmits_only_its_half(self):
         grid = default_grid()
-        tp = allocate_olsi(grid, equal_plan())
+        tp = allocate(grid, equal_plan(), SchemeConfig(SchemeKind.OLSI))
         for cell in grid.cells:
             assert tp.active[cell.index, 0]
             if cell.lsa is Lsa.LSA1:
@@ -113,7 +114,7 @@ class TestOlsi:
     def test_inactive_means_zero_power_no_reallocation(self):
         grid = default_grid()
         plan = equal_plan()
-        tp = allocate_olsi(grid, plan)
+        tp = allocate(grid, plan, SchemeConfig(SchemeKind.OLSI))
         third = 40.0 / 3.0
         for cell in grid.cells:
             assert tp.power[cell.index, 0] == third
@@ -126,16 +127,16 @@ class TestOlsi:
 class TestPowerScaling:
     def test_all_cells_active_on_everything(self):
         grid = default_grid()
-        tp = allocate_ps(grid, equal_plan(), beta=0.25)
+        tp = allocate(grid, equal_plan(), SchemeConfig(SchemeKind.IMLSI_PS, beta=0.25))
         assert tp.active.all()
 
     def test_buffer_cells_scale_locals_and_boost_global(self):
         grid = default_grid()
         plan = equal_plan()
         beta = 0.25
-        tp = allocate_ps(grid, plan, beta=beta)
+        tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=beta))
         third = 40.0 / 3.0
-        for cell in grid.buffer_cells():
+        for cell in buffer_cells(grid):
             assert tp.power[cell.index, 1] == pytest.approx(beta * third)
             assert tp.power[cell.index, 2] == pytest.approx(beta * third)
             assert tp.power[cell.index, 0] == pytest.approx(
@@ -152,24 +153,24 @@ class TestPowerScaling:
             mod_order=(16,) * 3, t_sym=1e-3,
             base_power=(18.0, 13.0, 9.0), base_power_prime=(18.0, 10.0, 12.0),
         )
-        tp = allocate_ps(grid, plan, beta=beta)
+        tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=beta))
         sums = tp.power.sum(axis=1)
         for cell in grid.cells:
-            expected = plan.total_power if cell.lsa is Lsa.LSA1 else plan.total_power_prime
+            expected = sum(plan.base_power if cell.lsa is Lsa.LSA1 else plan.base_power_prime)
             assert sums[cell.index] == pytest.approx(expected, rel=1e-9)
 
     def test_beta_one_is_bitwise_reuse1(self):
         grid = default_grid()
         plan = equal_plan()
-        tp = allocate_ps(grid, plan, beta=1.0)
+        tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
         baseline = np.array([plan.base_power for _ in grid.cells])
         assert tp.power.tobytes() == baseline.tobytes()
 
     def test_beta_zero_moves_everything_to_global(self):
         grid = default_grid()
         plan = equal_plan()
-        tp = allocate_ps(grid, plan, beta=0.0)
-        for cell in grid.buffer_cells():
+        tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=0.0))
+        for cell in buffer_cells(grid):
             assert tp.power[cell.index, 0] == pytest.approx(plan.total_power)
             assert tp.power[cell.index, 1] == 0.0
             assert tp.active[cell.index, 1]
@@ -178,7 +179,7 @@ class TestPowerScaling:
 class TestBufferOrthogonality:
     def test_buffer_sides_keep_only_their_half(self):
         grid = default_grid()
-        tp = allocate_imo(grid, equal_plan(), beta=1.0)
+        tp = allocate(grid, equal_plan(), SchemeConfig(SchemeKind.IMLSI_O, beta=1.0))
         for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
             assert tp.active[cell.index, 1]
             assert not tp.active[cell.index, 2]
@@ -193,8 +194,8 @@ class TestBufferOrthogonality:
         grid = default_grid()
         plan = equal_plan()
         third = 40.0 / 3.0
-        tp = allocate_imo(grid, plan, beta=1.0)
-        for cell in grid.buffer_cells():
+        tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=1.0))
+        for cell in buffer_cells(grid):
             # global share plus the silenced content's share
             assert tp.power[cell.index, 0] == pytest.approx(2 * third)
             assert tp.power[cell.index].sum() == pytest.approx(40.0, rel=1e-9)
@@ -203,7 +204,7 @@ class TestBufferOrthogonality:
         grid = default_grid()
         plan = equal_plan()
         third = 40.0 / 3.0
-        tp = allocate_imo(grid, plan, beta=0.5)
+        tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=0.5))
         for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
             assert tp.power[cell.index, 1] == pytest.approx(0.5 * third)
             assert tp.power[cell.index, 0] == pytest.approx(
@@ -214,8 +215,9 @@ class TestBufferOrthogonality:
         grid = default_grid()
         plan = equal_plan()
         third = 40.0 / 3.0
-        tp = allocate_imo(grid, plan, beta=1.0, buffer_reallocation="none")
-        for cell in grid.buffer_cells():
+        scheme = SchemeConfig(SchemeKind.IMLSI_O, beta=1.0, buffer_reallocation="none")
+        tp = allocate(grid, plan, scheme)
+        for cell in buffer_cells(grid):
             assert tp.power[cell.index, 0] == third
             assert tp.power[cell.index].sum() == pytest.approx(2 * third)
 
@@ -224,7 +226,8 @@ class TestBufferOrthogonality:
         plan = equal_plan()
         for beta in (0.0, 0.5, 1.0):
             for realloc in ("global", "none"):
-                tp = allocate_imo(grid, plan, beta=beta, buffer_reallocation=realloc)
+                scheme = SchemeConfig(SchemeKind.IMLSI_O, beta=beta, buffer_reallocation=realloc)
+                tp = allocate(grid, plan, scheme)
                 assert (tp.power.sum(axis=1) <= plan.total_power + 1e-9).all()
 
 
@@ -265,3 +268,109 @@ class TestDispatcherAndPlanInvariants:
         ):
             tp = allocate(grid, equal_plan(), scheme)
             assert tp.active[:, 0].all()
+
+
+# Reference per-cell allocators: one loop over cells per scheme, kept here so
+# that ``allocate`` is pinned byte for byte to the plans they build.
+
+def _ref_buffer_cells(grid: Grid) -> list:
+    return [c for c in grid.cells if c.zone is not Zone.SFN_INTERIOR]
+
+
+def _ref_base_powers(grid: Grid, plan: ContentPlan) -> np.ndarray:
+    power = np.empty((len(grid.cells), plan.m_count))
+    p1 = np.array(plan.base_power)
+    p2 = np.array(plan.base_power_prime)
+    for cell in grid.cells:
+        power[cell.index] = p1 if cell.lsa is Lsa.LSA1 else p2
+    return power
+
+
+def _ref_boosted_global(base_row: np.ndarray, beta: float, kept: np.ndarray) -> float:
+    locals_ = base_row[1:]
+    freed = np.where(kept, (1.0 - beta) * locals_, locals_)
+    return float(base_row[0] + freed.sum())
+
+
+def _ref_olsi(grid: Grid, plan: ContentPlan):
+    active = np.zeros((len(grid.cells), plan.m_count), dtype=bool)
+    active[:, 0] = True
+    own = {Lsa.LSA1: set(lsa1_local_contents(plan.m_count)),
+           Lsa.LSA2: set(lsa2_local_contents(plan.m_count))}
+    for cell in grid.cells:
+        for m in own[cell.lsa]:
+            active[cell.index, m - 1] = True
+    power = np.where(active, _ref_base_powers(grid, plan), 0.0)
+    return power, active
+
+
+def _ref_ps(grid: Grid, plan: ContentPlan, beta: float):
+    active = np.ones((len(grid.cells), plan.m_count), dtype=bool)
+    power = _ref_base_powers(grid, plan)
+    all_kept = np.ones(plan.m_count - 1, dtype=bool)
+    for cell in _ref_buffer_cells(grid):
+        base_row = power[cell.index].copy()
+        power[cell.index, 1:] = beta * base_row[1:]
+        power[cell.index, 0] = _ref_boosted_global(base_row, beta, all_kept)
+    return power, active
+
+
+def _ref_imo(grid: Grid, plan: ContentPlan, beta: float, buffer_reallocation: str):
+    active = np.ones((len(grid.cells), plan.m_count), dtype=bool)
+    power = _ref_base_powers(grid, plan)
+    own = {Zone.LEFT_BUFFER: lsa1_local_contents(plan.m_count),
+           Zone.RIGHT_BUFFER: lsa2_local_contents(plan.m_count)}
+    for cell in _ref_buffer_cells(grid):
+        kept = np.array([m in own[cell.zone] for m in range(2, plan.m_count + 1)])
+        base_row = power[cell.index].copy()
+        power[cell.index, 1:] = np.where(kept, beta * base_row[1:], 0.0)
+        active[cell.index, 1:] = kept
+        if buffer_reallocation == "global":
+            power[cell.index, 0] = _ref_boosted_global(base_row, beta, kept)
+    return power, active
+
+
+def _ref_allocate(grid: Grid, plan: ContentPlan, scheme: SchemeConfig):
+    if scheme.kind is SchemeKind.OLSI:
+        return _ref_olsi(grid, plan)
+    if scheme.kind is SchemeKind.IMLSI_PS:
+        return _ref_ps(grid, plan, scheme.beta)
+    return _ref_imo(grid, plan, scheme.beta, scheme.buffer_reallocation)
+
+
+PIN_GRIDS = {
+    "paper": GridSpec(),
+    "no-lsa1-interior": GridSpec(rows=1, cols=5, lsa1_cols=1),
+    "2col-buffers": GridSpec(rows=3, cols=9, lsa1_cols=4, buffer_cols_per_side=2),
+}
+
+
+def _pin_plan(m: int, prime: bool) -> ContentPlan:
+    base = (7.3,) + tuple(1.0 / 3.0 + 0.7 * k for k in range(m - 1))
+    base_prime = (7.3,) + tuple(2.9 - 0.31 * k for k in range(m - 1)) if prime else None
+    return ContentPlan(
+        m_count=m, bandwidth_hz=(1e6,) * m, subcarriers=(100,) * m, mod_order=(16,) * m,
+        t_sym=1e-3, base_power=base, base_power_prime=base_prime,
+    )
+
+
+@pytest.mark.parametrize("prime", [False, True], ids=["equal-prime", "distinct-prime"])
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("grid_name", list(PIN_GRIDS))
+def test_allocate_pinned_to_per_cell_reference(grid_name, m, prime):
+    grid = Grid.from_spec(PIN_GRIDS[grid_name])
+    plan = _pin_plan(m, prime)
+    for kind in SchemeKind:
+        for beta in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0):
+            for realloc in ("global", "none"):
+                scheme = SchemeConfig(kind, beta=beta, buffer_reallocation=realloc)
+                tp = allocate(grid, plan, scheme)
+                power, active = _ref_allocate(grid, plan, scheme)
+                case = repr(scheme)
+                assert tp.scheme.label == scheme.label, case
+                for got, want in ((tp.power, power), (tp.active, active)):
+                    assert got.shape == (len(grid.cells), m), case
+                    assert got.dtype == want.dtype, case
+                    assert got.flags.c_contiguous, case
+                    assert not got.flags.writeable, case
+                    assert got.tobytes() == want.tobytes(), case

@@ -90,6 +90,27 @@ class TestValidate:
         assert "config error:" in captured.err
         assert "grid.cols" in captured.err
 
+    @pytest.mark.parametrize(
+        "name,content,fragment",
+        [
+            ("section.json", b'{"config": {"grid": 5}}',
+             "manifest section 'grid' must be an object"),
+            ("list.json", b'{"config": [1]}',
+             "manifest 'config' must be an object of sections"),
+            ("broken.json", b'{"config": {', "not valid JSON: "),
+            ("latin1.cfg", b"[grid]\nrows = 8\xff\n", "not UTF-8 text: "),
+        ],
+        ids=["non-object-section", "non-object-config", "invalid-json", "non-utf8-ini"],
+    )
+    def test_malformed_file_exits_one(self, tmp_path, capsys, name, content, fragment):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code = main(["validate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"config error: {path}: {fragment}" in captured.err
+
     def test_every_error_printed_on_own_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[schemes]\nlist = ps:7\n[eval]\nresolution = 0\n")

@@ -7,6 +7,7 @@ import pytest
 
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
+    ZONES,
     AreaKind,
     EvalArea,
     Grid,
@@ -56,7 +57,29 @@ class TestGridBuild:
         assert np.count_nonzero(~grid.lsa1_mask()) == 40
         assert len(cells_in_zone(grid, Zone.LEFT_BUFFER)) == 8
         assert len(cells_in_zone(grid, Zone.RIGHT_BUFFER)) == 8
-        assert len(grid.buffer_cells()) == 16
+        assert np.count_nonzero(np.isin(grid.bands(), [1, 2])) == 16
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec(), GridSpec(rows=3, cols=9, lsa1_cols=4, buffer_cols_per_side=2)],
+        ids=["paper", "2col-buffers"],
+    )
+    def test_bands_follow_lsa_and_zone(self, spec):
+        grid = Grid.from_spec(spec)
+        bands = grid.bands()
+        name = {
+            (Lsa.LSA1, Zone.SFN_INTERIOR): "lsa1_interior",
+            (Lsa.LSA1, Zone.LEFT_BUFFER): "left_buffer",
+            (Lsa.LSA2, Zone.RIGHT_BUFFER): "right_buffer",
+            (Lsa.LSA2, Zone.SFN_INTERIOR): "lsa2_interior",
+        }
+        assert bands.shape == (len(grid.cells),)
+        assert [ZONES[b] for b in bands] == [name[(c.lsa, c.zone)] for c in grid.cells]
+        lo, hi = spec.lsa1_cols - spec.buffer_cols_per_side, spec.lsa1_cols
+        cols = [{c.col for c in grid.cells if bands[c.index] == z} for z in range(4)]
+        assert cols == [set(range(lo)), set(range(lo, hi)),
+                        set(range(hi, hi + spec.buffer_cols_per_side)),
+                        set(range(hi + spec.buffer_cols_per_side, spec.cols))]
 
     def test_buffer_columns_flank_the_boundary(self):
         grid = Grid.from_spec(GridSpec())

@@ -16,6 +16,7 @@ from sfn_lsi_sim.allocation import (
 )
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
+    ZONES,
     AreaKind,
     EvalArea,
     Grid,
@@ -30,7 +31,6 @@ from sfn_lsi_sim import sinr
 from sfn_lsi_sim.sinr import (
     _CHUNK,
     SINR_FLOOR_DB,
-    ZONES,
     RadioEnv,
     SinrEvaluator,
     sinr_at,
