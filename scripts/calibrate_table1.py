@@ -16,7 +16,7 @@ import argparse
 import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, allocate
-from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec, lsa_of_points, sample_points
+from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec, lattice_axes, lsa1_of_x
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel, gain
 from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator
 
@@ -57,7 +57,8 @@ def build_sums(model: PathLossModel, resolution: int):
     for area_name, kind in (("a1", AreaKind.A1), ("a2", AreaKind.A2)):
         area = EvalArea(kind=kind, resolution=resolution)
         g = ev.gains_for(area)
-        points_in_lsa1 = lsa_of_points(sample_points(area, spec), spec)
+        xs, ys = lattice_axes(area, spec)
+        points_in_lsa1 = np.tile(lsa1_of_x(xs, spec), ys.size)
         for sname, scfg in schemes.items():
             tp = allocate(grid, plan, scfg)
             for m in (1, 2, 3):

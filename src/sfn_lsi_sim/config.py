@@ -246,6 +246,12 @@ def _load_manifest(path: str) -> dict[str, dict[str, str]]:
               for section, entries in config.items() if not isinstance(entries, dict)]
     if errors:
         raise ConfigValidationError(errors)
+    # JSON null has no config text; str() would read it as the word 'None'.
+    errors = [f"{path}: manifest key '{section}.{key}' is null"
+              for section, entries in config.items() for key, value in entries.items()
+              if value is None or isinstance(value, list) and None in value]
+    if errors:
+        raise ConfigValidationError(errors)
     return {
         section: {key: _stringify(value) for key, value in entries.items()}
         for section, entries in config.items()

@@ -181,13 +181,18 @@ def lsa_of_points(points: np.ndarray, spec: GridSpec) -> np.ndarray:
     Membership is geometric: the LSA of the column containing the point.
     Points outside the grid snap to the nearest column.
     """
-    pts = np.asarray(points, dtype=float)
-    col = np.clip(np.floor(pts[..., 0] / spec.isd), 0, spec.cols - 1)
+    return lsa1_of_x(np.asarray(points, dtype=float)[..., 0], spec)
+
+
+def lsa1_of_x(x: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """``lsa_of_points`` for points with x coordinates ``x``: LSA membership
+    depends on x alone."""
+    col = np.clip(np.floor(x / spec.isd), 0, spec.cols - 1)
     return col < spec.lsa1_cols
 
 
-def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
-    """Deterministic row-major lattice over ``area``, shape (n, 2).
+def lattice_axes(area: EvalArea, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D sample coordinates (xs, ys) of the lattice over ``area``.
 
     Each cell footprint receives resolution^2 points placed at sub-square
     midpoints, so a one-cell area at resolution 1 samples the cell center.
@@ -195,9 +200,13 @@ def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
     is exactly the leftmost columns of the A2 lattice at the same resolution.
     """
     (ny, nx), (x0, y0), (step_x, step_y) = _lattice(area, spec)
-    xs = x0 + (np.arange(nx) + 0.5) * step_x
-    ys = y0 + (np.arange(ny) + 0.5) * step_y
-    gx, gy = np.meshgrid(xs, ys)  # row-major: y varies slowest
+    return x0 + (np.arange(nx) + 0.5) * step_x, y0 + (np.arange(ny) + 0.5) * step_y
+
+
+def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
+    """Deterministic row-major lattice over ``area``, shape (n, 2): every
+    (x, y) of ``lattice_axes``, y varying slowest."""
+    gx, gy = np.meshgrid(*lattice_axes(area, spec))
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 

@@ -114,17 +114,30 @@ def content_count_map(fields: list[SinrField], threshold_db: float) -> ContentCo
             raise ValueError("all fields must share the same sampling lattice")
         if f.scheme_label != first.scheme_label:
             raise ValueError("all fields must come from the same scheme")
+    masks = [f.values >= threshold_db for f in sorted(fields, key=lambda f: f.content_id)]
+    return count_map(masks, first.scheme_label, threshold_db, first.area, first.shape)
+
+
+def count_map(
+    masks: list[np.ndarray],
+    scheme_label: str,
+    threshold_db: float,
+    area: EvalArea,
+    shape: tuple[int, int],
+) -> ContentCountMap:
+    """Count map from per-content masks ``values >= threshold_db``, one per
+    content in content order, on one lattice of ``shape``."""
     # The narrowest unsigned type that holds M: uint8 up to 255 contents.
-    counts = np.zeros(first.values.size, dtype=np.min_scalar_type(len(fields)))
-    for f in sorted(fields, key=lambda f: f.content_id):
-        counts += f.values >= threshold_db
+    counts = np.zeros(masks[0].size, dtype=np.min_scalar_type(len(masks)))
+    for mask in masks:
+        counts += mask
     return ContentCountMap(
-        scheme_label=first.scheme_label,
+        scheme_label=scheme_label,
         threshold_db=float(threshold_db),
-        area=first.area,
-        m_count=len(fields),
+        area=area,
+        m_count=len(masks),
         counts=counts,
-        shape=first.shape,
+        shape=shape,
     )
 
 

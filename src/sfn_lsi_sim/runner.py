@@ -18,7 +18,10 @@ runs and a failed run leaves the previous output as it was.
 
 Each distinct SINR field, as ``SinrEvaluator.field_key`` defines it, is
 evaluated once per run, on A2 if either area is A2; A1 results come from
-the left columns of that A2 field.
+the left columns of that A2 field.  Per distinct key the run holds only
+what the artifacts read: its coverage report, its map-area mask
+``values >= content_map_threshold_db`` and, only with SINR maps on, its
+map-area field.  Count maps and ``pct_global`` are counted from the masks.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ import numpy as np
 from sfn_lsi_sim.allocation import TransmitPlan, allocate
 from sfn_lsi_sim.config import MANIFEST_FORMAT, ExperimentConfig
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, Grid
+from sfn_lsi_sim.grid import AreaKind, Grid, sample_shape
 from sfn_lsi_sim.metrics import (
     ContentCountMap,
     CoverageReport,
-    content_count_map,
+    count_map,
     coverage,
     se_report,
     spectral_efficiency_from_plan,
@@ -225,19 +228,23 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     evaluator = SinrEvaluator(grid, cfg.env())
     coverage_area = cfg.coverage_area()
     map_area = cfg.map_area()
+    map_shape = sample_shape(map_area, cfg.grid)
     # A1 results are the left columns of the A2 field.
     full = map_area if map_area.kind is AreaKind.A2 else coverage_area
     contents = list(cfg.plan.content_ids)
     plans = [allocate(grid, cfg.plan, scheme) for scheme in cfg.schemes]
     keys = [[evaluator.field_key(m, tp, cfg.plan) for m in contents] for tp in plans]
     last_use = {key: i for i, scheme_keys in enumerate(keys) for key in scheme_keys}
-    # Per distinct key: its field on the map area and its coverage report.
-    evaluated: dict[tuple, tuple[SinrField, CoverageReport]] = {}
+    threshold = cfg.content_map_threshold_db
+    # Per distinct key: its coverage report, its map-area mask and, only
+    # when SINR maps are written, its map-area field.
+    evaluated: dict[tuple, tuple[CoverageReport, np.ndarray, SinrField | None]] = {}
 
-    def evaluate(m: int, tp: TransmitPlan) -> tuple[SinrField, CoverageReport]:
+    def evaluate(m: int, tp: TransmitPlan):
         field = evaluator.field(full, m, tp, cfg.plan)
         report = coverage(evaluator.restrict(field, coverage_area), cfg.thresholds_db)
-        return evaluator.restrict(field, map_area), report
+        field = evaluator.restrict(field, map_area)
+        return report, field.values >= threshold, field if cfg.emit_sinr_maps else None
 
     files: list[str] = []
 
@@ -261,43 +268,41 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
         for m, key in zip(contents, scheme_keys):
             if key not in evaluated:
                 evaluated[key] = evaluate(m, tp)
-        reports = [replace(evaluated[key][1], scheme_label=scheme.label, content_id=m)
+        reports = [replace(evaluated[key][0], scheme_label=scheme.label, content_id=m)
                    for m, key in zip(contents, scheme_keys)]
-        map_fields = [replace(evaluated[key][0], scheme_label=scheme.label, content_id=m)
-                      for m, key in zip(contents, scheme_keys)]
         csv_rows.extend(_coverage_rows(scheme.label, reports))
         summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
 
-        count_map = content_count_map(map_fields, cfg.content_map_threshold_db)
-        histogram = count_map.histogram()
+        masks = [evaluated[key][1] for key in scheme_keys]
+        cmap = count_map(masks, scheme.label, threshold, map_area, map_shape)
+        histogram = cmap.histogram()
         map_doc = {
             "scheme": scheme.label,
             "area": map_area.kind.value,
-            "threshold_db": round9(cfg.content_map_threshold_db),
-            "n_points": int(count_map.counts.size),
+            "threshold_db": round9(threshold),
+            "n_points": int(cmap.counts.size),
             "histogram_pct": {
                 str(k): round9(100.0 * histogram[k]) for k in range(cfg.plan.m_count + 1)
             },
             "at_least_pct": {
-                str(k): round9(100.0 * count_map.fraction_at_least(k))
+                str(k): round9(100.0 * cmap.fraction_at_least(k))
                 for k in range(1, cfg.plan.m_count + 1)
             },
-            "mean_count": round9(count_map.mean_count()),
-            "pct_global": round9(
-                100.0 * coverage(map_fields[0], (cfg.content_map_threshold_db,)).fractions[0]
-            ),
+            "mean_count": round9(cmap.mean_count()),
+            "pct_global": round9(100.0 * (np.count_nonzero(masks[0]) / masks[0].size)),
         }
         _write_json(out_path(f"content_counts_{scheme.label}.json"), map_doc)
-        emit_heatmap(count_map, out_path(f"content_counts_{scheme.label}.pgm"))
+        emit_heatmap(cmap, out_path(f"content_counts_{scheme.label}.pgm"))
         summary_maps[scheme.label] = map_doc
 
         if cfg.emit_sinr_maps:
-            for field in map_fields:
-                name = f"sinr_{scheme.label}_content{field.content_id}.pgm"
-                emit_heatmap(field, out_path(name))
+            for m, key in zip(contents, scheme_keys):
+                name = f"sinr_{scheme.label}_content{m}.pgm"
+                emit_heatmap(replace(evaluated[key][2], scheme_label=scheme.label,
+                                     content_id=m), out_path(name))
                 files.append(name + ".hdr.txt")
-        # Free each field after the last scheme that uses it.
-        del map_fields
+        # Free each key's results after the last scheme that uses it.
+        del masks, cmap
         for key in set(scheme_keys):
             if last_use[key] == i:
                 del evaluated[key]

@@ -23,6 +23,8 @@ from sfn_lsi_sim.grid import (
     AreaKind,
     EvalArea,
     Grid,
+    lattice_axes,
+    lsa1_of_x,
     lsa_of_points,
     sample_points,
     sample_shape,
@@ -33,13 +35,16 @@ SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
 
 _CHUNK = 16384
-"""Points per chunk of the point path (``_zone_gains``); bounds its
-(n_cells, chunk) distance and gain temporaries.  Lattices whose offsets are
-periodic take the kernel path instead, which ``_KERNEL_CHUNK`` bounds."""
+"""Points per chunk of the point path (``_zone_gains``) and of
+``SinrEvaluator.field``; bounds their (n_cells, chunk) distance and gain
+temporaries and the per-chunk SINR temporaries.  Lattices whose offsets are
+periodic take the kernel path for their gains, which ``_KERNEL_CHUNK``
+bounds."""
 
 _KERNEL_CHUNK = 1 << 18
-"""Elements per row block of the lattice gain kernel; bounds its distance
-and gain temporaries."""
+"""Elements per slab of the lattice gain kernel: the kernel rows of one
+block of residues mod the tower period.  Bounds the slab's distance and gain
+temporaries; the whole kernel is never held."""
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,12 @@ class SinrField:
         return self.values.reshape(self.shape)
 
 
-def _db(linear: np.ndarray) -> np.ndarray:
-    out = np.full(linear.shape, SINR_FLOOR_DB)
+def _db(linear: np.ndarray, out: np.ndarray) -> None:
+    """Write ``linear`` in dB into ``out``; zero becomes ``SINR_FLOOR_DB``."""
+    out[:] = SINR_FLOOR_DB
     pos = linear > 0.0
     np.log10(linear, out=out, where=pos)
     np.multiply(out, 10.0, out=out, where=pos)
-    return out
 
 
 def _fold(towers: np.ndarray, samples: np.ndarray, period: int) -> np.ndarray | None:
@@ -118,16 +123,19 @@ class SinrEvaluator:
     Each content's power is constant over each band of ``ZONES``, so the
     received power sum over cells factors into four zone terms, p_z * G_z,
     with G_z the gain summed over the zone's cells.  Only the four G_z rows
-    are cached per evaluation area and reused by all contents and transmit
-    plans.  A1 is the left part of A2, so A1 gains are sliced from cached A2
-    gains at the same resolution.
+    and a per-point LSA1 flag are cached per evaluation area and reused by
+    all contents and transmit plans.  A1 is the left part of A2, so A1 gains
+    are sliced from cached A2 gains at the same resolution.
 
-    On a lattice whose tower-to-sample offsets repeat exactly with the
-    tower period (A1 and A2 when ``isd / resolution`` is exact), a gain
-    depends only on the (row, column) offset, so the gains are evaluated
-    once over the offset grid and each G_z adds windows of that kernel.
-    Other lattices, and point arrays, evaluate every tower-to-point gain.
-    Both give the same bytes.
+    A lattice is built from its 1-D axes (``grid.lattice_axes``), not from a
+    point array.  On a lattice whose tower-to-sample offsets repeat exactly
+    with the tower period (A1 and A2 when ``isd / resolution`` is exact), a
+    gain depends only on the (row, column) offset, so the gains are
+    evaluated once per offset and each G_z adds windows of that kernel,
+    one slab of kernel rows at a time.  Other lattices, and point arrays,
+    evaluate every tower-to-point gain.  Both give the same bytes.  A field
+    is reduced chunk by chunk, so the gain rows, the flags and the output
+    are the only full-size arrays it touches.
     """
 
     def __init__(self, grid: Grid, env: RadioEnv):
@@ -158,40 +166,47 @@ class SinrEvaluator:
                     acc += cell_gains[c]
         return g
 
-    def _lattice_gains(
-        self, points: np.ndarray, shape: tuple[int, int], period: int
-    ) -> np.ndarray:
-        """(4, n) zone gains at the lattice ``points`` of ``shape`` (ny, nx).
+    def _lattice_gains(self, area: EvalArea, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """(4, n) zone gains on the lattice of ``area``, whose axes are
+        ``xs`` and ``ys``.
 
-        Towers sit ``period`` samples apart, and a tower's x depends only
-        on its column and its y only on its row.  If the x offsets
-        ``tower_x[c] - xs[k]`` are equal wherever ``k - c*period``
+        Towers sit ``period = resolution`` samples apart, and a tower's x
+        depends only on its column and its y only on its row.  If the x
+        offsets ``tower_x[c] - xs[k]`` are equal wherever ``k - c*period``
         agrees, and the y offsets likewise, every tower-to-sample distance
         is one of the offset grid's, so the gain kernel ``K`` is evaluated
         on that grid once.  Each G_z then adds its cells' ``K`` windows in
         cell-index order: the addends and order of ``_zone_gains``, hence
         its bytes.  Otherwise this falls back to ``_zone_gains``.
+
+        The lattice has ``rows * period`` sample rows and ``K`` has
+        ``(2*rows - 1) * period``, so output row ``k*period + r`` reads only
+        kernel rows congruent to ``r`` mod ``period``.  ``K`` is evaluated
+        one slab at a time, the kernel rows of a block of residues ``r``,
+        and the slab's windows are added before the next slab is evaluated;
+        each kernel element is still evaluated once.
         """
-        ny, nx = shape
-        cols, rows = self.grid.spec.cols, self.grid.spec.rows
-        lattice = points.reshape(ny, nx, 2)
-        kx = _fold(self._towers[:cols, 0], lattice[0, :, 0], period)
-        ky = _fold(self._towers[::cols, 1], lattice[:, 0, 1], period)
+        spec = self.grid.spec
+        cols, rows, period = spec.cols, spec.rows, area.resolution
+        kx = _fold(self._towers[:cols, 0], xs, period)
+        ky = _fold(self._towers[::cols, 1], ys, period)
         if kx is None or ky is None:
-            return self._zone_gains(points)
-        kernel = np.empty((ky.size, kx.size))
-        block = max(1, _KERNEL_CHUNK // kx.size)
-        for lo in range(0, ky.size, block):
-            d = np.hypot(kx, ky[lo:lo + block, None])
+            return self._zone_gains(sample_points(area, spec))
+        nx = xs.size
+        g = np.zeros((len(ZONES), ys.size * nx))
+        out = g.reshape(len(ZONES), rows, period, nx)
+        ky = ky.reshape(2 * rows - 1, period)
+        block = max(1, _KERNEL_CHUNK // ky.shape[0] // kx.size)
+        for lo in range(0, period, block):
+            d = np.hypot(kx, ky[:, lo:lo + block, None])
             np.maximum(d, D_MIN_M, out=d)
-            kernel[lo:lo + block] = gain(self.env.pathloss, d)
-        g = np.zeros((len(ZONES), ny * nx))
-        for z, cells in enumerate(self._band_cells):
-            acc = g[z].reshape(ny, nx)
-            for c in cells:
-                y0 = (rows - 1 - c // cols) * period
-                x0 = (cols - 1 - c % cols) * period
-                acc += kernel[y0:y0 + ny, x0:x0 + nx]
+            slab = gain(self.env.pathloss, d)
+            for z, cells in enumerate(self._band_cells):
+                acc = out[z, :, lo:lo + block]
+                for c in cells:
+                    y0 = rows - 1 - c // cols
+                    x0 = (cols - 1 - c % cols) * period
+                    acc += slab[y0:y0 + rows, :, x0:x0 + nx]
         return g
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
@@ -206,9 +221,9 @@ class SinrEvaluator:
             g = _left_columns(self._gains[full], shape)
             in_lsa1 = _left_columns(self._in_lsa1[full], shape)
         else:
-            points = sample_points(area, spec)
-            in_lsa1 = lsa_of_points(points, spec)
-            g = self._lattice_gains(points, sample_shape(area, spec), area.resolution)
+            xs, ys = lattice_axes(area, spec)
+            g = self._lattice_gains(area, xs, ys)
+            in_lsa1 = np.tile(lsa1_of_x(xs, spec), ys.size)
         g.flags.writeable = False
         self._gains[area] = g
         self._in_lsa1[area] = in_lsa1
@@ -257,30 +272,30 @@ class SinrEvaluator:
         interference plus noise; the global content is all signal.
         """
         p, bandwidth, is_global = key
-        noise = self.env.n0 * bandwidth
-        lin = np.empty(g.shape[1])
-        for lo in range(0, lin.size, _CHUNK):
-            hi = lo + _CHUNK
-            from1 = p[0] * g[0, lo:hi] + p[1] * g[1, lo:hi]
-            from2 = p[2] * g[2, lo:hi] + p[3] * g[3, lo:hi]
-            if is_global:
-                own, other = from1 + from2, 0.0
-            else:
-                own = np.where(in_lsa1[lo:hi], from1, from2)
-                other = np.where(in_lsa1[lo:hi], from2, from1)
-            lin[lo:hi] = own / (other + noise)
-        return lin
+        from1 = p[0] * g[0] + p[1] * g[1]
+        from2 = p[2] * g[2] + p[3] * g[3]
+        if is_global:
+            own, other = from1 + from2, 0.0
+        else:
+            own = np.where(in_lsa1, from1, from2)
+            other = np.where(in_lsa1, from2, from1)
+        return own / (other + self.env.n0 * bandwidth)
 
     def field(
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
     ) -> SinrField:
         g = self.gains_for(area)
-        lin = self._linear(g, self._in_lsa1[area], self.field_key(content_id, tp, plan))
+        in_lsa1 = self._in_lsa1[area]
+        key = self.field_key(content_id, tp, plan)
+        values = np.empty(g.shape[1])
+        for lo in range(0, values.size, _CHUNK):
+            hi = lo + _CHUNK
+            _db(self._linear(g[:, lo:hi], in_lsa1[lo:hi], key), values[lo:hi])
         return SinrField(
             content_id=content_id,
             scheme_label=tp.scheme.label,
             area=area,
-            values=_db(lin),
+            values=values,
             shape=sample_shape(area, self.grid.spec),
         )
 

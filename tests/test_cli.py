@@ -99,8 +99,15 @@ class TestValidate:
              "manifest 'config' must be an object of sections"),
             ("broken.json", b'{"config": {', "not valid JSON: "),
             ("latin1.cfg", b"[grid]\nrows = 8\xff\n", "not UTF-8 text: "),
+            ("dir.json", b'{"config": {"output": {"dir": null}}}',
+             "manifest key 'output.dir' is null"),
+            ("n0.json", b'{"config": {"radio": {"n0_w_per_hz": null}}}',
+             "manifest key 'radio.n0_w_per_hz' is null"),
+            ("thresholds.json", b'{"config": {"eval": {"thresholds_db": [10.0, null]}}}',
+             "manifest key 'eval.thresholds_db' is null"),
         ],
-        ids=["non-object-section", "non-object-config", "invalid-json", "non-utf8-ini"],
+        ids=["non-object-section", "non-object-config", "invalid-json", "non-utf8-ini",
+             "null-dir", "null-number", "null-list-entry"],
     )
     def test_malformed_file_exits_one(self, tmp_path, capsys, name, content, fragment):
         path = tmp_path / name

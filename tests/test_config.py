@@ -332,6 +332,20 @@ class TestManifestRoundTrip:
         path.write_text(json.dumps({"format": MANIFEST_FORMAT, "config": cfg.to_mapping()}))
         assert parse_config(str(path)) == cfg
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("output", "dir", None),
+        ("radio", "n0_w_per_hz", None),
+        ("eval", "thresholds_db", [5.0, None, 30.0]),
+    ])
+    def test_null_value_is_named(self, tmp_path, section, key, value):
+        mapping = parse_config(str(CONFIG_DIR / "paper_table1.cfg")).to_mapping()
+        mapping[section][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"format": MANIFEST_FORMAT, "config": mapping}))
+        with pytest.raises(ConfigValidationError) as exc_info:
+            parse_config(str(path))
+        assert exc_info.value.errors == [f"{path}: manifest key '{section}.{key}' is null"]
+
     def test_manifest_without_config_key(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"format": MANIFEST_FORMAT}))

@@ -14,6 +14,8 @@ from sfn_lsi_sim.grid import (
     GridSpec,
     Lsa,
     Zone,
+    lattice_axes,
+    lsa1_of_x,
     lsa_of_points,
     sample_points,
     sample_shape,
@@ -168,6 +170,17 @@ class TestSampling:
         ny, nx1 = sample_shape(a1, spec)
         full = sample_points(a2, spec).reshape(ny, -1, 2)[:, :nx1]
         assert np.ascontiguousarray(full).tobytes() == sample_points(a1, spec).tobytes()
+
+    def test_axes_span_the_lattice(self):
+        spec = GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3)
+        area = EvalArea(kind=AreaKind.A2, resolution=5)
+        xs, ys = lattice_axes(area, spec)
+        assert (ys.size, xs.size) == sample_shape(area, spec)
+        points = sample_points(area, spec).reshape(ys.size, xs.size, 2)
+        assert (points[..., 0] == xs).all() and (points[..., 1] == ys[:, None]).all()
+        # LSA membership of a lattice point is that of its column's x
+        assert (lsa_of_points(points, spec) == lsa1_of_x(xs, spec)).all()
+        assert lsa1_of_x(xs, spec).sum() == spec.lsa1_cols * area.resolution
 
     def test_resolution_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="resolution"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.errors import ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid
-from sfn_lsi_sim.metrics import ContentCountMap, coverage
+from sfn_lsi_sim.metrics import ContentCountMap, content_count_map, coverage
 from sfn_lsi_sim.runner import (
     SUMMARY_FORMAT,
     RunResult,
@@ -279,6 +280,61 @@ class TestDistinctFields:
                     assert ((everything / written).read_bytes()
                             == (tmp_path / written).read_bytes()), written
             assert csv_rows(everything, label) == runner._coverage_rows(label, reports)
+
+    @pytest.mark.parametrize("coverage_area,map_area",
+                             [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2")])
+    def test_maps_off_counts_match_one_scheme_runs(self, tmp_path, coverage_area, map_area):
+        # Without SINR maps the run keeps only masks of the map fields.
+        path = tmp_path / "shared.cfg"
+        text = SHARED_KEYS_CFG.format(coverage_area=coverage_area, map_area=map_area)
+        path.write_text(text.replace("emit_sinr_maps = true", "emit_sinr_maps = false"))
+        cfg = apply_overrides(parse_config(str(path)), out_dir=str(tmp_path / "all"))
+        assert not cfg.emit_sinr_maps
+        everything = Path(run_experiment(cfg).out_dir)
+        assert not list(everything.glob("sinr_*"))
+        grid = Grid.from_spec(cfg.grid)
+        threshold = cfg.content_map_threshold_db
+        for scheme in cfg.schemes:
+            label = scheme.label
+            alone = Path(run_experiment(
+                replace(cfg, schemes=(scheme,), out_dir=str(tmp_path / label))).out_dir)
+            assert csv_rows(everything, label) == csv_rows(alone, label)
+            for suffix in (".json", ".pgm"):
+                name = f"content_counts_{label}{suffix}"
+                assert (everything / name).read_bytes() == (alone / name).read_bytes(), name
+
+            # Against content_count_map over fields no other content touched.
+            tp = allocate(grid, cfg.plan, scheme)
+            fields = [SinrEvaluator(grid, cfg.env()).field(cfg.map_area(), m, tp, cfg.plan)
+                      for m in cfg.plan.content_ids]
+            cmap = content_count_map(fields, threshold)
+            emit_heatmap(cmap, str(tmp_path / f"{label}.pgm"))
+            assert ((everything / f"content_counts_{label}.pgm").read_bytes()
+                    == (tmp_path / f"{label}.pgm").read_bytes())
+            doc = json.loads((everything / f"content_counts_{label}.json").read_text())
+            histogram = cmap.histogram()
+            assert doc["histogram_pct"] == {
+                str(k): round9(100.0 * h) for k, h in enumerate(histogram)}
+            assert doc["mean_count"] == round9(cmap.mean_count())
+            assert doc["pct_global"] == round9(
+                100.0 * coverage(fields[0], (threshold,)).fractions[0])
+
+    def test_maps_off_run_holds_one_field_at_a_time(self, tmp_path, monkeypatch):
+        made = []
+        field = SinrEvaluator.field
+
+        def recorded(self, *args):
+            assert all(ref() is None for ref in made), "an earlier field is still held"
+            result = field(self, *args)
+            made.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(SinrEvaluator, "field", recorded)
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(tmp_path / "paper"), resolution=4)
+        assert not cfg.emit_sinr_maps
+        run_experiment(cfg)
+        assert len(made) == 10
 
     def test_paper_run_evaluates_each_distinct_field_once(self, tmp_path, monkeypatch):
         # Table I: 6 schemes x 3 contents on two areas, 10 distinct keys.

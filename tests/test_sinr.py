@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sfn_lsi_sim.allocation import (
     TransmitPlan,
     allocate,
 )
+from sfn_lsi_sim.config import parse_config
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
     ZONES,
@@ -35,6 +38,9 @@ from sfn_lsi_sim.sinr import (
     SinrEvaluator,
     sinr_at,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_env(kind=PathLossKind.POWER_LAW) -> RadioEnv:
@@ -252,10 +258,28 @@ class TestZoneEngine:
             raise AssertionError("periodic lattice evaluated point by point")
 
         monkeypatch.setattr(SinrEvaluator, "_zone_gains", point_path)
+        slabs = []
+        kernel_gain = sinr.gain
+
+        def counted(model, d):
+            slabs.append(d.shape)
+            return kernel_gain(model, d)
+
+        monkeypatch.setattr(sinr, "gain", counted)
+        default_chunk = sinr._KERNEL_CHUNK
         for area, expected in zip(areas, want):
-            # a fresh evaluator per area, so A1 is built, not sliced
-            got = SinrEvaluator(grid, env).gains_for(area)
-            assert got.tobytes() == expected.tobytes(), area
+            # One slab of 3 residues mod the period: >= 3 slabs, the last
+            # one partial, since neither resolution is a multiple of 3.
+            nx = sample_shape(area, spec)[1]
+            residue_rows = (2 * spec.rows - 1) * (nx + (spec.cols - 1) * resolution)
+            for chunk, n_slabs in ((default_chunk, 1), (3 * residue_rows, -(-resolution // 3))):
+                monkeypatch.setattr(sinr, "_KERNEL_CHUNK", chunk)
+                slabs.clear()
+                # a fresh evaluator per area, so A1 is built, not sliced
+                got = SinrEvaluator(grid, env).gains_for(area)
+                assert got.tobytes() == expected.tobytes(), (area, chunk)
+                assert len(slabs) == n_slabs, (area, chunk)
+            assert n_slabs >= 3 and slabs[-1][1] < slabs[0][1] == 3
 
     @pytest.mark.parametrize("spec,area", [
         (GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3),
@@ -294,7 +318,21 @@ class TestZoneEngine:
         monkeypatch.setattr(sinr, "gain", counted)
         grid = Grid.from_spec(GridSpec())
         SinrEvaluator(grid, make_env()).gains_for(EvalArea(kind=AreaKind.A2, resolution=20))
-        assert 0 < sum(evaluated) <= (160 + 140) * (200 + 180)
+        assert sum(evaluated) == (160 + 140) * (200 + 180)
+
+    def test_kernel_gain_build_holds_no_full_size_temporary(self):
+        # Paper A2 at resolution 100: 800,000 points.  Beyond the cached
+        # rows, only kernel-slab temporaries may be alive at the peak.
+        cfg = parse_config(str(CONFIG_DIR / "paper_table1.cfg"))
+        evaluator = SinrEvaluator(Grid.from_spec(cfg.grid), cfg.env())
+        tracemalloc.start()
+        try:
+            g = evaluator.gains_for(EvalArea(kind=AreaKind.A2, resolution=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (len(ZONES), 800_000)
+        assert peak <= g.nbytes + 4 * 8 * sinr._KERNEL_CHUNK
 
     def test_power_varying_within_a_zone_is_rejected(self):
         grid, plan, tp = make_setup()
