@@ -8,6 +8,9 @@ Subcommands:
 * ``oracle``   compare the engine against brute-force SINR on small grids
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
+
+Each handler imports the modules only it runs, so ``validate`` loads no
+engine and ``oracle`` no artifact writer.
 """
 
 from __future__ import annotations
@@ -17,10 +20,6 @@ import sys
 
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import Grid
-from sfn_lsi_sim.metrics import se_report
-from sfn_lsi_sim.oracle import run_oracle_suite
-from sfn_lsi_sim.runner import fmt9, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,6 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from sfn_lsi_sim.runner import run_experiment
+
     cfg = apply_overrides(
         parse_config(args.config),
         out_dir=args.out,
@@ -75,6 +76,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_se(args) -> int:
+    from sfn_lsi_sim.grid import Grid
+    from sfn_lsi_sim.metrics import se_report
+    from sfn_lsi_sim.runner import fmt9
+
     cfg = parse_config(args.config)
     report = se_report(Grid.from_spec(cfg.grid), cfg.plan)
     print(f"xi_olsi = {fmt9(report.xi_olsi)} bits/s/Hz")
@@ -87,6 +92,8 @@ def _cmd_se(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from sfn_lsi_sim.oracle import run_oracle_suite
+
     cfg = parse_config(args.config)
     cases = run_oracle_suite(seed=cfg.seed or 20260814)
     worst = max(cases, key=lambda c: c.max_rel_err)

@@ -102,6 +102,8 @@ def _parse_scheme_entry(entry: str, imo_realloc: str) -> SchemeConfig:
     name = name.strip().lower()
     beta = 1.0
     if beta_text.strip():
+        if name in ("olsi", "reuse1"):
+            raise ValueError(f"{name} takes no beta (got {entry.strip()!r})")
         beta = float(beta_text)
     if name == "reuse1":
         return SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0, label="reuse1")

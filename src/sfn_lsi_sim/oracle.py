@@ -4,12 +4,19 @@ Everything here is computed with plain Python floats, explicit loops and
 math.fsum: tower positions from row/column arithmetic, both path-loss
 formulas inlined, signal/interference split by column index.  It shares no
 numerics with the engine on purpose; keep it dumb.
+
+A point's per-cell gains depend only on the grid, the path-loss model and
+the point, not on the scheme or content, so ``_cell_gains`` computes them
+once per point and a bounded LRU cache hands them to every later
+``oracle_sinr`` call there.  A cached gain is the float the loop computed,
+so every SINR has the bits of a fresh loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -20,19 +27,42 @@ from sfn_lsi_sim.propagation import HataEnvironment, PathLossKind, PathLossModel
 from sfn_lsi_sim.sinr import RadioEnv, sinr_at
 
 
-def _oracle_gain(model: PathLossModel, d_m: float) -> float:
-    if model.kind is PathLossKind.POWER_LAW:
-        return d_m ** (-model.eta)
-    log_f = math.log10(model.f_mhz)
-    a_hm = (1.1 * log_f - 0.7) * model.hm_m - (1.56 * log_f - 0.8)
-    loss_db = (
-        69.55
-        + 26.16 * log_f
-        - 13.82 * math.log10(model.hb_m)
-        - a_hm
-        + (44.9 - 6.55 * math.log10(model.hb_m)) * math.log10(d_m / 1000.0)
-    )
-    return 10.0 ** (-loss_db / 10.0)
+# Bounded above the points one suite case revisits for every scheme and
+# content; the suite's whole run fits, at about 1 MB.
+@lru_cache(maxsize=4096)
+def _cell_gains(
+    rows: int, cols: int, isd: float, lsa1_cols: int,
+    power_law: bool, eta: float, f_mhz: float, hb_m: float, hm_m: float,
+    px: float, py: float,
+) -> tuple[tuple[float, bool], ...]:
+    """``(gain, cell_in_lsa1)`` of every cell at point (px, py), in cell-index
+    order.  Keyed on plain numbers, not on the spec and model dataclasses,
+    whose field-by-field hashing on every call would eat most of the
+    saving."""
+    if not power_law:
+        log_f = math.log10(f_mhz)
+        a_hm = (1.1 * log_f - 0.7) * hm_m - (1.56 * log_f - 0.8)
+    cells: list[tuple[float, bool]] = []
+    for row in range(rows):
+        for col in range(cols):
+            tx = (col + 0.5) * isd
+            ty = (row + 0.5) * isd
+            d = math.hypot(tx - px, ty - py)
+            if d < 20.0:
+                d = 20.0
+            if power_law:
+                g = d ** (-eta)
+            else:
+                loss_db = (
+                    69.55
+                    + 26.16 * log_f
+                    - 13.82 * math.log10(hb_m)
+                    - a_hm
+                    + (44.9 - 6.55 * math.log10(hb_m)) * math.log10(d / 1000.0)
+                )
+                g = 10.0 ** (-loss_db / 10.0)
+            cells.append((g, col < lsa1_cols))
+    return tuple(cells)
 
 
 def oracle_sinr(
@@ -44,25 +74,22 @@ def oracle_sinr(
 ) -> float:
     """Linear SINR at one point, summed cell by cell with math.fsum."""
     spec = tp.grid.spec
+    model = env.pathloss
     px, py = point
     point_in_lsa1 = px < spec.lsa1_cols * spec.isd
+    cells = _cell_gains(
+        spec.rows, spec.cols, spec.isd, spec.lsa1_cols,
+        model.kind is PathLossKind.POWER_LAW, model.eta, model.f_mhz, model.hb_m,
+        model.hm_m, px, py,
+    )
     own_terms: list[float] = []
     other_terms: list[float] = []
-    for row in range(spec.rows):
-        for col in range(spec.cols):
-            index = row * spec.cols + col
-            tx = (col + 0.5) * spec.isd
-            ty = (row + 0.5) * spec.isd
-            d = math.hypot(tx - px, ty - py)
-            if d < 20.0:
-                d = 20.0
-            p = float(tp.power[index, content_id - 1])
-            term = p * _oracle_gain(env.pathloss, d)
-            cell_in_lsa1 = col < spec.lsa1_cols
-            if content_id == 1 or cell_in_lsa1 == point_in_lsa1:
-                own_terms.append(term)
-            else:
-                other_terms.append(term)
+    for p, (g, cell_in_lsa1) in zip(tp.power[:, content_id - 1].tolist(), cells):
+        term = p * g
+        if content_id == 1 or cell_in_lsa1 == point_in_lsa1:
+            own_terms.append(term)
+        else:
+            other_terms.append(term)
     noise = env.n0 * plan.bandwidth_hz[content_id - 1]
     return math.fsum(own_terms) / (math.fsum(other_terms) + noise)
 
@@ -136,12 +163,13 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
             (rng.uniform(0.0, cols * spec.isd, n_points),
              rng.uniform(0.0, rows * spec.isd, n_points))
         )
+        point_list = points.tolist()
         for scheme in _scheme_configs():
             tp = allocate(grid, plan, scheme)
             worst = 0.0
             for content_id in plan.content_ids:
                 values = sinr_at(points, content_id, tp, env, plan).tolist()
-                for (px, py), got in zip(points.tolist(), values):
+                for (px, py), got in zip(point_list, values):
                     expected = oracle_sinr((px, py), content_id, tp, env, plan)
                     if expected == 0.0:
                         err = 0.0 if got == 0.0 else math.inf

@@ -33,6 +33,7 @@ import re
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,12 +78,16 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
+@lru_cache(maxsize=16)
 def _token_table(maxval: int, terminator: str) -> np.ndarray:
     """Row ``v`` holds the ASCII of ``str(v)`` and ``terminator``, NUL-padded
-    to one fixed-width word."""
+    to one fixed-width word.  Built once per (maxval, terminator) and shared
+    read-only by every raster."""
     width = len(str(maxval)) + len(terminator)
     tokens = [f"{v}{terminator}".encode("ascii") for v in range(maxval + 1)]
-    return np.array(tokens, dtype=f"S{width}").view(f"V{width}")
+    table = np.array(tokens, dtype=f"S{width}").view(f"V{width}")
+    table.flags.writeable = False
+    return table
 
 
 def _write_pgm(path: str, image: np.ndarray, maxval: int) -> None:

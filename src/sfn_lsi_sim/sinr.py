@@ -65,7 +65,9 @@ class SinrField:
 
     ``values`` is 1-D in sampling order (rows of constant y, increasing x,
     bottom row first); ``shape`` is (ny, nx).  All values are finite: points
-    with zero received signal carry ``SINR_FLOOR_DB``.
+    with zero received signal carry ``SINR_FLOOR_DB``.  ``SinrEvaluator.field``
+    checks that once where it makes the values; relabels and restrictions
+    share them unchecked.
     """
 
     content_id: int
@@ -80,8 +82,6 @@ class SinrField:
             raise ValueError(
                 f"values length {self.values.size} does not match shape {self.shape}"
             )
-        if not np.isfinite(self.values).all():
-            raise ValueError("SINR field contains non-finite values")
 
     def as_image(self) -> np.ndarray:
         """(ny, nx) view, row index increasing with y."""
@@ -291,6 +291,8 @@ class SinrEvaluator:
         for lo in range(0, values.size, _CHUNK):
             hi = lo + _CHUNK
             _db(self._linear(g[:, lo:hi], in_lsa1[lo:hi], key), values[lo:hi])
+        if not np.isfinite(values).all():
+            raise ValueError("SINR field contains non-finite values")
         return SinrField(
             content_id=content_id,
             scheme_label=tp.scheme.label,

@@ -54,6 +54,16 @@ class TestRun:
         assert code == 1
         assert "config error: --beta requires --scheme" in captured.err
 
+    def test_beta_on_a_scheme_without_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["run", "--config", SMOKE, "--out", str(out),
+                     "--scheme", "reuse1", "--beta", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "config error: --scheme: reuse1 takes no beta (got 'reuse1:0.2')\n")
+        assert not out.exists()
+
     def test_non_finite_value_exits_one(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
         config.write_text(Path(SMOKE).read_text().replace(

@@ -100,6 +100,13 @@ MESSAGE_CASES = [
                  ["schemes.list: unknown scheme 'mystery' "
                   "(use olsi, reuse1, ps:<beta>, imo:<beta>)"],
                  id="unknown-scheme"),
+    pytest.param({"schemes.list": "olsi:0.5, reuse1:0.3"}, {},
+                 ["schemes.list: olsi takes no beta (got 'olsi:0.5')",
+                  "schemes.list: reuse1 takes no beta (got 'reuse1:0.3')"],
+                 id="beta-on-olsi-and-reuse1"),
+    pytest.param({}, {"scheme": "olsi", "beta": 0.5},
+                 ["--scheme: olsi takes no beta (got 'olsi:0.5')"],
+                 id="beta-override-on-olsi"),
     pytest.param({"schemes.list": "ps:0.5, ps:0.5"}, {},
                  ["schemes.list: duplicate scheme labels in ['ps_beta0.5', 'ps_beta0.5']"],
                  id="duplicate-schemes"),

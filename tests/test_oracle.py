@@ -3,14 +3,30 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, allocate
 from sfn_lsi_sim.grid import Grid, GridSpec
-from sfn_lsi_sim.oracle import OracleCase, oracle_sinr, run_oracle_suite
+from sfn_lsi_sim.oracle import (
+    _GRID_SHAPES,
+    OracleCase,
+    _content_plan,
+    _scheme_configs,
+    oracle_sinr,
+    run_oracle_suite,
+)
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
 from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator, sinr_at
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_single_cell_pair_by_hand():
@@ -94,3 +110,80 @@ def test_suite_catches_a_broken_shipped_formula(monkeypatch):
     monkeypatch.setattr(SinrEvaluator, "zone_powers", broken)
     cases = run_oracle_suite(n_points=5, seed=7)
     assert any(not case.ok for case in cases)
+
+
+def uncached_oracle_sinr(point, content_id, tp, env, plan):
+    """The brute force as a plain loop that recomputes every cell's gain on
+    each call: the bit-level reference for the memoized ``oracle_sinr``."""
+    model = env.pathloss
+    spec = tp.grid.spec
+    px, py = point
+    point_in_lsa1 = px < spec.lsa1_cols * spec.isd
+    own_terms, other_terms = [], []
+    for row in range(spec.rows):
+        for col in range(spec.cols):
+            index = row * spec.cols + col
+            d = math.hypot((col + 0.5) * spec.isd - px, (row + 0.5) * spec.isd - py)
+            if d < 20.0:
+                d = 20.0
+            if model.kind is PathLossKind.POWER_LAW:
+                g = d ** (-model.eta)
+            else:
+                log_f = math.log10(model.f_mhz)
+                a_hm = (1.1 * log_f - 0.7) * model.hm_m - (1.56 * log_f - 0.8)
+                loss_db = (
+                    69.55
+                    + 26.16 * log_f
+                    - 13.82 * math.log10(model.hb_m)
+                    - a_hm
+                    + (44.9 - 6.55 * math.log10(model.hb_m)) * math.log10(d / 1000.0)
+                )
+                g = 10.0 ** (-loss_db / 10.0)
+            term = float(tp.power[index, content_id - 1]) * g
+            if content_id == 1 or (col < spec.lsa1_cols) == point_in_lsa1:
+                own_terms.append(term)
+            else:
+                other_terms.append(term)
+    noise = env.n0 * plan.bandwidth_hz[content_id - 1]
+    return math.fsum(own_terms) / (math.fsum(other_terms) + noise)
+
+
+def test_brute_force_matches_the_uncached_loop_bit_for_bit():
+    # At each point, calls alternate between the two models and between
+    # specs that differ only in isd or lsa1_cols, so a reused per-point
+    # result keyed on too little shows as a changed bit.
+    envs = [RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5)),
+            RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=PathLossKind.HATA))]
+    rng = np.random.default_rng(11)
+    checked = 0
+    for (rows, cols, lsa1_cols), m_count in product(_GRID_SHAPES, (2, 3)):
+        base = GridSpec(rows=rows, cols=cols, lsa1_cols=lsa1_cols, buffer_cols_per_side=1)
+        specs = [base, replace(base, isd=base.isd * 1.25)]
+        if cols > 2:
+            specs.append(replace(base, lsa1_cols=lsa1_cols % (cols - 1) + 1))
+        plan = _content_plan(m_count)
+        plans = [[allocate(Grid.from_spec(spec), plan, scheme) for spec in specs]
+                 for scheme in _scheme_configs()]
+        points = np.column_stack((rng.uniform(0.0, cols * base.isd, 3),
+                                  rng.uniform(0.0, rows * base.isd, 3))).tolist()
+        for point, tps, m in product(points, plans, plan.content_ids):
+            for tp, env in product(tps, envs):
+                want = uncached_oracle_sinr(tuple(point), m, tp, env, plan)
+                got = oracle_sinr(tuple(point), m, tp, env, plan)
+                assert got == want, (tp.grid.spec, tp.scheme.label, env.pathloss.kind, m)
+                checked += 1
+    # points x schemes x contents over M x specs over shapes x models
+    assert checked == 3 * 9 * (2 + 3) * (2 * 2 + 4 * 3) * 2
+
+
+def test_oracle_cli_output_unchanged():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "sfn_lsi_sim.cli", "oracle", "--config",
+         "configs/paper_table1.cfg"],
+        cwd=ROOT, env=env, capture_output=True, timeout=120, check=True,
+    )
+    assert result.stdout == (ROOT / "tests" / "data" / "oracle_paper.txt").read_bytes()

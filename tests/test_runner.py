@@ -492,6 +492,16 @@ class TestPgmEncoder:
         image[:, 1] = maxval
         self.assert_matches_reference(tmp_path, image, maxval)
 
+    def test_token_tables_are_shared_and_read_only(self, tmp_path):
+        table = runner._token_table(255, " ")
+        assert runner._token_table(255, " ") is table
+        assert not table.flags.writeable
+        before = table.tobytes()
+        image = np.random.default_rng(3).integers(0, 256, size=(4, 6))
+        self.assert_matches_reference(tmp_path, image, 255)
+        self.assert_matches_reference(tmp_path, image[::-1], 255)
+        assert runner._token_table(255, " ").tobytes() == before
+
 
 class TestNumberFormat:
     @pytest.mark.parametrize("value,text", [

@@ -154,6 +154,20 @@ class TestSinrField:
         assert np.isfinite(field.values).all()
         assert (field.values == SINR_FLOOR_DB).all()
 
+    def test_non_finite_linear_sinr_is_refused_where_made(self, monkeypatch):
+        grid, plan, tp = make_setup()
+        evaluator = SinrEvaluator(grid, make_env())
+        linear = SinrEvaluator._linear
+
+        def infinite(self, g, in_lsa1, key):
+            out = linear(self, g, in_lsa1, key)
+            out[-1] = np.inf
+            return out
+
+        monkeypatch.setattr(SinrEvaluator, "_linear", infinite)
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluator.field(EvalArea(kind=AreaKind.A1, resolution=3), 2, tp, plan)
+
     def test_field_shape_and_image(self):
         grid, plan, tp = make_setup()
         env = make_env()
