@@ -18,7 +18,7 @@ import numpy as np
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, allocate
 from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec, lattice_axes, lsa1_of_x
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel, gain
-from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator
+from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator, _terms
 
 TARGETS = {  # row -> (pct at 15 dB, pct at 20 dB)
     "imo_c2": (93.5, 60.1),
@@ -42,7 +42,8 @@ def order_ok(rows: dict[str, float], targets: dict[str, float]) -> bool:
 
 
 def build_sums(model: PathLossModel, resolution: int):
-    """own/other linear sums (unit S_m) per scheme, content, area."""
+    """own/other linear sums (unit S_m) per scheme, content, area, as
+    (ny, nx) lattice images; the global content's other is 0."""
     spec = GridSpec()
     grid = Grid.from_spec(spec)
     plan = ContentPlan.equal_split(3, 3.0, 3 * 2.4e6)
@@ -56,21 +57,13 @@ def build_sums(model: PathLossModel, resolution: int):
     sums = {}
     for area_name, kind in (("a1", AreaKind.A1), ("a2", AreaKind.A2)):
         area = EvalArea(kind=kind, resolution=resolution)
-        g = ev.gains_for(area)
         xs, ys = lattice_axes(area, spec)
-        points_in_lsa1 = np.tile(lsa1_of_x(xs, spec), ys.size)
+        g = ev.gains_for(area).reshape(4, ys.size, xs.size)
         for sname, scfg in schemes.items():
             tp = allocate(grid, plan, scfg)
             for m in (1, 2, 3):
-                p = ev.zone_powers(tp, m)  # g rows are the matching zone gains
-                f1 = p[0] * g[0] + p[1] * g[1]
-                f2 = p[2] * g[2] + p[3] * g[3]
-                if m == 1:
-                    own, other = f1 + f2, np.zeros_like(f1)
-                else:
-                    own = np.where(points_in_lsa1, f1, f2)
-                    other = np.where(points_in_lsa1, f2, f1)
-                sums[(area_name, sname, m)] = (own, other)
+                key = ev.field_key(m, tp, plan)
+                sums[(area_name, sname, m)] = _terms(g, lsa1_of_x(xs, spec), key)
     return sums
 
 

@@ -205,7 +205,12 @@ def lattice_axes(area: EvalArea, spec: GridSpec) -> tuple[np.ndarray, np.ndarray
 
 def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
     """Deterministic row-major lattice over ``area``, shape (n, 2): every
-    (x, y) of ``lattice_axes``, y varying slowest."""
+    (x, y) of ``lattice_axes``, y varying slowest.
+
+    The engine builds every lattice from ``lattice_axes`` and never calls
+    this; it stays for the tests, which compare the lattice path with
+    ``sinr_at`` on these points, and for the benchmark's list of traced
+    layer entry points."""
     gx, gy = np.meshgrid(*lattice_axes(area, spec))
     return np.column_stack([gx.ravel(), gy.ravel()])
 

@@ -42,9 +42,7 @@ class CoverageReport:
         return self.fractions[self.thresholds_db.index(threshold_db)]
 
 
-def coverage(
-    field: SinrField, thresholds_db: tuple[float, ...] | list[float], scheme: str = ""
-) -> CoverageReport:
+def coverage(field: SinrField, thresholds_db: tuple[float, ...] | list[float]) -> CoverageReport:
     """Fraction of sample points with SINR >= threshold, per threshold."""
     if field.values.size == 0:
         raise ValueError("cannot compute coverage of an empty field")
@@ -53,7 +51,7 @@ def coverage(
         np.count_nonzero(field.values >= t) / n for t in thresholds_db
     )
     return CoverageReport(
-        scheme_label=scheme or field.scheme_label,
+        scheme_label=field.scheme_label,
         content_id=field.content_id,
         area_kind=field.area.kind.value,
         n_points=n,

@@ -53,7 +53,7 @@ from sfn_lsi_sim.sinr import SinrEvaluator, SinrField
 
 SUMMARY_FORMAT = "sfn-lsi-sim/summary-v1"
 SINR_DB_RANGE = (-10.0, 40.0)
-"""Default dB window quantized into SINR rasters."""
+"""dB window quantized into SINR rasters."""
 
 _RUN_FILE = re.compile(
     r"manifest\.json|coverage\.csv|summary\.json|spectral_efficiency\.json"
@@ -103,21 +103,17 @@ def _write_pgm(path: str, image: np.ndarray, maxval: int) -> None:
         handle.write(text[text != 0].tobytes())
 
 
-def emit_heatmap(
-    obj: ContentCountMap | SinrField, path: str, db_range: tuple[float, float] = SINR_DB_RANGE
-) -> list[str]:
+def emit_heatmap(obj: ContentCountMap | SinrField, path: str) -> list[str]:
     """Write a plain P2 raster for a count map or SINR field.
 
     Count maps use gray levels 0..M directly.  SINR fields quantize
-    ``db_range`` linearly onto 0..255 and record the window in a sidecar
-    ``<path>.hdr.txt``.  Returns the list of files written.
+    ``SINR_DB_RANGE`` linearly onto 0..255 and record the window in a
+    sidecar ``<path>.hdr.txt``.  Returns the list of files written.
     """
     if isinstance(obj, ContentCountMap):
         _write_pgm(path, obj.as_image(), maxval=max(obj.m_count, 1))
         return [path]
-    lo, hi = db_range
-    if not hi > lo:
-        raise ValueError(f"db_range must be increasing (got {db_range})")
+    lo, hi = SINR_DB_RANGE
     scaled = (np.clip(obj.as_image(), lo, hi) - lo) * (255.0 / (hi - lo))
     _write_pgm(path, np.rint(scaled).astype(np.uint8), maxval=255)
     sidecar = path + ".hdr.txt"

@@ -26,7 +26,6 @@ from sfn_lsi_sim.grid import (
     lattice_axes,
     lsa1_of_x,
     lsa_of_points,
-    sample_points,
     sample_shape,
 )
 from sfn_lsi_sim.propagation import PathLossModel, gain
@@ -35,16 +34,16 @@ SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
 
 _CHUNK = 16384
-"""Points per chunk of the point path (``_zone_gains``) and of
-``SinrEvaluator.field``; bounds their (n_cells, chunk) distance and gain
-temporaries and the per-chunk SINR temporaries.  Lattices whose offsets are
-periodic take the kernel path for their gains, which ``_KERNEL_CHUNK``
-bounds."""
+"""Points per chunk of the point path (``_zone_gains``), and the most points
+in the block of whole lattice rows ``SinrEvaluator.field`` reduces at once
+(one row if a row is longer).  Bounds the point path's (n_cells, chunk)
+distance and gain temporaries and the field's per-block SINR temporaries.
+Lattice gains take the kernel path, which ``_KERNEL_CHUNK`` bounds."""
 
 _KERNEL_CHUNK = 1 << 18
 """Elements per slab of the lattice gain kernel: the kernel rows of one
-block of residues mod the tower period.  Bounds the slab's distance and gain
-temporaries; the whole kernel is never held."""
+block of residues mod the y fold period.  Bounds the slab's distance and
+gain temporaries; the whole kernel is never held."""
 
 
 @dataclass(frozen=True)
@@ -96,25 +95,37 @@ def _db(linear: np.ndarray, out: np.ndarray) -> None:
     np.multiply(out, 10.0, out=out, where=pos)
 
 
-def _fold(towers: np.ndarray, samples: np.ndarray, period: int) -> np.ndarray | None:
-    """Offsets ``towers[c] - samples[k]`` at index ``k - c*period +
-    (n_towers-1)*period``, or None if two offsets with one index differ."""
+def _fold(towers: np.ndarray, samples: np.ndarray, period: int) -> tuple[int, np.ndarray]:
+    """A fold period ``p`` and the offsets ``towers[c] - samples[k]`` at
+    index ``k - c*p + (n_towers-1)*p``.
+
+    ``p`` is ``period`` if offsets that share an index are equal, else
+    ``samples.size``: then no two offsets share an index, so the fold always
+    succeeds."""
     table = towers[:, None] - samples
     index = (np.arange(samples.size) - period * np.arange(towers.size)[:, None]
              + period * (towers.size - 1))
     folded = np.zeros(samples.size + period * (towers.size - 1))
     folded[index] = table
-    return folded if np.array_equal(folded[index], table) else None
+    if period == samples.size or np.array_equal(folded[index], table):
+        return period, folded
+    return _fold(towers, samples, samples.size)
 
 
-def _left_columns(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The leftmost columns of lattice ``shape`` (ny, nx) from ``a``, whose
-    last axis runs over a wider lattice of ny rows in sampling order.  Both
-    A1 and A2 step by isd/resolution from x = 0, so this takes the A1 part
-    of an A2 array at the same resolution."""
-    ny, nx = shape
-    lead = a.shape[:-1]
-    return a.reshape(*lead, ny, -1)[..., :nx].reshape(*lead, ny * nx)
+def _terms(g: np.ndarray, in_lsa1: np.ndarray, key: tuple) -> tuple:
+    """(own, other): own-LSA signal and cross-LSA interference of the
+    content with ``field_key`` ``key``, from zone gains ``g`` whose first
+    axis runs over ``ZONES``.
+
+    ``in_lsa1`` marks LSA1 and broadcasts against ``g[0]``: one flag per
+    point, or one per column of a block of lattice rows.  The global content
+    is all signal."""
+    p, _, is_global = key
+    from1 = p[0] * g[0] + p[1] * g[1]
+    from2 = p[2] * g[2] + p[3] * g[3]
+    if is_global:
+        return from1 + from2, 0.0
+    return np.where(in_lsa1, from1, from2), np.where(in_lsa1, from2, from1)
 
 
 class SinrEvaluator:
@@ -123,19 +134,17 @@ class SinrEvaluator:
     Each content's power is constant over each band of ``ZONES``, so the
     received power sum over cells factors into four zone terms, p_z * G_z,
     with G_z the gain summed over the zone's cells.  Only the four G_z rows
-    and a per-point LSA1 flag are cached per evaluation area and reused by
-    all contents and transmit plans.  A1 is the left part of A2, so A1 gains
-    are sliced from cached A2 gains at the same resolution.
+    are cached per evaluation area and reused by all contents and transmit
+    plans.
 
-    A lattice is built from its 1-D axes (``grid.lattice_axes``), not from a
-    point array.  On a lattice whose tower-to-sample offsets repeat exactly
-    with the tower period (A1 and A2 when ``isd / resolution`` is exact), a
-    gain depends only on the (row, column) offset, so the gains are
-    evaluated once per offset and each G_z adds windows of that kernel,
-    one slab of kernel rows at a time.  Other lattices, and point arrays,
-    evaluate every tower-to-point gain.  Both give the same bytes.  A field
-    is reduced chunk by chunk, so the gain rows, the flags and the output
-    are the only full-size arrays it touches.
+    Every lattice is built from its 1-D axes (``grid.lattice_axes``), not
+    from a point array: ``_lattice_gains`` evaluates a gain kernel over
+    tower-to-sample offsets and adds its windows, one slab of kernel rows at
+    a time, with the addends and order of ``_zone_gains``, hence its bytes.
+    Point arrays (``sinr_at``) take ``_zone_gains``.  A field is reduced
+    block of lattice rows by block; LSA membership depends on x alone, so
+    the LSA1 flag is one per column.  The gain rows and the output are the
+    only full-size arrays a field touches.
     """
 
     def __init__(self, grid: Grid, env: RadioEnv):
@@ -145,7 +154,6 @@ class SinrEvaluator:
         bands = grid.bands()
         self._band_cells = tuple(np.flatnonzero(bands == z) for z in range(len(ZONES)))
         self._gains: dict[EvalArea, np.ndarray] = {}
-        self._in_lsa1: dict[EvalArea, np.ndarray] = {}
 
     def _zone_gains(self, points: np.ndarray) -> np.ndarray:
         """(4, n) zone gains G_z at ``points`` (shape (n, 2))."""
@@ -166,38 +174,36 @@ class SinrEvaluator:
                     acc += cell_gains[c]
         return g
 
-    def _lattice_gains(self, area: EvalArea, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """(4, n) zone gains on the lattice of ``area``, whose axes are
-        ``xs`` and ``ys``.
+    def _lattice_gains(self, area: EvalArea) -> np.ndarray:
+        """(4, n) zone gains on the lattice of ``area``.
 
-        Towers sit ``period = resolution`` samples apart, and a tower's x
-        depends only on its column and its y only on its row.  If the x
-        offsets ``tower_x[c] - xs[k]`` are equal wherever ``k - c*period``
-        agrees, and the y offsets likewise, every tower-to-sample distance
-        is one of the offset grid's, so the gain kernel ``K`` is evaluated
-        on that grid once.  Each G_z then adds its cells' ``K`` windows in
-        cell-index order: the addends and order of ``_zone_gains``, hence
-        its bytes.  Otherwise this falls back to ``_zone_gains``.
+        A tower's x depends only on its column and its y only on its row.
+        ``_fold`` lays each axis's tower-to-sample offsets out so that tower
+        column ``c`` reads the window at ``(cols-1-c) * px`` of ``kx``, and
+        likewise for rows.  Where the offsets repeat with the tower period
+        (``resolution`` samples; A1 and A2 when ``isd / resolution`` is
+        exact), windows overlap and the kernel ``K`` holds each distinct
+        offset once; otherwise ``px`` is the axis's sample count, windows
+        are disjoint and ``K`` holds every tower-to-sample offset.  Either
+        way every distance is one of ``K``'s, evaluated once, and each G_z
+        adds its cells' ``K`` windows in cell-index order.
 
-        The lattice has ``rows * period`` sample rows and ``K`` has
-        ``(2*rows - 1) * period``, so output row ``k*period + r`` reads only
-        kernel rows congruent to ``r`` mod ``period``.  ``K`` is evaluated
+        With ``q = ny // py`` window rows, output row ``k*py + r`` reads
+        only kernel rows congruent to ``r`` mod ``py``.  ``K`` is evaluated
         one slab at a time, the kernel rows of a block of residues ``r``,
-        and the slab's windows are added before the next slab is evaluated;
-        each kernel element is still evaluated once.
+        and the slab's windows are added before the next slab is evaluated.
         """
         spec = self.grid.spec
-        cols, rows, period = spec.cols, spec.rows, area.resolution
-        kx = _fold(self._towers[:cols, 0], xs, period)
-        ky = _fold(self._towers[::cols, 1], ys, period)
-        if kx is None or ky is None:
-            return self._zone_gains(sample_points(area, spec))
-        nx = xs.size
+        cols, rows = spec.cols, spec.rows
+        xs, ys = lattice_axes(area, spec)
+        px, kx = _fold(self._towers[:cols, 0], xs, area.resolution)
+        py, ky = _fold(self._towers[::cols, 1], ys, area.resolution)
+        nx, q = xs.size, ys.size // py
         g = np.zeros((len(ZONES), ys.size * nx))
-        out = g.reshape(len(ZONES), rows, period, nx)
-        ky = ky.reshape(2 * rows - 1, period)
+        out = g.reshape(len(ZONES), q, py, nx)
+        ky = ky.reshape(q + rows - 1, py)
         block = max(1, _KERNEL_CHUNK // ky.shape[0] // kx.size)
-        for lo in range(0, period, block):
+        for lo in range(0, py, block):
             d = np.hypot(kx, ky[:, lo:lo + block, None])
             np.maximum(d, D_MIN_M, out=d)
             slab = gain(self.env.pathloss, d)
@@ -205,28 +211,17 @@ class SinrEvaluator:
                 acc = out[z, :, lo:lo + block]
                 for c in cells:
                     y0 = rows - 1 - c // cols
-                    x0 = (cols - 1 - c % cols) * period
-                    acc += slab[y0:y0 + rows, :, x0:x0 + nx]
+                    x0 = (cols - 1 - c % cols) * px
+                    acc += slab[y0:y0 + q, :, x0:x0 + nx]
         return g
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
         """(4, n_points) read-only zone gains G_z, one row per band of ``ZONES``."""
-        cached = self._gains.get(area)
-        if cached is not None:
-            return cached
-        spec = self.grid.spec
-        full = EvalArea(kind=AreaKind.A2, resolution=area.resolution)
-        if area.kind is AreaKind.A1 and full in self._gains:
-            shape = sample_shape(area, spec)
-            g = _left_columns(self._gains[full], shape)
-            in_lsa1 = _left_columns(self._in_lsa1[full], shape)
-        else:
-            xs, ys = lattice_axes(area, spec)
-            g = self._lattice_gains(area, xs, ys)
-            in_lsa1 = np.tile(lsa1_of_x(xs, spec), ys.size)
-        g.flags.writeable = False
-        self._gains[area] = g
-        self._in_lsa1[area] = in_lsa1
+        g = self._gains.get(area)
+        if g is None:
+            g = self._lattice_gains(area)
+            g.flags.writeable = False
+            self._gains[area] = g
         return g
 
     def zone_powers(self, tp: TransmitPlan, content_id: int) -> np.ndarray:
@@ -266,55 +261,47 @@ class SinrEvaluator:
 
     def _linear(self, g: np.ndarray, in_lsa1: np.ndarray, key: tuple) -> np.ndarray:
         """Linear SINR of the content with ``field_key`` ``key`` from zone
-        gains ``g``.
-
-        ``in_lsa1`` marks the points of LSA1.  Own-LSA signal over cross-LSA
-        interference plus noise; the global content is all signal.
-        """
-        p, bandwidth, is_global = key
-        from1 = p[0] * g[0] + p[1] * g[1]
-        from2 = p[2] * g[2] + p[3] * g[3]
-        if is_global:
-            own, other = from1 + from2, 0.0
-        else:
-            own = np.where(in_lsa1, from1, from2)
-            other = np.where(in_lsa1, from2, from1)
-        return own / (other + self.env.n0 * bandwidth)
+        gains ``g``: ``_terms``' own signal over its interference plus
+        noise."""
+        own, other = _terms(g, in_lsa1, key)
+        return own / (other + self.env.n0 * key[1])
 
     def field(
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
     ) -> SinrField:
-        g = self.gains_for(area)
-        in_lsa1 = self._in_lsa1[area]
+        xs, ys = lattice_axes(area, self.grid.spec)
+        g = self.gains_for(area).reshape(len(ZONES), ys.size, xs.size)
+        in_lsa1 = lsa1_of_x(xs, self.grid.spec)
         key = self.field_key(content_id, tp, plan)
-        values = np.empty(g.shape[1])
-        for lo in range(0, values.size, _CHUNK):
-            hi = lo + _CHUNK
-            _db(self._linear(g[:, lo:hi], in_lsa1[lo:hi], key), values[lo:hi])
+        values = np.empty((ys.size, xs.size))
+        step = max(1, _CHUNK // xs.size)
+        for lo in range(0, ys.size, step):
+            _db(self._linear(g[:, lo:lo + step], in_lsa1, key), values[lo:lo + step])
         if not np.isfinite(values).all():
             raise ValueError("SINR field contains non-finite values")
         return SinrField(
             content_id=content_id,
             scheme_label=tp.scheme.label,
             area=area,
-            values=values,
-            shape=sample_shape(area, self.grid.spec),
+            values=values.ravel(),
+            shape=values.shape,
         )
 
     def restrict(self, field: SinrField, area: EvalArea) -> SinrField:
         """``field`` on ``area``: the field itself, or the left columns of an
-        A2 field when ``area`` is A1 at the same resolution.  Same bytes as
-        ``field(area, ...)``, since every point's value depends only on that
-        point's zone gains."""
+        A2 field when ``area`` is A1 at the same resolution.  Both lattices
+        step by isd/resolution from x = 0, and every point's value depends
+        only on that point's zone gains and x, so these are the bytes of
+        ``field(area, ...)``."""
         if area == field.area:
             return field
         if area.kind is not AreaKind.A1 or field.area != EvalArea(
             kind=AreaKind.A2, resolution=area.resolution
         ):
             raise ValueError(f"cannot take area {area} from a field on {field.area}")
-        shape = sample_shape(area, self.grid.spec)
-        return replace(field, area=area, values=_left_columns(field.values, shape),
-                       shape=shape)
+        ny, nx = sample_shape(area, self.grid.spec)
+        return replace(field, area=area, values=field.as_image()[:, :nx].ravel(),
+                       shape=(ny, nx))
 
 
 def sinr_at(

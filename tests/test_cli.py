@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sfn_lsi_sim.cli import main
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 SMOKE = str(CONFIG_DIR / "smoke_1x2.cfg")
 TABLE = str(CONFIG_DIR / "paper_table1.cfg")
 
@@ -170,3 +175,22 @@ class TestParser:
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def test_traced_cli_finds_every_benchmark_layer(tmp_path):
+    # perfbench/trace_run.py wraps each entry point of its LAYERS table;
+    # one the package no longer has is reported in "missing" and fails the
+    # benchmark's checks.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = tmp_path / "result.json"
+    subprocess.run(
+        [sys.executable, "perfbench/trace_run.py", str(result), "--trace", "1", "--",
+         "validate", "--config", "configs/smoke_1x2.cfg"],
+        cwd=ROOT, env=env, capture_output=True, timeout=120, check=True,
+    )
+    document = json.loads(result.read_text())
+    assert document["missing"] == []
+    assert document["returncode"] == 0

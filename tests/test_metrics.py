@@ -112,10 +112,6 @@ class TestCoverage:
         assert report.area_kind == "A1"
         assert report.n_points == 2
 
-    def test_scheme_override(self):
-        report = coverage(make_field([0.0]), [0.0], scheme="renamed")
-        assert report.scheme_label == "renamed"
-
     def test_empty_field_rejected(self):
         field = make_field([], shape=(0, 0))
         with pytest.raises(ValueError, match="empty"):

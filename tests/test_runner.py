@@ -118,6 +118,24 @@ class TestArtifacts:
                 got = (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
             assert got == (reference / name).read_bytes(), f"{name} differs from out/final"
 
+    def test_paper_count_maps_are_mirror_symmetric(self, tmp_path):
+        # The paper's two LSAs are the same size, each with one buffer
+        # column at the boundary, and every content has the same power and
+        # bandwidth, so the geometry is symmetric about the LSA boundary
+        # and about the grid's middle row: each count map must equal its
+        # own left-right and top-bottom mirror.
+        out = tmp_path / "paper"
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(out), resolution=20)
+        run_experiment(cfg)
+        maps = sorted(out.glob("content_counts_*.pgm"))
+        assert len(maps) == len(cfg.schemes) == 6
+        for path in maps:
+            pixels, _ = read_pgm(path)
+            assert pixels.shape == (160, 200)
+            assert (pixels == pixels[:, ::-1]).all(), f"{path.name} left-right"
+            assert (pixels == pixels[::-1]).all(), f"{path.name} top-bottom"
+
     def test_pgm_pixels_match_histogram(self, smoke_run):
         out = Path(smoke_run.out_dir)
         for label in SCHEME_LABELS:
@@ -427,21 +445,13 @@ class TestEmitHeatmap:
             values=np.array([-10.0, 15.0, 40.0, 90.0, -55.0, 0.0]), shape=(2, 3),
         )
         path = tmp_path / "sinr.pgm"
-        written = emit_heatmap(field, str(path), db_range=(-10.0, 40.0))
+        written = emit_heatmap(field, str(path))
         assert written == [str(path), str(path) + ".hdr.txt"]
         pixels, maxval = read_pgm(path)
         assert maxval == 255
         # out-of-window values clip; in-window values scale onto 0..255
         assert pixels[1].tolist() == [0, 127, 255]
         assert pixels[0].tolist() == [255, 0, 51]
-
-    def test_sinr_range_must_increase(self, tmp_path):
-        field = SinrField(
-            content_id=1, scheme_label="x", area=self.AREA,
-            values=np.zeros(1), shape=(1, 1),
-        )
-        with pytest.raises(ValueError, match="db_range"):
-            emit_heatmap(field, str(tmp_path / "x.pgm"), db_range=(10.0, 10.0))
 
 
 def reference_pgm(image: np.ndarray, maxval: int) -> bytes:

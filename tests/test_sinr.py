@@ -123,13 +123,12 @@ class TestSinrAt:
 class TestSinrField:
     def test_field_matches_point_evaluation(self):
         # The point path and the lattice path share one SINR formula, so
-        # every lattice point gets the same bytes on both, A1 sliced from A2
-        # included.
+        # every lattice point gets the same bytes on both.
         schemes = [SchemeConfig(SchemeKind.OLSI),
                    SchemeConfig(SchemeKind.IMLSI_PS, beta=0.5),
                    SchemeConfig(SchemeKind.IMLSI_O, beta=0.25)]
-        # isd 1700 at resolution 3 is not periodic (point path); at
-        # resolution 4 it is (kernel path)
+        # isd 1700 at resolution 3 is not periodic (disjoint kernel
+        # windows); at resolution 4 it is (overlapping windows)
         areas = [EvalArea(kind=AreaKind.A2, resolution=3),
                  EvalArea(kind=AreaKind.A1, resolution=3),
                  EvalArea(kind=AreaKind.A2, resolution=4),
@@ -239,18 +238,16 @@ class TestZoneEngine:
         a1 = EvalArea(kind=AreaKind.A1, resolution=5)
         a2 = EvalArea(kind=AreaKind.A2, resolution=5)
         ny, nx1 = sample_shape(a1, spec)
-        shared = SinrEvaluator(grid, env)  # A2 first: A1 gains sliced from it
+        shared = SinrEvaluator(grid, env)
         for m in plan.content_ids:
             a2_field = shared.field(a2, m, tp, plan)
             full = a2_field.as_image()[:, :nx1]
-            sliced = shared.field(a1, m, tp, plan).values
-            # a fresh evaluator builds A1 from its own lattice
-            direct = SinrEvaluator(grid, env).field(a1, m, tp, plan).values
-            assert np.ascontiguousarray(full).tobytes() == sliced.tobytes()
-            assert direct.tobytes() == sliced.tobytes()
+            # built from the A1 lattice's own gains
+            direct = shared.field(a1, m, tp, plan).values
+            assert np.ascontiguousarray(full).tobytes() == direct.tobytes()
             restricted = shared.restrict(a2_field, a1)
             assert (restricted.area, restricted.shape) == (a1, (ny, nx1))
-            assert restricted.values.tobytes() == sliced.tobytes()
+            assert restricted.values.tobytes() == direct.tobytes()
             assert shared.restrict(a2_field, a2) is a2_field
         with pytest.raises(ValueError, match="cannot take area"):
             shared.restrict(shared.field(a1, 1, tp, plan), a2)
@@ -289,34 +286,51 @@ class TestZoneEngine:
             for chunk, n_slabs in ((default_chunk, 1), (3 * residue_rows, -(-resolution // 3))):
                 monkeypatch.setattr(sinr, "_KERNEL_CHUNK", chunk)
                 slabs.clear()
-                # a fresh evaluator per area, so A1 is built, not sliced
+                # a fresh evaluator, so the gains are built, not cached
                 got = SinrEvaluator(grid, env).gains_for(area)
                 assert got.tobytes() == expected.tobytes(), (area, chunk)
                 assert len(slabs) == n_slabs, (area, chunk)
             assert n_slabs >= 3 and slabs[-1][1] < slabs[0][1] == 3
 
-    @pytest.mark.parametrize("spec,area", [
+    @pytest.mark.parametrize("spec,area,split", [
         (GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3),
-         EvalArea(kind=AreaKind.A2, resolution=5)),
-        (GridSpec(), EvalArea(kind=AreaKind.A2, resolution=3)),
-        # aperiodic in x only, then in y only
-        (GridSpec(rows=1, cols=2, lsa1_cols=1), EvalArea(kind=AreaKind.A2, resolution=6)),
-        (GridSpec(rows=3, cols=2, lsa1_cols=1), EvalArea(kind=AreaKind.A2, resolution=3)),
+         EvalArea(kind=AreaKind.A2, resolution=5), [4, 4, 4, 3]),
+        (GridSpec(), EvalArea(kind=AreaKind.A2, resolution=3), [5, 5, 5, 5, 4]),
+        # aperiodic in x only, then in y only.  The first has 6 residues,
+        # which no split into >= 3 slabs leaves with a partial last one.
+        (GridSpec(rows=1, cols=2, lsa1_cols=1), EvalArea(kind=AreaKind.A2, resolution=6),
+         [2, 2, 2]),
+        (GridSpec(rows=3, cols=2, lsa1_cols=1), EvalArea(kind=AreaKind.A2, resolution=3),
+         [4, 4, 1]),
     ], ids=["isd1234.567-r5", "paper-r3", "1x2-r6-x", "3x2-r3-y"])
-    def test_aperiodic_lattice_falls_back_to_points(self, monkeypatch, spec, area):
+    def test_aperiodic_lattice_takes_the_kernel_path(self, monkeypatch, spec, area, split):
+        # An axis whose offsets do not repeat with the tower period folds
+        # with its sample count as period: disjoint kernel windows.
         grid, env = Grid.from_spec(spec), make_env(PathLossKind.HATA)
         want = SinrEvaluator(grid, env)._zone_gains(sample_points(area, spec))
-        calls = []
-        point_path = SinrEvaluator._zone_gains
 
-        def counted(self, points):
-            calls.append(len(points))
-            return point_path(self, points)
+        def point_path(self, points):
+            raise AssertionError("lattice evaluated point by point")
 
-        monkeypatch.setattr(SinrEvaluator, "_zone_gains", counted)
-        got = SinrEvaluator(grid, env).gains_for(area)
-        assert calls == [want.shape[1]]
-        assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(SinrEvaluator, "_zone_gains", point_path)
+        slabs = []
+        kernel_gain = sinr.gain
+
+        def counted(model, d):
+            slabs.append(d.shape)
+            return kernel_gain(model, d)
+
+        monkeypatch.setattr(sinr, "gain", counted)
+        assert SinrEvaluator(grid, env).gains_for(area).tobytes() == want.tobytes()
+        # One slab of (kernel rows, residues mod the y period, kernel columns),
+        # with no more elements than tower-to-point distances.
+        (ky_rows, residues, kx_size), = slabs
+        assert residues == sum(split)
+        assert ky_rows * residues * kx_size <= want.shape[1] * len(grid.cells)
+        monkeypatch.setattr(sinr, "_KERNEL_CHUNK", split[0] * ky_rows * kx_size)
+        slabs.clear()
+        assert SinrEvaluator(grid, env).gains_for(area).tobytes() == want.tobytes()
+        assert len(slabs) >= 3 and [s[1] for s in slabs] == split
 
     def test_kernel_evaluates_each_offset_once(self, monkeypatch):
         # paper A2 at resolution 20: 160 x 200 points, 80 towers.  The
@@ -393,6 +407,28 @@ def test_field_matches_oracle_at_every_lattice_point(shape, model):
                     else:
                         rel = abs(10.0 ** (db / 10.0) - want) / want
                         assert rel <= 1e-9, f"{where}: relative error {rel:.3e}"
+
+
+@pytest.mark.parametrize("k", [1, -3])
+def test_power_of_two_scaling_of_powers_and_noise_keeps_field_bytes(k):
+    # Scaling every transmit power and n0 by 2**k is exact in binary floating
+    # point, so signal, interference and noise scale exactly and every SINR
+    # keeps its bytes.  The scaled plan is built in code: a scaled config
+    # would not do, as float("1e-17") is not exactly 2 * float("5e-18").
+    cfg = parse_config(str(CONFIG_DIR / "paper_table1.cfg"))
+    grid, env = Grid.from_spec(cfg.grid), cfg.env()
+    base = SinrEvaluator(grid, env)
+    scaled = SinrEvaluator(grid, RadioEnv(n0=env.n0 * 2.0**k, pathloss=env.pathloss))
+    area = EvalArea(kind=AreaKind.A2, resolution=20)
+    assert len(cfg.schemes) == 6
+    for scheme in cfg.schemes:
+        tp = allocate(grid, cfg.plan, scheme)
+        tp_scaled = TransmitPlan(grid=grid, scheme=scheme, power=tp.power * 2.0**k,
+                                 active=tp.active.copy())
+        for m in cfg.plan.content_ids:
+            want = base.field(area, m, tp, cfg.plan).values
+            got = scaled.field(area, m, tp_scaled, cfg.plan).values
+            assert got.tobytes() == want.tobytes(), (scheme.label, m)
 
 
 class TestSchemeEffects:
