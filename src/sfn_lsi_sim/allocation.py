@@ -97,26 +97,6 @@ class ContentPlan:
     def bandwidth_of(self, content_id: int) -> float:
         return self.bandwidth_hz[content_id - 1]
 
-    @classmethod
-    def equal_split(
-        cls,
-        m_count: int,
-        total_power_w: float,
-        total_bandwidth_hz: float,
-        subcarriers_per_content: int = 1000,
-        mod_order: int = 64,
-        t_sym: float = 1e-3,
-    ) -> "ContentPlan":
-        """Convenience plan with equal powers, bandwidths and modulation."""
-        return cls(
-            m_count=m_count,
-            bandwidth_hz=(total_bandwidth_hz / m_count,) * m_count,
-            subcarriers=(subcarriers_per_content,) * m_count,
-            mod_order=(mod_order,) * m_count,
-            t_sym=t_sym,
-            base_power=(total_power_w / m_count,) * m_count,
-        )
-
 
 @dataclass(frozen=True)
 class SchemeConfig:

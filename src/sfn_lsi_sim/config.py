@@ -88,6 +88,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must not be negative (got {value})")
+    return value
+
+
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
     def parse_list(text: str) -> tuple:
         parts = text.replace(",", " ").split()
@@ -208,7 +215,7 @@ _KEYS = (
     _Key("output", "dir", str, "directory path", _REQUIRED, lambda c: c.out_dir),
     _Key("output", "emit_sinr_maps", _parse_bool, "true or false", False,
          lambda c: c.emit_sinr_maps),
-    _Key("output", "seed", int, "integer", 0, lambda c: c.seed),
+    _Key("output", "seed", _non_negative_int, "integer >= 0", 0, lambda c: c.seed),
 )
 
 
@@ -380,6 +387,10 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
 
     evals, output = values["eval"], values["output"]
     errors += _resolution_errors("eval.resolution", evals["resolution"])
+    thresholds = evals["thresholds_db"] or ()
+    # Floats compare equal across spellings (15, 15.0); name each once.
+    errors += [f"eval.thresholds_db: {t!r} dB is listed more than once"
+               for i, t in enumerate(thresholds) if thresholds[:i].count(t) == 1]
     if errors:
         raise ConfigValidationError(sorted(errors))
 

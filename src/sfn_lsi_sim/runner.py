@@ -298,10 +298,10 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
 
         if cfg.emit_sinr_maps:
             for m, key in zip(contents, scheme_keys):
-                name = f"sinr_{scheme.label}_content{m}.pgm"
-                emit_heatmap(replace(evaluated[key][2], scheme_label=scheme.label,
-                                     content_id=m), out_path(name))
-                files.append(name + ".hdr.txt")
+                path = os.path.join(out_dir, f"sinr_{scheme.label}_content{m}.pgm")
+                written = emit_heatmap(replace(evaluated[key][2], scheme_label=scheme.label,
+                                               content_id=m), path)
+                files.extend(os.path.basename(p) for p in written)
         # Free each key's results after the last scheme that uses it.
         del masks, cmap
         for key in set(scheme_keys):

@@ -269,6 +269,12 @@ class SinrEvaluator:
     def field(
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
     ) -> SinrField:
+        """SINR in dB of content ``content_id`` under ``tp`` at every lattice
+        point of ``area``, labelled with ``tp``'s scheme.
+
+        The area's zone gains are built on first use and cached; the field
+        depends on the content only through its ``field_key``.
+        """
         xs, ys = lattice_axes(area, self.grid.spec)
         g = self.gains_for(area).reshape(len(ZONES), ys.size, xs.size)
         in_lsa1 = lsa1_of_x(xs, self.grid.spec)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import equal_split
 from sfn_lsi_sim.allocation import (
     ContentPlan,
     SchemeConfig,
@@ -30,7 +31,7 @@ def default_grid() -> Grid:
 
 
 def equal_plan(m_count: int = 3, total: float = 40.0) -> ContentPlan:
-    return ContentPlan.equal_split(m_count, total, 2.4e6 * m_count)
+    return equal_split(m_count, total, 2.4e6 * m_count)
 
 
 class TestContentSplit:

@@ -133,6 +133,17 @@ class TestValidate:
         assert captured.out == ""
         assert f"config error: {path}: {fragment}" in captured.err
 
+    @pytest.mark.parametrize("command", ["validate", "oracle"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, command):
+        config = tmp_path / "seed.cfg"
+        config.write_text(Path(SMOKE).read_text().replace("seed = 0", "seed = -1"))
+        code = main([command, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("config error: output.seed: must not be negative "
+                                "(got -1); expected integer >= 0\n")
+
     def test_every_error_printed_on_own_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[schemes]\nlist = ps:7\n[eval]\nresolution = 0\n")

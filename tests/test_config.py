@@ -116,6 +116,13 @@ MESSAGE_CASES = [
     pytest.param({}, {"resolution": 0},
                  ["--resolution: must satisfy 1 <= resolution <= 200 (got 0)"],
                  id="resolution-override-range"),
+    pytest.param({"output.seed": "-1"}, {},
+                 ["output.seed: must not be negative (got -1); expected integer >= 0"],
+                 id="negative-seed"),
+    pytest.param({"eval.thresholds_db": "10 15 15.0 20 10 15"}, {},
+                 ["eval.thresholds_db: 10.0 dB is listed more than once",
+                  "eval.thresholds_db: 15.0 dB is listed more than once"],
+                 id="repeated-threshold"),
 ]
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import equal_split
 from sfn_lsi_sim.allocation import (
     ContentPlan,
     SchemeConfig,
@@ -231,7 +232,7 @@ class TestSchemeWeights:
     def test_formula_matches_realized_plan(self, spec, scheme):
         grid = Grid.from_spec(spec)
         for m_count in (2, 3, 5):
-            plan = ContentPlan.equal_split(m_count, 30.0, m_count * 1e6)
+            plan = equal_split(m_count, 30.0, m_count * 1e6)
             tp = allocate(grid, plan, scheme)
             assert plan_weights(tp) == scheme_weights(scheme, spec, m_count)
 
@@ -313,7 +314,7 @@ class TestSeRatioGeneral:
 
     @staticmethod
     def ratio(m: int, spec: GridSpec | None = None) -> Fraction:
-        plan = ContentPlan.equal_split(m, float(m), m * 1e6)
+        plan = equal_split(m, float(m), m * 1e6)
         return se_report(spec or GridSpec(), plan).ratio_olsi_ps
 
     @pytest.mark.parametrize("m,expected", [

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, allocate
+from helpers import equal_split
+from sfn_lsi_sim.allocation import SchemeConfig, SchemeKind, allocate
 from sfn_lsi_sim.grid import Grid, GridSpec
 from sfn_lsi_sim.oracle import (
     _GRID_SHAPES,
@@ -33,7 +34,7 @@ def test_single_cell_pair_by_hand():
     # 1x2 grid, power-law eta=2: every gain is 1/d^2 and can be checked by eye
     spec = GridSpec(rows=1, cols=2, isd=1000.0, lsa1_cols=1)
     grid = Grid.from_spec(spec)
-    plan = ContentPlan.equal_split(2, 2.0, 2e6)
+    plan = equal_split(2, 2.0, 2e6)
     tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
     env = RadioEnv(n0=1e-15, pathloss=PathLossModel(kind=PathLossKind.POWER_LAW, eta=2.0))
     point = (250.0, 500.0)  # 250 m from tower 1, 1250 m from tower 2
@@ -47,7 +48,7 @@ def test_single_cell_pair_by_hand():
 def test_oracle_agrees_with_engine_at_arbitrary_point():
     spec = GridSpec(rows=2, cols=4, isd=1700.0, lsa1_cols=2)
     grid = Grid.from_spec(spec)
-    plan = ContentPlan.equal_split(3, 3.0, 7.2e6)
+    plan = equal_split(3, 3.0, 7.2e6)
     env = RadioEnv(n0=5e-18, pathloss=PathLossModel(kind=PathLossKind.HATA))
     tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=0.25))
     points = [(123.4, 567.8), (3400.0, 1700.0), (6700.0, 3300.0)]
@@ -64,7 +65,7 @@ def test_zero_signal_cases_return_zero():
     # under the orthogonal scheme LSA1 points get no signal on content 3
     spec = GridSpec(rows=1, cols=2, isd=1000.0, lsa1_cols=1)
     grid = Grid.from_spec(spec)
-    plan = ContentPlan.equal_split(3, 3.0, 3e6)
+    plan = equal_split(3, 3.0, 3e6)
     env = RadioEnv(n0=1e-17, pathloss=PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.0))
     tp = allocate(grid, plan, SchemeConfig(SchemeKind.OLSI))
     assert oracle_sinr((250.0, 250.0), 3, tp, env, plan) == 0.0

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import equal_split
 from sfn_lsi_sim.allocation import (
-    ContentPlan,
     SchemeConfig,
     SchemeKind,
     TransmitPlan,
@@ -61,7 +61,7 @@ def field_of(area, content_id, tp, env, plan):
 def make_setup(scheme=None, m_count=3, spec=None):
     spec = spec or GridSpec()
     grid = Grid.from_spec(spec)
-    plan = ContentPlan.equal_split(m_count, 40.0, m_count * 2.4e6)
+    plan = equal_split(m_count, 40.0, m_count * 2.4e6)
     scheme = scheme or SchemeConfig(SchemeKind.IMLSI_PS, beta=0.5)
     return grid, plan, allocate(grid, plan, scheme)
 
