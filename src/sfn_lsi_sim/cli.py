@@ -76,12 +76,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_se(args) -> int:
-    from sfn_lsi_sim.grid import Grid
     from sfn_lsi_sim.metrics import se_report
     from sfn_lsi_sim.runner import fmt9
 
     cfg = parse_config(args.config)
-    report = se_report(Grid.from_spec(cfg.grid), cfg.plan)
+    report = se_report(cfg.grid, cfg.plan)
     print(f"xi_olsi = {fmt9(report.xi_olsi)} bits/s/Hz")
     print(f"xi_ps   = {fmt9(report.xi_ps)} bits/s/Hz")
     print(f"xi_imo  = {fmt9(report.xi_imo)} bits/s/Hz")

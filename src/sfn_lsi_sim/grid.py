@@ -1,10 +1,12 @@
 """Two-LSA rectangular cell grid with buffer columns.
 
 Cells are squares of side ``isd`` with one omnidirectional tower at the
-center of each cell.  Columns ``[0, lsa1_cols)`` belong to LSA1, the rest to
-LSA2.  The rightmost LSA1 column(s) form the left buffer (LB), the leftmost
-LSA2 column(s) the right buffer (RB).  All data is immutable after
-construction and safe for concurrent read.
+center of each cell, indexed row-major from the bottom-left.  Columns
+``[0, lsa1_cols)`` belong to LSA1, the rest to LSA2.  The rightmost LSA1
+column(s) form the left buffer (LB), the leftmost LSA2 column(s) the right
+buffer (RB).  Every cell property is a function of its row and column, so
+the grid is computed from its spec on demand.  All data is immutable and
+safe for concurrent read.
 """
 
 from __future__ import annotations
@@ -21,27 +23,9 @@ from sfn_lsi_sim.errors import ConfigurationError
 D_MIN_M = 20.0
 
 
-class Lsa(Enum):
-    LSA1 = 1
-    LSA2 = 2
-
-
-class Zone(Enum):
-    SFN_INTERIOR = "sfn_interior"
-    LEFT_BUFFER = "left_buffer"
-    RIGHT_BUFFER = "right_buffer"
-
-
 ZONES = ("lsa1_interior", "left_buffer", "right_buffer", "lsa2_interior")
 """The four (LSA, buffer-zone) power bands, indexed by ``Grid.bands``.  The
 first two hold the LSA1 cells, the last two the LSA2 cells."""
-
-_BAND = {
-    (Lsa.LSA1, Zone.SFN_INTERIOR): 0,
-    (Lsa.LSA1, Zone.LEFT_BUFFER): 1,
-    (Lsa.LSA2, Zone.RIGHT_BUFFER): 2,
-    (Lsa.LSA2, Zone.SFN_INTERIOR): 3,
-}
 
 
 class AreaKind(Enum):
@@ -89,18 +73,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Cell:
-    """One grid cell: location, service-area membership and buffer zone."""
-
-    index: int
-    row: int
-    col: int
-    lsa: Lsa
-    zone: Zone
-    tower_xy: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class EvalArea:
     """Rectangular evaluation area sampled on a regular lattice.
 
@@ -125,68 +97,52 @@ class EvalArea:
         return (0.0, spec.width_m), (0.0, spec.height_m)
 
 
-def build_grid(spec: GridSpec) -> list[Cell]:
-    """Build the rows x cols cell list, row-major, indices dense from 0."""
-    lb_lo = spec.lsa1_cols - spec.buffer_cols_per_side
-    rb_hi = spec.lsa1_cols + spec.buffer_cols_per_side
-    cells = []
-    for row in range(spec.rows):
-        for col in range(spec.cols):
-            lsa = Lsa.LSA1 if col < spec.lsa1_cols else Lsa.LSA2
-            if lb_lo <= col < spec.lsa1_cols:
-                zone = Zone.LEFT_BUFFER
-            elif spec.lsa1_cols <= col < rb_hi:
-                zone = Zone.RIGHT_BUFFER
-            else:
-                zone = Zone.SFN_INTERIOR
-            cells.append(
-                Cell(
-                    index=row * spec.cols + col,
-                    row=row,
-                    col=col,
-                    lsa=lsa,
-                    zone=zone,
-                    tower_xy=((col + 0.5) * spec.isd, (row + 0.5) * spec.isd),
-                )
-            )
-    return cells
-
-
 @dataclass(frozen=True)
 class Grid:
-    """A GridSpec together with its built cells, plus membership queries."""
+    """The cells of a GridSpec, indexed row-major: cell ``c`` sits in row
+    ``c // cols`` and column ``c % cols``."""
 
     spec: GridSpec
-    cells: tuple[Cell, ...]
 
     @classmethod
     def from_spec(cls, spec: GridSpec) -> "Grid":
-        return cls(spec=spec, cells=tuple(build_grid(spec)))
+        return cls(spec)
+
+    @property
+    def cells(self) -> range:
+        return range(self.spec.rows * self.spec.cols)
+
+    def tower_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tower x of each column and tower y of each row."""
+        spec = self.spec
+        return (np.arange(spec.cols) + 0.5) * spec.isd, (np.arange(spec.rows) + 0.5) * spec.isd
 
     def bands(self) -> np.ndarray:
-        """Each cell's index into ``ZONES``, in cell-index order."""
-        return np.array([_BAND[(c.lsa, c.zone)] for c in self.cells])
+        """Each cell's index into ``ZONES``, in cell-index order.  Every row
+        runs through the four bands left to right: ``lsa1_cols - buffer``
+        LSA1 interior columns, ``buffer`` left-buffer and ``buffer``
+        right-buffer columns, then the LSA2 interior."""
+        spec = self.spec
+        b = spec.buffer_cols_per_side
+        row = np.repeat(np.arange(len(ZONES)),
+                        (spec.lsa1_cols - b, b, b, spec.cols - spec.lsa1_cols - b))
+        return np.tile(row, spec.rows)
 
     def towers(self) -> np.ndarray:
         """Tower coordinates, shape (n_cells, 2), in cell-index order."""
-        return np.array([c.tower_xy for c in self.cells], dtype=float)
+        xs, ys = self.tower_axes()
+        towers = np.empty((ys.size, xs.size, 2))
+        towers[..., 0] = xs
+        towers[..., 1] = ys[:, None]
+        return towers.reshape(-1, 2)
 
     def lsa1_mask(self) -> np.ndarray:
-        return np.array([c.lsa is Lsa.LSA1 for c in self.cells], dtype=bool)
-
-
-def lsa_of_points(points: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Boolean mask, True where a point lies in an LSA1 column.
-
-    Membership is geometric: the LSA of the column containing the point.
-    Points outside the grid snap to the nearest column.
-    """
-    return lsa1_of_x(np.asarray(points, dtype=float)[..., 0], spec)
+        return self.bands() < 2
 
 
 def lsa1_of_x(x: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """``lsa_of_points`` for points with x coordinates ``x``: LSA membership
-    depends on x alone."""
+    """True where x lies in an LSA1 column: LSA membership is geometric and
+    depends on x alone.  An x outside the grid snaps to the nearest column."""
     col = np.clip(np.floor(x / spec.isd), 0, spec.cols - 1)
     return col < spec.lsa1_cols
 

@@ -196,14 +196,13 @@ class SEReport:
     ratio_ps_imo: Fraction
 
 
-def se_report(grid: Grid | GridSpec, plan: ContentPlan) -> SEReport:
+def se_report(spec: GridSpec, plan: ContentPlan) -> SEReport:
     """SE of all three schemes on one grid/content plan, ratios as Fractions.
 
     Weights are counted from each scheme's allocation with default settings;
     the transmitting cells do not depend on beta or buffer reallocation.
     """
-    if not isinstance(grid, Grid):
-        grid = Grid.from_spec(grid)
+    grid = Grid.from_spec(spec)
     nums = {
         kind: _se_numerator(plan_weights(allocate(grid, plan, SchemeConfig(kind))), plan)
         for kind in SchemeKind

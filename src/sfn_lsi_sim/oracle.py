@@ -23,7 +23,7 @@ import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, TransmitPlan, allocate
 from sfn_lsi_sim.grid import Grid, GridSpec
-from sfn_lsi_sim.propagation import HataEnvironment, PathLossKind, PathLossModel
+from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
 from sfn_lsi_sim.sinr import RadioEnv, sinr_at
 
 
@@ -149,8 +149,7 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
     """
     models = (
         PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5),
-        PathLossModel(kind=PathLossKind.HATA, f_mhz=700.0, hb_m=30.0, hm_m=1.5,
-                      environment=HataEnvironment.URBAN_SMALL_MEDIUM),
+        PathLossModel(kind=PathLossKind.HATA, f_mhz=700.0, hb_m=30.0, hm_m=1.5),
     )
     rng = np.random.default_rng(seed)
     cases: list[OracleCase] = []

@@ -21,10 +21,6 @@ class PathLossKind(Enum):
     HATA = "hata"
 
 
-class HataEnvironment(Enum):
-    URBAN_SMALL_MEDIUM = "urban_small_medium"
-
-
 @dataclass(frozen=True)
 class PathLossModel:
     """Path loss model selection and parameters.
@@ -39,7 +35,6 @@ class PathLossModel:
     f_mhz: float = 700.0
     hb_m: float = 30.0
     hm_m: float = 1.5
-    environment: HataEnvironment = HataEnvironment.URBAN_SMALL_MEDIUM
 
     def __post_init__(self):
         if self.kind is PathLossKind.POWER_LAW:

@@ -317,7 +317,7 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
         )
         writer.writerows(csv_rows)
 
-    se = se_report(grid, cfg.plan)
+    se = se_report(cfg.grid, cfg.plan)
     se_doc = {
         "xi_olsi": round9(se.xi_olsi),
         "xi_ps": round9(se.xi_ps),

@@ -25,7 +25,6 @@ from sfn_lsi_sim.grid import (
     Grid,
     lattice_axes,
     lsa1_of_x,
-    lsa_of_points,
     sample_shape,
 )
 from sfn_lsi_sim.propagation import PathLossModel, gain
@@ -196,8 +195,9 @@ class SinrEvaluator:
         spec = self.grid.spec
         cols, rows = spec.cols, spec.rows
         xs, ys = lattice_axes(area, spec)
-        px, kx = _fold(self._towers[:cols, 0], xs, area.resolution)
-        py, ky = _fold(self._towers[::cols, 1], ys, area.resolution)
+        tx, ty = self.grid.tower_axes()
+        px, kx = _fold(tx, xs, area.resolution)
+        py, ky = _fold(ty, ys, area.resolution)
         nx, q = xs.size, ys.size // py
         g = np.zeros((len(ZONES), ys.size * nx))
         out = g.reshape(len(ZONES), q, py, nx)
@@ -324,6 +324,6 @@ def sinr_at(
     """
     points = np.asarray(points, dtype=float)
     evaluator = SinrEvaluator(tp.grid, env)
-    in_lsa1 = lsa_of_points(points, tp.grid.spec)
+    in_lsa1 = lsa1_of_x(points[:, 0], tp.grid.spec)
     g = evaluator._zone_gains(points)
     return evaluator._linear(g, in_lsa1, evaluator.field_key(content_id, tp, plan))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from sfn_lsi_sim.allocation import ContentPlan
+from sfn_lsi_sim.grid import GridSpec
 
 
 def equal_split(
@@ -22,3 +25,34 @@ def equal_split(
         t_sym=t_sym,
         base_power=(total_power_w / m_count,) * m_count,
     )
+
+
+@dataclass(frozen=True)
+class CellRef:
+    """One cell of a grid, derived here from the spec alone: the column
+    from the row-major index, LSA and buffer zone from the column."""
+
+    index: int
+    col: int
+    in_lsa1: bool
+    zone: str
+
+
+INTERIOR, LEFT_BUFFER, RIGHT_BUFFER = "interior", "left_buffer", "right_buffer"
+
+
+def cell_refs(spec: GridSpec) -> list[CellRef]:
+    """Every cell of ``spec`` in cell-index order."""
+    lb_lo = spec.lsa1_cols - spec.buffer_cols_per_side
+    rb_hi = spec.lsa1_cols + spec.buffer_cols_per_side
+    cells = []
+    for index in range(spec.rows * spec.cols):
+        col = index % spec.cols
+        if lb_lo <= col < spec.lsa1_cols:
+            zone = LEFT_BUFFER
+        elif spec.lsa1_cols <= col < rb_hi:
+            zone = RIGHT_BUFFER
+        else:
+            zone = INTERIOR
+        cells.append(CellRef(index, col, col < spec.lsa1_cols, zone))
+    return cells

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import equal_split
+from helpers import INTERIOR, LEFT_BUFFER, RIGHT_BUFFER, cell_refs, equal_split
 from sfn_lsi_sim.allocation import (
     ContentPlan,
     SchemeConfig,
@@ -15,15 +15,15 @@ from sfn_lsi_sim.allocation import (
     lsa2_local_contents,
 )
 from sfn_lsi_sim.errors import ConfigurationError
-from sfn_lsi_sim.grid import Grid, GridSpec, Lsa, Zone
+from sfn_lsi_sim.grid import Grid, GridSpec
 
 
-def cells_in_zone(grid: Grid, zone: Zone) -> list:
-    return [c for c in grid.cells if c.zone is zone]
+def cells_in_zone(grid: Grid, zone: str) -> list:
+    return [c for c in cell_refs(grid.spec) if c.zone == zone]
 
 
 def buffer_cells(grid: Grid) -> list:
-    return [c for c in grid.cells if c.zone is not Zone.SFN_INTERIOR]
+    return [c for c in cell_refs(grid.spec) if c.zone != INTERIOR]
 
 
 def default_grid() -> Grid:
@@ -103,9 +103,9 @@ class TestOlsi:
     def test_each_lsa_transmits_only_its_half(self):
         grid = default_grid()
         tp = allocate(grid, equal_plan(), SchemeConfig(SchemeKind.OLSI))
-        for cell in grid.cells:
+        for cell in cell_refs(grid.spec):
             assert tp.active[cell.index, 0]
-            if cell.lsa is Lsa.LSA1:
+            if cell.in_lsa1:
                 assert tp.active[cell.index, 1]
                 assert not tp.active[cell.index, 2]
             else:
@@ -117,9 +117,9 @@ class TestOlsi:
         plan = equal_plan()
         tp = allocate(grid, plan, SchemeConfig(SchemeKind.OLSI))
         third = 40.0 / 3.0
-        for cell in grid.cells:
+        for cell in cell_refs(grid.spec):
             assert tp.power[cell.index, 0] == third
-            idle = 3 if cell.lsa is Lsa.LSA1 else 2
+            idle = 3 if cell.in_lsa1 else 2
             assert tp.power[cell.index, idle - 1] == 0.0
         # unused share is not moved onto other contents
         assert tp.power.sum(axis=1).max() == pytest.approx(2 * third)
@@ -143,7 +143,7 @@ class TestPowerScaling:
             assert tp.power[cell.index, 0] == pytest.approx(
                 third + 2 * (1 - beta) * third
             )
-        for cell in cells_in_zone(grid, Zone.SFN_INTERIOR):
+        for cell in cells_in_zone(grid, INTERIOR):
             assert tp.power[cell.index, 0] == third
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0])
@@ -156,8 +156,8 @@ class TestPowerScaling:
         )
         tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=beta))
         sums = tp.power.sum(axis=1)
-        for cell in grid.cells:
-            expected = sum(plan.base_power if cell.lsa is Lsa.LSA1 else plan.base_power_prime)
+        for cell in cell_refs(grid.spec):
+            expected = sum(plan.base_power if cell.in_lsa1 else plan.base_power_prime)
             assert sums[cell.index] == pytest.approx(expected, rel=1e-9)
 
     def test_beta_one_is_bitwise_reuse1(self):
@@ -181,14 +181,14 @@ class TestBufferOrthogonality:
     def test_buffer_sides_keep_only_their_half(self):
         grid = default_grid()
         tp = allocate(grid, equal_plan(), SchemeConfig(SchemeKind.IMLSI_O, beta=1.0))
-        for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
+        for cell in cells_in_zone(grid, LEFT_BUFFER):
             assert tp.active[cell.index, 1]
             assert not tp.active[cell.index, 2]
             assert tp.power[cell.index, 2] == 0.0
-        for cell in cells_in_zone(grid, Zone.RIGHT_BUFFER):
+        for cell in cells_in_zone(grid, RIGHT_BUFFER):
             assert not tp.active[cell.index, 1]
             assert tp.active[cell.index, 2]
-        for cell in cells_in_zone(grid, Zone.SFN_INTERIOR):
+        for cell in cells_in_zone(grid, INTERIOR):
             assert tp.active[cell.index].all()
 
     def test_freed_power_boosts_global(self):
@@ -206,7 +206,7 @@ class TestBufferOrthogonality:
         plan = equal_plan()
         third = 40.0 / 3.0
         tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=0.5))
-        for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
+        for cell in cells_in_zone(grid, LEFT_BUFFER):
             assert tp.power[cell.index, 1] == pytest.approx(0.5 * third)
             assert tp.power[cell.index, 0] == pytest.approx(
                 third + third + 0.5 * third
@@ -275,15 +275,15 @@ class TestDispatcherAndPlanInvariants:
 # that ``allocate`` is pinned byte for byte to the plans they build.
 
 def _ref_buffer_cells(grid: Grid) -> list:
-    return [c for c in grid.cells if c.zone is not Zone.SFN_INTERIOR]
+    return [c for c in cell_refs(grid.spec) if c.zone != INTERIOR]
 
 
 def _ref_base_powers(grid: Grid, plan: ContentPlan) -> np.ndarray:
     power = np.empty((len(grid.cells), plan.m_count))
     p1 = np.array(plan.base_power)
     p2 = np.array(plan.base_power_prime)
-    for cell in grid.cells:
-        power[cell.index] = p1 if cell.lsa is Lsa.LSA1 else p2
+    for cell in cell_refs(grid.spec):
+        power[cell.index] = p1 if cell.in_lsa1 else p2
     return power
 
 
@@ -296,10 +296,10 @@ def _ref_boosted_global(base_row: np.ndarray, beta: float, kept: np.ndarray) -> 
 def _ref_olsi(grid: Grid, plan: ContentPlan):
     active = np.zeros((len(grid.cells), plan.m_count), dtype=bool)
     active[:, 0] = True
-    own = {Lsa.LSA1: set(lsa1_local_contents(plan.m_count)),
-           Lsa.LSA2: set(lsa2_local_contents(plan.m_count))}
-    for cell in grid.cells:
-        for m in own[cell.lsa]:
+    own = {True: set(lsa1_local_contents(plan.m_count)),
+           False: set(lsa2_local_contents(plan.m_count))}
+    for cell in cell_refs(grid.spec):
+        for m in own[cell.in_lsa1]:
             active[cell.index, m - 1] = True
     power = np.where(active, _ref_base_powers(grid, plan), 0.0)
     return power, active
@@ -319,8 +319,8 @@ def _ref_ps(grid: Grid, plan: ContentPlan, beta: float):
 def _ref_imo(grid: Grid, plan: ContentPlan, beta: float, buffer_reallocation: str):
     active = np.ones((len(grid.cells), plan.m_count), dtype=bool)
     power = _ref_base_powers(grid, plan)
-    own = {Zone.LEFT_BUFFER: lsa1_local_contents(plan.m_count),
-           Zone.RIGHT_BUFFER: lsa2_local_contents(plan.m_count)}
+    own = {LEFT_BUFFER: lsa1_local_contents(plan.m_count),
+           RIGHT_BUFFER: lsa2_local_contents(plan.m_count)}
     for cell in _ref_buffer_cells(grid):
         kept = np.array([m in own[cell.zone] for m in range(2, plan.m_count + 1)])
         base_row = power[cell.index].copy()

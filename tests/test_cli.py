@@ -188,10 +188,8 @@ class TestParser:
             main([])
 
 
-def test_traced_cli_finds_every_benchmark_layer(tmp_path):
-    # perfbench/trace_run.py wraps each entry point of its LAYERS table;
-    # one the package no longer has is reported in "missing" and fails the
-    # benchmark's checks.
+def _traced(tmp_path, *cli_args) -> dict:
+    """Run the CLI under perfbench/trace_run.py and return its result."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -199,9 +197,29 @@ def test_traced_cli_finds_every_benchmark_layer(tmp_path):
     result = tmp_path / "result.json"
     subprocess.run(
         [sys.executable, "perfbench/trace_run.py", str(result), "--trace", "1", "--",
-         "validate", "--config", "configs/smoke_1x2.cfg"],
+         *cli_args],
         cwd=ROOT, env=env, capture_output=True, timeout=120, check=True,
     )
-    document = json.loads(result.read_text())
+    return json.loads(result.read_text())
+
+
+def test_traced_cli_finds_every_benchmark_layer(tmp_path):
+    # perfbench/trace_run.py wraps each entry point of its LAYERS table;
+    # one the package no longer has is reported in "missing" and fails the
+    # benchmark's checks.
+    document = _traced(tmp_path, "validate", "--config", "configs/smoke_1x2.cfg")
     assert document["missing"] == []
     assert document["returncode"] == 0
+
+
+def test_traced_run_feeds_every_engine_counter(tmp_path):
+    # The counters read attributes of the engine's arguments and results; a
+    # run, unlike validate, calls them, so one reading a dropped attribute
+    # raises here rather than only inside the benchmark.
+    document = _traced(tmp_path, "run", "--config", "configs/smoke_1x2.cfg",
+                       "--resolution", "2", "--out", str(tmp_path / "run"))
+    assert document["returncode"] == 0
+    assert document["missing"] == []
+    counts = document["counts"]
+    for name in ("sinr.field_points", "propagation.gain_evals", "sinr.gain_cache_mb"):
+        assert counts[name] > 0, name

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import INTERIOR, LEFT_BUFFER, RIGHT_BUFFER, cell_refs
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
     ZONES,
@@ -12,18 +13,15 @@ from sfn_lsi_sim.grid import (
     EvalArea,
     Grid,
     GridSpec,
-    Lsa,
-    Zone,
     lattice_axes,
     lsa1_of_x,
-    lsa_of_points,
     sample_points,
     sample_shape,
 )
 
 
-def cells_in_zone(grid: Grid, zone: Zone) -> list:
-    return [c for c in grid.cells if c.zone is zone]
+def cells_in_zone(grid: Grid, zone: str) -> list:
+    return [c for c in cell_refs(grid.spec) if c.zone == zone]
 
 
 class TestGridSpec:
@@ -57,8 +55,8 @@ class TestGridBuild:
         assert len(grid.cells) == 80
         assert np.count_nonzero(grid.lsa1_mask()) == 40
         assert np.count_nonzero(~grid.lsa1_mask()) == 40
-        assert len(cells_in_zone(grid, Zone.LEFT_BUFFER)) == 8
-        assert len(cells_in_zone(grid, Zone.RIGHT_BUFFER)) == 8
+        assert len(cells_in_zone(grid, LEFT_BUFFER)) == 8
+        assert len(cells_in_zone(grid, RIGHT_BUFFER)) == 8
         assert np.count_nonzero(np.isin(grid.bands(), [1, 2])) == 16
 
     @pytest.mark.parametrize(
@@ -70,27 +68,28 @@ class TestGridBuild:
         grid = Grid.from_spec(spec)
         bands = grid.bands()
         name = {
-            (Lsa.LSA1, Zone.SFN_INTERIOR): "lsa1_interior",
-            (Lsa.LSA1, Zone.LEFT_BUFFER): "left_buffer",
-            (Lsa.LSA2, Zone.RIGHT_BUFFER): "right_buffer",
-            (Lsa.LSA2, Zone.SFN_INTERIOR): "lsa2_interior",
+            (True, INTERIOR): "lsa1_interior",
+            (True, LEFT_BUFFER): "left_buffer",
+            (False, RIGHT_BUFFER): "right_buffer",
+            (False, INTERIOR): "lsa2_interior",
         }
+        cells = cell_refs(spec)
         assert bands.shape == (len(grid.cells),)
-        assert [ZONES[b] for b in bands] == [name[(c.lsa, c.zone)] for c in grid.cells]
+        assert [ZONES[b] for b in bands] == [name[(c.in_lsa1, c.zone)] for c in cells]
         lo, hi = spec.lsa1_cols - spec.buffer_cols_per_side, spec.lsa1_cols
-        cols = [{c.col for c in grid.cells if bands[c.index] == z} for z in range(4)]
+        cols = [{c.col for c in cells if bands[c.index] == z} for z in range(4)]
         assert cols == [set(range(lo)), set(range(lo, hi)),
                         set(range(hi, hi + spec.buffer_cols_per_side)),
                         set(range(hi + spec.buffer_cols_per_side, spec.cols))]
 
     def test_buffer_columns_flank_the_boundary(self):
         grid = Grid.from_spec(GridSpec())
-        assert {c.col for c in cells_in_zone(grid, Zone.LEFT_BUFFER)} == {4}
-        assert {c.col for c in cells_in_zone(grid, Zone.RIGHT_BUFFER)} == {5}
-        for cell in cells_in_zone(grid, Zone.LEFT_BUFFER):
-            assert cell.lsa is Lsa.LSA1
-        for cell in cells_in_zone(grid, Zone.RIGHT_BUFFER):
-            assert cell.lsa is Lsa.LSA2
+        assert {c.col for c in cells_in_zone(grid, LEFT_BUFFER)} == {4}
+        assert {c.col for c in cells_in_zone(grid, RIGHT_BUFFER)} == {5}
+        for cell in cells_in_zone(grid, LEFT_BUFFER):
+            assert cell.in_lsa1
+        for cell in cells_in_zone(grid, RIGHT_BUFFER):
+            assert not cell.in_lsa1
 
     def test_towers_at_cell_centers_row_major(self):
         grid = Grid.from_spec(GridSpec(rows=2, cols=3, lsa1_cols=2))
@@ -99,34 +98,57 @@ class TestGridBuild:
         assert tuple(towers[0]) == (850.0, 850.0)
         assert tuple(towers[1]) == (2550.0, 850.0)
         assert tuple(towers[3]) == (850.0, 2550.0)
-        assert grid.cells[4].index == 4
-        assert (grid.cells[4].row, grid.cells[4].col) == (1, 1)
+        assert grid.cells[4] == 4
+        assert tuple(towers[4]) == (2550.0, 2550.0)  # row 1, column 1
 
     def test_wider_buffer(self):
         grid = Grid.from_spec(GridSpec(buffer_cols_per_side=2))
-        assert {c.col for c in cells_in_zone(grid, Zone.LEFT_BUFFER)} == {3, 4}
-        assert {c.col for c in cells_in_zone(grid, Zone.RIGHT_BUFFER)} == {5, 6}
+        assert {c.col for c in cells_in_zone(grid, LEFT_BUFFER)} == {3, 4}
+        assert {c.col for c in cells_in_zone(grid, RIGHT_BUFFER)} == {5, 6}
 
     def test_lsa1_mask_matches_cells(self):
         grid = Grid.from_spec(GridSpec())
         mask = grid.lsa1_mask()
-        for cell in grid.cells:
-            assert mask[cell.index] == (cell.lsa is Lsa.LSA1)
+        for cell in cell_refs(grid.spec):
+            assert mask[cell.index] == cell.in_lsa1
+
+
+def _sweep_specs():
+    for rows in range(1, 4):
+        for cols in range(2, 9):
+            for lsa1 in range(1, cols):
+                for buffer in range(1, min(lsa1, cols - lsa1) + 1):
+                    yield GridSpec(rows=rows, cols=cols, isd=1234.567, lsa1_cols=lsa1,
+                                   buffer_cols_per_side=buffer)
+
+
+def test_column_rule_and_x_rule_agree_on_every_small_grid():
+    # The LSA rule has two forms: per cell (bands) and per x (lsa1_of_x).
+    specs = list(_sweep_specs())
+    assert len(specs) == 150
+    for spec in specs:
+        grid = Grid.from_spec(spec)
+        lsa1, b = spec.lsa1_cols, spec.buffer_cols_per_side
+        # a column's band counts the band edges at or left of it
+        column_band = [(c >= lsa1 - b) + (c >= lsa1) + (c >= lsa1 + b) for c in range(spec.cols)]
+        assert grid.bands().tolist() == column_band * spec.rows, spec
+        xs, _ = grid.tower_axes()
+        assert lsa1_of_x(xs, spec).tolist() == [band < 2 for band in column_band], spec
+        want = [(((c % spec.cols) + 0.5) * spec.isd, ((c // spec.cols) + 0.5) * spec.isd)
+                for c in grid.cells]
+        assert grid.towers().tobytes() == np.array(want).tobytes(), spec
 
 
 class TestPointMembership:
-    def test_lsa_of_points_boundary_is_lsa2(self):
+    def test_lsa1_of_x_boundary_is_lsa2(self):
         spec = GridSpec()
         boundary_x = spec.lsa1_cols * spec.isd
-        points = np.array(
-            [[0.0, 0.0], [boundary_x - 1.0, 5.0], [boundary_x, 5.0], [17000.0, 5.0]]
-        )
-        assert list(lsa_of_points(points, spec)) == [True, True, False, False]
+        xs = np.array([0.0, boundary_x - 1.0, boundary_x, 17000.0])
+        assert list(lsa1_of_x(xs, spec)) == [True, True, False, False]
 
     def test_points_outside_snap_to_nearest_column(self):
         spec = GridSpec()
-        points = np.array([[-10.0, 0.0], [20000.0, 0.0]])
-        assert list(lsa_of_points(points, spec)) == [True, False]
+        assert list(lsa1_of_x(np.array([-10.0, 20000.0]), spec)) == [True, False]
 
 
 class TestSampling:
@@ -179,7 +201,7 @@ class TestSampling:
         points = sample_points(area, spec).reshape(ys.size, xs.size, 2)
         assert (points[..., 0] == xs).all() and (points[..., 1] == ys[:, None]).all()
         # LSA membership of a lattice point is that of its column's x
-        assert (lsa_of_points(points, spec) == lsa1_of_x(xs, spec)).all()
+        assert (lsa1_of_x(points[..., 0], spec) == lsa1_of_x(xs, spec)).all()
         assert lsa1_of_x(xs, spec).sum() == spec.lsa1_cols * area.resolution
 
     def test_resolution_must_be_positive(self):

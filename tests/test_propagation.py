@@ -9,7 +9,6 @@ import pytest
 
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.propagation import (
-    HataEnvironment,
     PathLossKind,
     PathLossModel,
     gain,
@@ -82,7 +81,6 @@ class TestHata:
     def test_defaults_are_valid_hata_range(self):
         model = PathLossModel()
         assert model.kind is PathLossKind.HATA
-        assert model.environment is HataEnvironment.URBAN_SMALL_MEDIUM
         assert (model.f_mhz, model.hb_m, model.hm_m) == (700.0, 30.0, 1.5)
 
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import equal_split
+from helpers import LEFT_BUFFER, cell_refs, equal_split
 from sfn_lsi_sim.allocation import (
     SchemeConfig,
     SchemeKind,
@@ -24,7 +24,6 @@ from sfn_lsi_sim.grid import (
     EvalArea,
     Grid,
     GridSpec,
-    Zone,
     sample_points,
     sample_shape,
 )
@@ -365,7 +364,7 @@ class TestZoneEngine:
     def test_power_varying_within_a_zone_is_rejected(self):
         grid, plan, tp = make_setup()
         power = tp.power.copy()
-        lb_cell = next(c for c in grid.cells if c.zone is Zone.LEFT_BUFFER)
+        lb_cell = next(c for c in cell_refs(grid.spec) if c.zone == LEFT_BUFFER)
         power[lb_cell.index, 1] *= 0.5
         bad = TransmitPlan(grid=grid, scheme=tp.scheme, power=power,
                            active=tp.active.copy())
