@@ -63,14 +63,6 @@ class GridSpec:
                 f"(got {self.buffer_cols_per_side})"
             )
 
-    @property
-    def width_m(self) -> float:
-        return self.cols * self.isd
-
-    @property
-    def height_m(self) -> float:
-        return self.rows * self.isd
-
 
 @dataclass(frozen=True)
 class EvalArea:
@@ -89,12 +81,6 @@ class EvalArea:
             raise ConfigurationError(
                 f"resolution must satisfy resolution >= 1 (got {self.resolution})"
             )
-
-    def bounds(self, spec: GridSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Concrete (x_range, y_range) in meters for this area on ``spec``."""
-        if self.kind is AreaKind.A1:
-            return (0.0, spec.lsa1_cols * spec.isd), (0.0, spec.height_m)
-        return (0.0, spec.width_m), (0.0, spec.height_m)
 
 
 @dataclass(frozen=True)
@@ -155,8 +141,9 @@ def lattice_axes(area: EvalArea, spec: GridSpec) -> tuple[np.ndarray, np.ndarray
     A1 and A2 step by ``isd / resolution`` from the origin, so the A1 lattice
     is exactly the leftmost columns of the A2 lattice at the same resolution.
     """
-    (ny, nx), (x0, y0), (step_x, step_y) = _lattice(area, spec)
-    return x0 + (np.arange(nx) + 0.5) * step_x, y0 + (np.arange(ny) + 0.5) * step_y
+    ny, nx = sample_shape(area, spec)
+    step = spec.isd / area.resolution
+    return (np.arange(nx) + 0.5) * step, (np.arange(ny) + 0.5) * step
 
 
 def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
@@ -172,12 +159,8 @@ def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
 
 
 def sample_shape(area: EvalArea, spec: GridSpec) -> tuple[int, int]:
-    """(ny, nx) lattice shape matching ``sample_points`` ordering."""
-    return _lattice(area, spec)[0]
-
-
-def _lattice(area, spec):
-    (x0, x1), (y0, y1) = area.bounds(spec)
-    nx = int(round((x1 - x0) / spec.isd * area.resolution))
-    ny = int(round((y1 - y0) / spec.isd * area.resolution))
-    return (ny, nx), (x0, y0), (spec.isd / area.resolution,) * 2
+    """(ny, nx) lattice shape matching ``sample_points`` ordering: every
+    row of cells, and the LSA1 columns (A1) or all columns (A2), at
+    ``resolution`` samples per cell edge."""
+    cols = spec.lsa1_cols if area.kind is AreaKind.A1 else spec.cols
+    return spec.rows * area.resolution, cols * area.resolution

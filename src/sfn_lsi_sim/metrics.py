@@ -23,18 +23,14 @@ from sfn_lsi_sim.allocation import (
     allocate,
 )
 from sfn_lsi_sim.errors import ConfigurationError
-from sfn_lsi_sim.grid import EvalArea, Grid, GridSpec
+from sfn_lsi_sim.grid import Grid, GridSpec
 from sfn_lsi_sim.sinr import SinrField
 
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Covered fraction per threshold for one scheme/content/area."""
+    """Covered fraction per threshold of one field."""
 
-    scheme_label: str
-    content_id: int
-    area_kind: str
-    n_points: int
     thresholds_db: tuple[float, ...]
     fractions: tuple[float, ...]
 
@@ -47,16 +43,9 @@ def coverage(field: SinrField, thresholds_db: tuple[float, ...] | list[float]) -
     if field.values.size == 0:
         raise ValueError("cannot compute coverage of an empty field")
     n = field.values.size
-    fractions = tuple(
-        np.count_nonzero(field.values >= t) / n for t in thresholds_db
-    )
     return CoverageReport(
-        scheme_label=field.scheme_label,
-        content_id=field.content_id,
-        area_kind=field.area.kind.value,
-        n_points=n,
         thresholds_db=tuple(float(t) for t in thresholds_db),
-        fractions=fractions,
+        fractions=tuple(np.count_nonzero(field.values >= t) / n for t in thresholds_db),
     )
 
 
@@ -67,9 +56,6 @@ class ContentCountMap:
     ``counts`` is 1-D in sampling order with values 0..m_count.
     """
 
-    scheme_label: str
-    threshold_db: float
-    area: EvalArea
     m_count: int
     counts: np.ndarray
     shape: tuple[int, int]
@@ -100,43 +86,24 @@ class ContentCountMap:
 
 
 def content_count_map(fields: list[SinrField], threshold_db: float) -> ContentCountMap:
-    """Combine one field per content (same scheme, same lattice) into a map."""
+    """Combine one field per content, all on one lattice, into a map."""
     if not fields:
         raise ValueError("content_count_map requires at least one field")
     first = fields[0]
-    ids = sorted(f.content_id for f in fields)
-    if ids != list(range(1, len(fields) + 1)):
-        raise ValueError(f"fields must cover contents 1..M exactly once (got {ids})")
-    for f in fields:
-        if f.area != first.area or f.shape != first.shape:
-            raise ValueError("all fields must share the same sampling lattice")
-        if f.scheme_label != first.scheme_label:
-            raise ValueError("all fields must come from the same scheme")
-    masks = [f.values >= threshold_db for f in sorted(fields, key=lambda f: f.content_id)]
-    return count_map(masks, first.scheme_label, threshold_db, first.area, first.shape)
+    if any(f.area != first.area or f.shape != first.shape for f in fields):
+        raise ValueError("all fields must share the same sampling lattice")
+    return count_map([f.values >= threshold_db for f in fields], first.shape)
 
 
-def count_map(
-    masks: list[np.ndarray],
-    scheme_label: str,
-    threshold_db: float,
-    area: EvalArea,
-    shape: tuple[int, int],
-) -> ContentCountMap:
+def count_map(masks: list[np.ndarray], shape: tuple[int, int]) -> ContentCountMap:
     """Count map from per-content masks ``values >= threshold_db``, one per
-    content in content order, on one lattice of ``shape``."""
+    content, on one lattice of ``shape``.  Counts are a sum, so the order of
+    the masks does not matter."""
     # The narrowest unsigned type that holds M: uint8 up to 255 contents.
     counts = np.zeros(masks[0].size, dtype=np.min_scalar_type(len(masks)))
     for mask in masks:
         counts += mask
-    return ContentCountMap(
-        scheme_label=scheme_label,
-        threshold_db=float(threshold_db),
-        area=area,
-        m_count=len(masks),
-        counts=counts,
-        shape=shape,
-    )
+    return ContentCountMap(m_count=len(masks), counts=counts, shape=shape)
 
 
 def bits_per_symbol(mod_order: int) -> int:

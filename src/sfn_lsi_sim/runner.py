@@ -21,7 +21,9 @@ evaluated once per run, on A2 if either area is A2; A1 results come from
 the left columns of that A2 field.  Per distinct key the run holds only
 what the artifacts read: its coverage report, its map-area mask
 ``values >= content_map_threshold_db`` and, only with SINR maps on, its
-map-area field.  Count maps and ``pct_global`` are counted from the masks.
+map-area raster levels; no field outlives its evaluation.  Count maps and
+``pct_global`` are counted from the masks.  Results carry no scheme or
+content: the run names them where it writes them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,14 +44,13 @@ from sfn_lsi_sim.config import MANIFEST_FORMAT, ExperimentConfig
 from sfn_lsi_sim.errors import ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, Grid, sample_shape
 from sfn_lsi_sim.metrics import (
-    ContentCountMap,
     CoverageReport,
     count_map,
     coverage,
     se_report,
     spectral_efficiency_from_plan,
 )
-from sfn_lsi_sim.sinr import SinrEvaluator, SinrField
+from sfn_lsi_sim.sinr import SinrEvaluator
 
 SUMMARY_FORMAT = "sfn-lsi-sim/summary-v1"
 SINR_DB_RANGE = (-10.0, 40.0)
@@ -103,30 +104,30 @@ def _write_pgm(path: str, image: np.ndarray, maxval: int) -> None:
         handle.write(text[text != 0].tobytes())
 
 
-def emit_heatmap(obj: ContentCountMap | SinrField, path: str) -> list[str]:
-    """Write a plain P2 raster for a count map or SINR field.
-
-    Count maps use gray levels 0..M directly.  SINR fields quantize
-    ``SINR_DB_RANGE`` linearly onto 0..255 and record the window in a
-    sidecar ``<path>.hdr.txt``.  Returns the list of files written.
-    """
-    if isinstance(obj, ContentCountMap):
-        _write_pgm(path, obj.as_image(), maxval=max(obj.m_count, 1))
-        return [path]
+def sinr_levels(values_db: np.ndarray) -> np.ndarray:
+    """``SINR_DB_RANGE`` quantized linearly onto uint8 levels 0..255;
+    values outside the window clip to its ends."""
     lo, hi = SINR_DB_RANGE
-    scaled = (np.clip(obj.as_image(), lo, hi) - lo) * (255.0 / (hi - lo))
-    _write_pgm(path, np.rint(scaled).astype(np.uint8), maxval=255)
+    scaled = (np.clip(values_db, lo, hi) - lo) * (255.0 / (hi - lo))
+    return np.rint(scaled).astype(np.uint8)
+
+
+_SINR_SIDECAR = (f"kind sinr_db\ndb_min {fmt9(SINR_DB_RANGE[0])}\n"
+                 f"db_max {fmt9(SINR_DB_RANGE[1])}\nlevels 256\n")
+"""The window lines that open every SINR raster's sidecar."""
+
+
+def emit_heatmap(image: np.ndarray, maxval: int, path: str,
+                 header: str | None = None) -> list[str]:
+    """Write ``image`` (row index increasing with y) as a plain P2 raster of
+    levels 0..``maxval`` and, when ``header`` is given, that text as the
+    sidecar ``<path>.hdr.txt``.  Returns the list of files written."""
+    _write_pgm(path, image, maxval)
+    if header is None:
+        return [path]
     sidecar = path + ".hdr.txt"
     with open(sidecar, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(
-            "kind sinr_db\n"
-            f"db_min {fmt9(lo)}\n"
-            f"db_max {fmt9(hi)}\n"
-            "levels 256\n"
-            f"scheme {obj.scheme_label}\n"
-            f"content {obj.content_id}\n"
-            f"area {obj.area.kind.value}\n"
-        )
+        handle.write(header)
     return [path, sidecar]
 
 
@@ -139,26 +140,28 @@ class RunResult:
     summary: dict
 
 
-def _coverage_rows(label, reports) -> list[list[str]]:
+def _coverage_rows(label, area, reports) -> list[list[str]]:
+    """CSV rows of one scheme's reports, one per content in content order."""
     rows = []
-    for report in reports:
+    for m, report in enumerate(reports, start=1):
         for threshold, fraction in zip(report.thresholds_db, report.fractions):
             rows.append(
-                [label, str(report.content_id), report.area_kind,
+                [label, str(m), area.kind.value,
                  fmt9(threshold), fmt9(fraction), fmt9(100.0 * fraction)]
             )
     return rows
 
 
 def _coverage_pct(cfg, reports) -> dict:
-    """Per-content and local-average coverage percent, keyed by threshold."""
+    """Per-content and local-average coverage percent, keyed by threshold;
+    ``reports`` holds one report per content in content order."""
     out: dict[str, dict[str, float]] = {}
-    for report in reports:
-        out[f"content_{report.content_id}"] = {
+    for m, report in enumerate(reports, start=1):
+        out[f"content_{m}"] = {
             fmt9(t): round9(100.0 * frac)
             for t, frac in zip(report.thresholds_db, report.fractions)
         }
-    locals_ = [r for r in reports if r.content_id >= 2]
+    locals_ = reports[1:]
     out["locals_avg"] = {
         fmt9(t): round9(
             100.0 * sum(r.fractions[i] for r in locals_) / len(locals_)
@@ -238,14 +241,15 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     last_use = {key: i for i, scheme_keys in enumerate(keys) for key in scheme_keys}
     threshold = cfg.content_map_threshold_db
     # Per distinct key: its coverage report, its map-area mask and, only
-    # when SINR maps are written, its map-area field.
-    evaluated: dict[tuple, tuple[CoverageReport, np.ndarray, SinrField | None]] = {}
+    # when SINR maps are written, its map-area raster levels.
+    evaluated: dict[tuple, tuple[CoverageReport, np.ndarray, np.ndarray | None]] = {}
 
     def evaluate(m: int, tp: TransmitPlan):
         field = evaluator.field(full, m, tp, cfg.plan)
         report = coverage(evaluator.restrict(field, coverage_area), cfg.thresholds_db)
         field = evaluator.restrict(field, map_area)
-        return report, field.values >= threshold, field if cfg.emit_sinr_maps else None
+        levels = sinr_levels(field.as_image()) if cfg.emit_sinr_maps else None
+        return report, field.values >= threshold, levels
 
     files: list[str] = []
 
@@ -269,13 +273,12 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
         for m, key in zip(contents, scheme_keys):
             if key not in evaluated:
                 evaluated[key] = evaluate(m, tp)
-        reports = [replace(evaluated[key][0], scheme_label=scheme.label, content_id=m)
-                   for m, key in zip(contents, scheme_keys)]
-        csv_rows.extend(_coverage_rows(scheme.label, reports))
+        reports = [evaluated[key][0] for key in scheme_keys]
+        csv_rows.extend(_coverage_rows(scheme.label, coverage_area, reports))
         summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
 
         masks = [evaluated[key][1] for key in scheme_keys]
-        cmap = count_map(masks, scheme.label, threshold, map_area, map_shape)
+        cmap = count_map(masks, map_shape)
         histogram = cmap.histogram()
         map_doc = {
             "scheme": scheme.label,
@@ -293,14 +296,16 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
             "pct_global": round9(100.0 * (np.count_nonzero(masks[0]) / masks[0].size)),
         }
         _write_json(out_path(f"content_counts_{scheme.label}.json"), map_doc)
-        emit_heatmap(cmap, out_path(f"content_counts_{scheme.label}.pgm"))
+        emit_heatmap(cmap.as_image(), cmap.m_count,
+                     out_path(f"content_counts_{scheme.label}.pgm"))
         summary_maps[scheme.label] = map_doc
 
         if cfg.emit_sinr_maps:
             for m, key in zip(contents, scheme_keys):
                 path = os.path.join(out_dir, f"sinr_{scheme.label}_content{m}.pgm")
-                written = emit_heatmap(replace(evaluated[key][2], scheme_label=scheme.label,
-                                               content_id=m), path)
+                header = (f"{_SINR_SIDECAR}scheme {scheme.label}\ncontent {m}\n"
+                          f"area {map_area.kind.value}\n")
+                written = emit_heatmap(evaluated[key][2], 255, path, header)
                 files.extend(os.path.basename(p) for p in written)
         # Free each key's results after the last scheme that uses it.
         del masks, cmap

@@ -11,7 +11,8 @@ bytes on either path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,12 +65,11 @@ class SinrField:
     ``values`` is 1-D in sampling order (rows of constant y, increasing x,
     bottom row first); ``shape`` is (ny, nx).  All values are finite: points
     with zero received signal carry ``SINR_FLOOR_DB``.  ``SinrEvaluator.field``
-    checks that once where it makes the values; relabels and restrictions
-    share them unchecked.
+    checks that once where it makes the values; restrictions share them
+    unchecked.  A field names no scheme or content: one field serves every
+    content and plan with its ``field_key``.
     """
 
-    content_id: int
-    scheme_label: str
     area: EvalArea
     values: np.ndarray
     shape: tuple[int, int]
@@ -137,7 +137,7 @@ class SinrEvaluator:
     plans.
 
     Every lattice is built from its 1-D axes (``grid.lattice_axes``), not
-    from a point array: ``_lattice_gains`` evaluates a gain kernel over
+    from a point array: ``_kernel_gains`` evaluates a gain kernel over
     tower-to-sample offsets and adds its windows, one slab of kernel rows at
     a time, with the addends and order of ``_zone_gains``, hence its bytes.
     Point arrays (``sinr_at``) take ``_zone_gains``.  A field is reduced
@@ -173,7 +173,7 @@ class SinrEvaluator:
                     acc += cell_gains[c]
         return g
 
-    def _lattice_gains(self, area: EvalArea) -> np.ndarray:
+    def _kernel_gains(self, area: EvalArea) -> np.ndarray:
         """(4, n) zone gains on the lattice of ``area``.
 
         A tower's x depends only on its column and its y only on its row.
@@ -219,7 +219,7 @@ class SinrEvaluator:
         """(4, n_points) read-only zone gains G_z, one row per band of ``ZONES``."""
         g = self._gains.get(area)
         if g is None:
-            g = self._lattice_gains(area)
+            g = self._kernel_gains(area)
             g.flags.writeable = False
             self._gains[area] = g
         return g
@@ -270,7 +270,7 @@ class SinrEvaluator:
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
     ) -> SinrField:
         """SINR in dB of content ``content_id`` under ``tp`` at every lattice
-        point of ``area``, labelled with ``tp``'s scheme.
+        point of ``area``.
 
         The area's zone gains are built on first use and cached; the field
         depends on the content only through its ``field_key``.
@@ -285,13 +285,7 @@ class SinrEvaluator:
             _db(self._linear(g[:, lo:lo + step], in_lsa1, key), values[lo:lo + step])
         if not np.isfinite(values).all():
             raise ValueError("SINR field contains non-finite values")
-        return SinrField(
-            content_id=content_id,
-            scheme_label=tp.scheme.label,
-            area=area,
-            values=values.ravel(),
-            shape=values.shape,
-        )
+        return SinrField(area=area, values=values.ravel(), shape=values.shape)
 
     def restrict(self, field: SinrField, area: EvalArea) -> SinrField:
         """``field`` on ``area``: the field itself, or the left columns of an
@@ -306,8 +300,14 @@ class SinrEvaluator:
         ):
             raise ValueError(f"cannot take area {area} from a field on {field.area}")
         ny, nx = sample_shape(area, self.grid.spec)
-        return replace(field, area=area, values=field.as_image()[:, :nx].ravel(),
-                       shape=(ny, nx))
+        return SinrField(area=area, values=field.as_image()[:, :nx].ravel(), shape=(ny, nx))
+
+
+@lru_cache(maxsize=1)
+def _evaluator(grid: Grid, env: RadioEnv) -> SinrEvaluator:
+    """The evaluator of the last (grid, env) ``sinr_at`` saw: callers such
+    as the oracle suite make many point calls on one grid in a row."""
+    return SinrEvaluator(grid, env)
 
 
 def sinr_at(
@@ -323,7 +323,7 @@ def sinr_at(
     so a lattice point gets the same value on either path.
     """
     points = np.asarray(points, dtype=float)
-    evaluator = SinrEvaluator(tp.grid, env)
+    evaluator = _evaluator(tp.grid, env)
     in_lsa1 = lsa1_of_x(points[:, 0], tp.grid.spec)
     g = evaluator._zone_gains(points)
     return evaluator._linear(g, in_lsa1, evaluator.field_key(content_id, tp, plan))

@@ -29,8 +29,8 @@ class TestGridSpec:
         spec = GridSpec()
         assert (spec.rows, spec.cols, spec.lsa1_cols) == (8, 10, 5)
         assert spec.isd == 1700.0
-        assert spec.width_m == 17000.0
-        assert spec.height_m == 13600.0
+        assert spec.cols * spec.isd == 17000.0
+        assert spec.rows * spec.isd == 13600.0
 
     @pytest.mark.parametrize(
         "kwargs,fragment",
@@ -154,10 +154,10 @@ class TestPointMembership:
 class TestSampling:
     def test_a1_vs_a2_bounds(self):
         spec = GridSpec()
-        a1 = EvalArea(kind=AreaKind.A1, resolution=1)
-        a2 = EvalArea(kind=AreaKind.A2, resolution=1)
-        assert a1.bounds(spec) == ((0.0, 8500.0), (0.0, 13600.0))
-        assert a2.bounds(spec) == ((0.0, 17000.0), (0.0, 13600.0))
+        # A1 spans x in [0, 8500], A2 [0, 17000]; both y in [0, 13600]
+        for kind, width in ((AreaKind.A1, 8500.0), (AreaKind.A2, 17000.0)):
+            ny, nx = sample_shape(EvalArea(kind=kind, resolution=1), spec)
+            assert (nx * spec.isd, ny * spec.isd) == (width, 13600.0)
 
     def test_resolution_one_samples_cell_centers(self):
         spec = GridSpec(rows=1, cols=2, lsa1_cols=1)

@@ -31,15 +31,9 @@ from sfn_lsi_sim.sinr import SinrField
 AREA = EvalArea(kind=AreaKind.A1, resolution=1)
 
 
-def make_field(values, content_id=1, scheme="olsi", shape=None, area=AREA):
+def make_field(values, shape=None, area=AREA):
     arr = np.asarray(values, dtype=float)
-    return SinrField(
-        content_id=content_id,
-        scheme_label=scheme,
-        area=area,
-        values=arr,
-        shape=shape or (1, arr.size),
-    )
+    return SinrField(area=area, values=arr, shape=shape or (1, arr.size))
 
 
 def scheme_weights(scheme, spec: GridSpec, m_count: int) -> tuple[Fraction, ...]:
@@ -105,13 +99,10 @@ class TestCoverage:
         assert list(report.fractions) == sorted(report.fractions, reverse=True)
 
     def test_percent_and_metadata(self):
-        field = make_field([10.0, 30.0], content_id=2, scheme="ps_beta0.5")
-        report = coverage(field, [20.0])
+        report = coverage(make_field([10.0, 30.0]), [20])
         assert 100 * report.fraction_at(20.0) == 50.0
-        assert report.scheme_label == "ps_beta0.5"
-        assert report.content_id == 2
-        assert report.area_kind == "A1"
-        assert report.n_points == 2
+        assert report.thresholds_db == (20.0,)
+        assert isinstance(report.thresholds_db[0], float)
 
     def test_empty_field_rejected(self):
         field = make_field([], shape=(0, 0))
@@ -127,13 +118,12 @@ class TestContentCountMap:
             2: [20.0, 20.0, 10.0, 10.0],
             3: [20.0, 10.0, 10.0, 10.0],
         }
-        return [make_field(v, content_id=m) for m, v in data.items()]
+        return [make_field(v) for v in data.values()]
 
     def test_counts_per_point(self):
         cmap = content_count_map(self.make_fields(), 15.0)
         assert cmap.counts.tolist() == [3, 2, 1, 0]
         assert cmap.m_count == 3
-        assert cmap.threshold_db == 15.0
 
     def test_histogram_sums_to_one(self):
         cmap = content_count_map(self.make_fields(), 15.0)
@@ -158,31 +148,26 @@ class TestContentCountMap:
     ])
     def test_counts_take_the_narrowest_type_that_holds_m(self, m_count, dtype):
         # every content clears the threshold at the first point, none at the last
-        fields = [make_field([20.0, 20.0 if m % 2 else 10.0, 10.0], content_id=m)
+        fields = [make_field([20.0, 20.0 if m % 2 else 10.0, 10.0])
                   for m in range(1, m_count + 1)]
         cmap = content_count_map(fields, 15.0)
         assert cmap.counts.dtype == dtype
         assert cmap.counts.tolist() == [m_count, (m_count + 1) // 2, 0]
         assert cmap.mean_count() == pytest.approx((m_count + (m_count + 1) // 2) / 3)
 
-    def test_requires_contents_one_through_m(self):
+    def test_content_order_does_not_change_counts(self):
         fields = self.make_fields()
-        with pytest.raises(ValueError, match="contents 1..M"):
-            content_count_map(fields[1:], 15.0)
-        with pytest.raises(ValueError, match="contents 1..M"):
-            content_count_map([fields[0], fields[0]], 15.0)
+        want = content_count_map(fields, 15.0).counts.tobytes()
+        assert content_count_map(fields[::-1], 15.0).counts.tobytes() == want
 
     def test_rejects_mixed_lattices(self):
         fields = self.make_fields()
-        other = make_field([20.0, 20.0], content_id=3)
+        other = make_field([20.0, 20.0])
         with pytest.raises(ValueError, match="lattice"):
             content_count_map(fields[:2] + [other], 15.0)
-
-    def test_rejects_mixed_schemes(self):
-        fields = self.make_fields()
-        odd = make_field([20.0, 20.0, 20.0, 10.0], content_id=3, scheme="reuse1")
-        with pytest.raises(ValueError, match="scheme"):
-            content_count_map(fields[:2] + [odd], 15.0)
+        moved = make_field([20.0] * 4, area=EvalArea(kind=AreaKind.A2, resolution=1))
+        with pytest.raises(ValueError, match="lattice"):
+            content_count_map(fields[:2] + [moved], 15.0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

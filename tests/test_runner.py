@@ -25,11 +25,13 @@ from sfn_lsi_sim.runner import (
     fmt9,
     round9,
     run_experiment,
+    sinr_levels,
 )
-from sfn_lsi_sim.sinr import SinrEvaluator, SinrField
+from sfn_lsi_sim.sinr import SinrEvaluator
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
+DATA = ROOT / "tests" / "data"
 SMOKE = str(CONFIG_DIR / "smoke_1x2.cfg")
 SCHEME_LABELS = ("olsi", "reuse1", "ps_beta0.5", "imo_beta0.5")
 
@@ -293,11 +295,13 @@ class TestDistinctFields:
                     for area in (cfg.coverage_area(), cfg.map_area()))
                 reports.append(coverage(cov_field, cfg.thresholds_db))
                 name = f"sinr_{label}_content{m}.pgm"
-                emit_heatmap(map_field, str(tmp_path / name))
-                for written in (name, name + ".hdr.txt"):
-                    assert ((everything / written).read_bytes()
-                            == (tmp_path / written).read_bytes()), written
-            assert csv_rows(everything, label) == runner._coverage_rows(label, reports)
+                emit_heatmap(sinr_levels(map_field.as_image()), 255, str(tmp_path / name))
+                assert (everything / name).read_bytes() == (tmp_path / name).read_bytes(), name
+                assert (everything / f"{name}.hdr.txt").read_text() == (
+                    "kind sinr_db\ndb_min -10\ndb_max 40\nlevels 256\n"
+                    f"scheme {label}\ncontent {m}\narea {map_area.upper()}\n")
+            assert csv_rows(everything, label) == runner._coverage_rows(
+                label, cfg.coverage_area(), reports)
 
     @pytest.mark.parametrize("coverage_area,map_area",
                              [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2")])
@@ -326,7 +330,7 @@ class TestDistinctFields:
             fields = [SinrEvaluator(grid, cfg.env()).field(cfg.map_area(), m, tp, cfg.plan)
                       for m in cfg.plan.content_ids]
             cmap = content_count_map(fields, threshold)
-            emit_heatmap(cmap, str(tmp_path / f"{label}.pgm"))
+            emit_heatmap(cmap.as_image(), cmap.m_count, str(tmp_path / f"{label}.pgm"))
             assert ((everything / f"content_counts_{label}.pgm").read_bytes()
                     == (tmp_path / f"{label}.pgm").read_bytes())
             doc = json.loads((everything / f"content_counts_{label}.json").read_text())
@@ -336,6 +340,20 @@ class TestDistinctFields:
             assert doc["mean_count"] == round9(cmap.mean_count())
             assert doc["pct_global"] == round9(
                 100.0 * coverage(fields[0], (threshold,)).fractions[0])
+
+    def test_maps_on_bytes_match_stored_digests(self, tmp_path):
+        # Every file but the manifest, in ``sha256sum`` format, against a
+        # stored listing: the SINR rasters and sidecars are pinned to bytes
+        # that no writer in the package produced for the comparison.
+        path = tmp_path / "shared.cfg"
+        path.write_text(SHARED_KEYS_CFG.format(coverage_area="a1", map_area="a2"))
+        out = Path(run_experiment(
+            apply_overrides(parse_config(str(path)), out_dir=str(tmp_path / "out"))).out_dir)
+        names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert any(name.startswith("sinr_") for name in names)
+        listing = "".join(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}\n"
+                          for name in names)
+        assert listing == (DATA / "shared_keys_sha256.txt").read_text()
 
     def test_maps_off_run_holds_one_field_at_a_time(self, tmp_path, monkeypatch):
         made = []
@@ -353,6 +371,24 @@ class TestDistinctFields:
         assert not cfg.emit_sinr_maps
         run_experiment(cfg)
         assert len(made) == 10
+
+    def test_maps_on_run_holds_no_field_between_calls(self, tmp_path, monkeypatch):
+        # With SINR maps on, a key keeps its raster levels, not its field.
+        made = []
+        field = SinrEvaluator.field
+
+        def recorded(self, *args):
+            alive = sum(ref() is not None for ref in made)
+            assert alive == 0, f"{alive} earlier field(s) still held"
+            result = field(self, *args)
+            made.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(SinrEvaluator, "field", recorded)
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(tmp_path / "smoke"))
+        assert cfg.emit_sinr_maps
+        run_experiment(cfg)
+        assert len(made) > 1
 
     def test_paper_run_evaluates_each_distinct_field_once(self, tmp_path, monkeypatch):
         # Table I: 6 schemes x 3 contents on two areas, 10 distinct keys.
@@ -417,36 +453,27 @@ class TestSummary:
 
 
 class TestEmitHeatmap:
-    AREA = EvalArea(kind=AreaKind.A1, resolution=1)
-
     def test_count_map_golden(self, tmp_path):
-        cmap = ContentCountMap(
-            scheme_label="olsi", threshold_db=10.0, area=self.AREA, m_count=3,
-            counts=np.array([1, 3, 3, 1]), shape=(2, 2),
-        )
+        cmap = ContentCountMap(m_count=3, counts=np.array([1, 3, 3, 1]), shape=(2, 2))
         path = tmp_path / "counts.pgm"
-        written = emit_heatmap(cmap, str(path))
+        written = emit_heatmap(cmap.as_image(), cmap.m_count, str(path))
         assert written == [str(path)]
         # bottom lattice row [1, 3] lands on the last raster line
         assert path.read_text() == "P2\n2 2\n3\n3 1\n1 3\n"
 
     def test_count_map_beyond_255_levels(self, tmp_path):
-        cmap = ContentCountMap(
-            scheme_label="olsi", threshold_db=10.0, area=self.AREA, m_count=300,
-            counts=np.array([0, 256, 300, 9]), shape=(2, 2),
-        )
+        cmap = ContentCountMap(m_count=300, counts=np.array([0, 256, 300, 9]), shape=(2, 2))
         path = tmp_path / "counts.pgm"
-        emit_heatmap(cmap, str(path))
+        emit_heatmap(cmap.as_image(), cmap.m_count, str(path))
         assert path.read_text() == "P2\n2 2\n300\n300 9\n0 256\n"
 
     def test_sinr_quantization(self, tmp_path):
-        field = SinrField(
-            content_id=2, scheme_label="ps_beta0.5", area=self.AREA,
-            values=np.array([-10.0, 15.0, 40.0, 90.0, -55.0, 0.0]), shape=(2, 3),
-        )
+        levels = sinr_levels(np.array([[-10.0, 15.0, 40.0], [90.0, -55.0, 0.0]]))
+        assert levels.dtype == np.uint8
         path = tmp_path / "sinr.pgm"
-        written = emit_heatmap(field, str(path))
+        written = emit_heatmap(levels, 255, str(path), "kind sinr_db\n")
         assert written == [str(path), str(path) + ".hdr.txt"]
+        assert (tmp_path / "sinr.pgm.hdr.txt").read_text() == "kind sinr_db\n"
         pixels, maxval = read_pgm(path)
         assert maxval == 255
         # out-of-window values clip; in-window values scale onto 0..255

@@ -111,12 +111,30 @@ class TestSinrAt:
         # LSA boundary, so content 2 at x equals content 3 at width-x
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
         env = make_env()
-        width = grid.spec.width_m
+        width = grid.spec.cols * grid.spec.isd
         points = np.array([(850.0, 850.0), (4000.0, 5000.0), (8200.0, 12000.0)])
         mirrored = np.column_stack((width - points[:, 0], points[:, 1]))
         left = sinr_at(points, 2, tp, env, plan)
         right = sinr_at(mirrored, 3, tp, env, plan)
         assert left == pytest.approx(right, rel=1e-12)
+
+    def test_reused_evaluator_matches_a_fresh_one_across_grids(self):
+        # sinr_at keeps the evaluator of the last (grid, env) it saw.
+        # Alternating grids and environments, each call must still give a
+        # fresh evaluator's lattice bytes, and a repeat must reuse it.
+        area = EvalArea(kind=AreaKind.A2, resolution=3)
+        setups = [make_setup(spec=GridSpec(rows=2, cols=4, lsa1_cols=2)),
+                  make_setup(SchemeConfig(SchemeKind.IMLSI_O, beta=0.25),
+                             spec=GridSpec(rows=1, cols=3, lsa1_cols=2))]
+        envs = [make_env(), make_env(PathLossKind.HATA)]
+        sinr._evaluator.cache_clear()
+        for _ in range(2):
+            for (grid, plan, tp), env in itertools.product(setups, envs):
+                want = SinrEvaluator(grid, env).field(area, 2, tp, plan).values.tobytes()
+                points = sample_points(area, grid.spec)
+                for _ in range(2):
+                    assert to_db(sinr_at(points, 2, tp, env, plan)).tobytes() == want
+        assert sinr._evaluator.cache_info()[:2] == (8, 8)  # (hits, misses)
 
 
 class TestSinrField:
@@ -211,12 +229,6 @@ class TestSinrField:
         a = evaluator.field(area, 2, tp, plan).values.tobytes()
         b = evaluator.field(area, 2, tp, plan).values.tobytes()
         assert a == b
-
-    def test_scheme_label_carried(self):
-        grid, plan, tp = make_setup(SchemeConfig(SchemeKind.IMLSI_O, beta=0.5))
-        field = field_of(EvalArea(kind=AreaKind.A1, resolution=2), 2, tp,
-                         make_env(), plan)
-        assert field.scheme_label == "imo_beta0.5"
 
 
 class TestZoneEngine:
