@@ -114,14 +114,6 @@ class Grid:
                         (spec.lsa1_cols - b, b, b, spec.cols - spec.lsa1_cols - b))
         return np.tile(row, spec.rows)
 
-    def towers(self) -> np.ndarray:
-        """Tower coordinates, shape (n_cells, 2), in cell-index order."""
-        xs, ys = self.tower_axes()
-        towers = np.empty((ys.size, xs.size, 2))
-        towers[..., 0] = xs
-        towers[..., 1] = ys[:, None]
-        return towers.reshape(-1, 2)
-
     def lsa1_mask(self) -> np.ndarray:
         return self.bands() < 2
 
@@ -150,10 +142,10 @@ def sample_points(area: EvalArea, spec: GridSpec) -> np.ndarray:
     """Deterministic row-major lattice over ``area``, shape (n, 2): every
     (x, y) of ``lattice_axes``, y varying slowest.
 
-    The engine builds every lattice from ``lattice_axes`` and never calls
-    this; it stays for the tests, which compare the lattice path with
-    ``sinr_at`` on these points, and for the benchmark's list of traced
-    layer entry points."""
+    The engine builds every SINR from 1-D axes and never calls this; it
+    stays for the tests, which check the lattice ordering and feed the
+    point-by-point references, and for the benchmark's list of traced layer
+    entry points."""
     gx, gy = np.meshgrid(*lattice_axes(area, spec))
     return np.column_stack([gx.ravel(), gy.ravel()])
 

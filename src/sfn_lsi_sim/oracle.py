@@ -142,15 +142,19 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
     """Compare engine SINR to the brute-force reference on small grids.
 
     Covers every grid up to 2x4 cells, M in {2, 3}, all schemes with
-    beta in {0, 0.25, 0.5, 1}, both path-loss models, at ``n_points``
-    uniformly random receiver points per case.  Engine values come from
-    ``sinr_at``, which shares its SINR expression with the lattice fields
-    that write the artifacts.
+    beta in {0, 0.25, 0.5, 1}, both path-loss models.  Each (grid, M,
+    model) group draws one uniformly random x axis and one y axis, of
+    ``n_points // ny`` and ``ny`` values with ``ny`` the largest divisor of
+    ``n_points`` not above its square root, and every case compares all
+    ``n_points`` points of their lattice.  Engine values come from
+    ``sinr_at``, which builds its gains in the lattice kernel and its SINR
+    in the expression of the fields that write the artifacts.
     """
     models = (
         PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5),
         PathLossModel(kind=PathLossKind.HATA, f_mhz=700.0, hb_m=30.0, hm_m=1.5),
     )
+    ny = max(d for d in range(1, math.isqrt(n_points) + 1) if n_points % d == 0)
     rng = np.random.default_rng(seed)
     cases: list[OracleCase] = []
     for (rows, cols, lsa1_cols), m_count, model in product(_GRID_SHAPES, (2, 3), models):
@@ -158,17 +162,15 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
         grid = Grid.from_spec(spec)
         plan = _content_plan(m_count)
         env = RadioEnv(n0=4e-21, pathloss=model)
-        points = np.column_stack(
-            (rng.uniform(0.0, cols * spec.isd, n_points),
-             rng.uniform(0.0, rows * spec.isd, n_points))
-        )
-        point_list = points.tolist()
+        xs = rng.uniform(0.0, cols * spec.isd, n_points // ny)
+        ys = rng.uniform(0.0, rows * spec.isd, ny)
+        points = list(product(ys.tolist(), xs.tolist()))
         for scheme in _scheme_configs():
             tp = allocate(grid, plan, scheme)
             worst = 0.0
             for content_id in plan.content_ids:
-                values = sinr_at(points, content_id, tp, env, plan).tolist()
-                for (px, py), got in zip(point_list, values):
+                values = sinr_at(xs, ys, content_id, tp, env, plan).ravel().tolist()
+                for (py, px), got in zip(points, values):
                     expected = oracle_sinr((px, py), content_id, tp, env, plan)
                     if expected == 0.0:
                         err = 0.0 if got == 0.0 else math.inf

@@ -4,9 +4,9 @@ For a receiver point and content m, every cell of the point's own LSA that
 transmits content m contributes signal, and every cell of the other LSA that
 transmits the same subcarriers contributes interference.  The global content
 is carried synchronously by all cells, so it sees no cross-LSA interference,
-only noise.  Lattice fields and point arrays go through the same two steps,
-zone gains and one own/other/noise expression, so a point gets the same
-bytes on either path.
+only noise.  Every SINR, of an evaluation area's lattice (``field``) or of
+any other pair of 1-D axes (``sinr_at``), takes its zone gains from one
+lattice kernel and its value from one own/other/noise expression.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
 
 _CHUNK = 16384
-"""Points per chunk of the point path (``_zone_gains``), and the most points
-in the block of whole lattice rows ``SinrEvaluator.field`` reduces at once
-(one row if a row is longer).  Bounds the point path's (n_cells, chunk)
-distance and gain temporaries and the field's per-block SINR temporaries.
-Lattice gains take the kernel path, which ``_KERNEL_CHUNK`` bounds."""
+"""Most points in the block of whole lattice rows ``SinrEvaluator.field``
+reduces to dB at once (one row if a row is longer).  Bounds the field's
+per-block SINR temporaries; ``_KERNEL_CHUNK`` bounds the gain build's."""
 
 _KERNEL_CHUNK = 1 << 18
 """Elements per slab of the lattice gain kernel: the kernel rows of one
@@ -94,21 +92,23 @@ def _db(linear: np.ndarray, out: np.ndarray) -> None:
     np.multiply(out, 10.0, out=out, where=pos)
 
 
-def _fold(towers: np.ndarray, samples: np.ndarray, period: int) -> tuple[int, np.ndarray]:
+def _fold(towers: np.ndarray, samples: np.ndarray,
+          period: int | None = None) -> tuple[int, np.ndarray]:
     """A fold period ``p`` and the offsets ``towers[c] - samples[k]`` at
     index ``k - c*p + (n_towers-1)*p``.
 
     ``p`` is ``period`` if offsets that share an index are equal, else
-    ``samples.size``: then no two offsets share an index, so the fold always
-    succeeds."""
-    table = towers[:, None] - samples
-    index = (np.arange(samples.size) - period * np.arange(towers.size)[:, None]
-             + period * (towers.size - 1))
-    folded = np.zeros(samples.size + period * (towers.size - 1))
-    folded[index] = table
-    if period == samples.size or np.array_equal(folded[index], table):
-        return period, folded
-    return _fold(towers, samples, samples.size)
+    ``samples.size``: then no two offsets share an index and the layout is
+    tower by tower, last tower first."""
+    if period is not None:
+        table = towers[:, None] - samples
+        index = (np.arange(samples.size) - period * np.arange(towers.size)[:, None]
+                 + period * (towers.size - 1))
+        folded = np.zeros(samples.size + period * (towers.size - 1))
+        folded[index] = table
+        if np.array_equal(folded[index], table):
+            return period, folded
+    return samples.size, (towers[::-1, None] - samples).ravel()
 
 
 def _terms(g: np.ndarray, in_lsa1: np.ndarray, key: tuple) -> tuple:
@@ -136,68 +136,55 @@ class SinrEvaluator:
     are cached per evaluation area and reused by all contents and transmit
     plans.
 
-    Every lattice is built from its 1-D axes (``grid.lattice_axes``), not
-    from a point array: ``_kernel_gains`` evaluates a gain kernel over
-    tower-to-sample offsets and adds its windows, one slab of kernel rows at
-    a time, with the addends and order of ``_zone_gains``, hence its bytes.
-    Point arrays (``sinr_at``) take ``_zone_gains``.  A field is reduced
-    block of lattice rows by block; LSA membership depends on x alone, so
-    the LSA1 flag is one per column.  The gain rows and the output are the
-    only full-size arrays a field touches.
+    Every SINR is built from 1-D axes, never from a point array:
+    ``_kernel_gains`` evaluates a gain kernel over tower-to-sample offsets
+    and adds its windows, one slab of kernel rows at a time, in cell-index
+    order.  A field is reduced block of lattice rows by block; LSA
+    membership depends on x alone, so the LSA1 flag is one per column.  The
+    gain rows and the output are the only full-size arrays a field touches.
     """
 
     def __init__(self, grid: Grid, env: RadioEnv):
         self.grid = grid
         self.env = env
-        self._towers = grid.towers()
+        self._tower_axes = grid.tower_axes()
         bands = grid.bands()
         self._band_cells = tuple(np.flatnonzero(bands == z) for z in range(len(ZONES)))
+        # Each cell's kernel window origin, (rows-1-row, cols-1-col): its
+        # kernel row, and its x offset in fold periods.  Per band, in
+        # cell-index order.
+        rows, cols = grid.spec.rows, grid.spec.cols
+        self._windows = tuple(
+            tuple((rows - 1 - c // cols, cols - 1 - c % cols) for c in cells.tolist())
+            for cells in self._band_cells)
         self._gains: dict[EvalArea, np.ndarray] = {}
 
-    def _zone_gains(self, points: np.ndarray) -> np.ndarray:
-        """(4, n) zone gains G_z at ``points`` (shape (n, 2))."""
-        g = np.empty((len(ZONES), points.shape[0]))
-        for lo in range(0, points.shape[0], _CHUNK):
-            hi = lo + _CHUNK
-            dx = self._towers[:, 0:1] - points[lo:hi, 0]
-            dy = self._towers[:, 1:2] - points[lo:hi, 1]
-            d = np.hypot(dx, dy, out=dx)
-            np.maximum(d, D_MIN_M, out=d)
-            cell_gains = gain(self.env.pathloss, d)
-            # Row-by-row sums in cell-index order: elementwise, so a
-            # point's G_z never depends on the chunk it falls in.
-            for z, cells in enumerate(self._band_cells):
-                acc = g[z, lo:hi]
-                acc[:] = 0.0
-                for c in cells:
-                    acc += cell_gains[c]
-        return g
-
-    def _kernel_gains(self, area: EvalArea) -> np.ndarray:
-        """(4, n) zone gains on the lattice of ``area``.
+    def _kernel_gains(self, xs: np.ndarray, ys: np.ndarray,
+                      period: int | None = None) -> np.ndarray:
+        """(4, ny*nx) zone gains at every point of the axes ``xs`` and
+        ``ys``, y varying slowest.
 
         A tower's x depends only on its column and its y only on its row.
         ``_fold`` lays each axis's tower-to-sample offsets out so that tower
         column ``c`` reads the window at ``(cols-1-c) * px`` of ``kx``, and
-        likewise for rows.  Where the offsets repeat with the tower period
-        (``resolution`` samples; A1 and A2 when ``isd / resolution`` is
-        exact), windows overlap and the kernel ``K`` holds each distinct
-        offset once; otherwise ``px`` is the axis's sample count, windows
-        are disjoint and ``K`` holds every tower-to-sample offset.  Either
-        way every distance is one of ``K``'s, evaluated once, and each G_z
-        adds its cells' ``K`` windows in cell-index order.
+        likewise for rows.  Where the offsets repeat with the tower
+        ``period`` in samples (a lattice at ``resolution`` when
+        ``isd / resolution`` is exact), windows overlap and the kernel ``K``
+        holds each distinct offset once; otherwise, or with no period,
+        ``px`` is the axis's sample count, windows are disjoint and ``K``
+        holds every tower-to-sample offset.  Either way every distance is
+        one of ``K``'s, evaluated once, and each G_z adds its cells' ``K``
+        windows in cell-index order.
 
         With ``q = ny // py`` window rows, output row ``k*py + r`` reads
         only kernel rows congruent to ``r`` mod ``py``.  ``K`` is evaluated
         one slab at a time, the kernel rows of a block of residues ``r``,
         and the slab's windows are added before the next slab is evaluated.
         """
-        spec = self.grid.spec
-        cols, rows = spec.cols, spec.rows
-        xs, ys = lattice_axes(area, spec)
-        tx, ty = self.grid.tower_axes()
-        px, kx = _fold(tx, xs, area.resolution)
-        py, ky = _fold(ty, ys, area.resolution)
+        rows = self.grid.spec.rows
+        tx, ty = self._tower_axes
+        px, kx = _fold(tx, xs, period)
+        py, ky = _fold(ty, ys, period)
         nx, q = xs.size, ys.size // py
         g = np.zeros((len(ZONES), ys.size * nx))
         out = g.reshape(len(ZONES), q, py, nx)
@@ -207,19 +194,16 @@ class SinrEvaluator:
             d = np.hypot(kx, ky[:, lo:lo + block, None])
             np.maximum(d, D_MIN_M, out=d)
             slab = gain(self.env.pathloss, d)
-            for z, cells in enumerate(self._band_cells):
-                acc = out[z, :, lo:lo + block]
-                for c in cells:
-                    y0 = rows - 1 - c // cols
-                    x0 = (cols - 1 - c % cols) * px
-                    acc += slab[y0:y0 + q, :, x0:x0 + nx]
+            for acc, windows in zip(out[:, :, lo:lo + block], self._windows):
+                for y0, x0 in windows:
+                    acc += slab[y0:y0 + q, :, x0 * px:x0 * px + nx]
         return g
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
         """(4, n_points) read-only zone gains G_z, one row per band of ``ZONES``."""
         g = self._gains.get(area)
         if g is None:
-            g = self._kernel_gains(area)
+            g = self._kernel_gains(*lattice_axes(area, self.grid.spec), area.resolution)
             g.flags.writeable = False
             self._gains[area] = g
         return g
@@ -311,19 +295,23 @@ def _evaluator(grid: Grid, env: RadioEnv) -> SinrEvaluator:
 
 
 def sinr_at(
-    points: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
     content_id: int,
     tp: TransmitPlan,
     env: RadioEnv,
     plan: ContentPlan,
 ) -> np.ndarray:
-    """Linear SINR at each row of ``points`` (shape (n, 2)).
+    """(ny, nx) linear SINR at every point (x, y) of the 1-D axes ``xs``
+    and ``ys``, which need not be sorted, evenly spaced or inside the grid.
 
-    Computed by the same zone-gain and SINR steps as ``SinrEvaluator.field``,
-    so a lattice point gets the same value on either path.
+    Computed by the gain kernel and SINR expression of
+    ``SinrEvaluator.field``, with no fold period, so a lattice's axes get
+    the field's values.
     """
-    points = np.asarray(points, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     evaluator = _evaluator(tp.grid, env)
-    in_lsa1 = lsa1_of_x(points[:, 0], tp.grid.spec)
-    g = evaluator._zone_gains(points)
-    return evaluator._linear(g, in_lsa1, evaluator.field_key(content_id, tp, plan))
+    key = evaluator.field_key(content_id, tp, plan)
+    g = evaluator._kernel_gains(xs, ys).reshape(len(ZONES), ys.size, xs.size)
+    return evaluator._linear(g, lsa1_of_x(xs, tp.grid.spec), key)

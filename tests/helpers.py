@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from sfn_lsi_sim.allocation import ContentPlan
-from sfn_lsi_sim.grid import GridSpec
+from sfn_lsi_sim.grid import D_MIN_M, ZONES, Grid, GridSpec
+from sfn_lsi_sim.propagation import gain
 
 
 def equal_split(
@@ -56,3 +59,24 @@ def cell_refs(spec: GridSpec) -> list[CellRef]:
             zone = INTERIOR
         cells.append(CellRef(index, col, col < spec.lsa1_cols, zone))
     return cells
+
+
+def zone_gains(grid: Grid, env, points: np.ndarray) -> np.ndarray:
+    """(4, n) zone gains G_z at ``points`` (shape (n, 2)), point by point:
+    every tower-to-point distance, its gain, and each zone's cell rows added
+    in cell-index order.  The reference the engine's lattice kernel must
+    match byte for byte.  Chunks of 16,384 points bound the temporaries;
+    every step is elementwise, so they do not change a bit."""
+    xs, ys = grid.tower_axes()
+    towers = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    bands = grid.bands()
+    g = np.zeros((len(ZONES), points.shape[0]))
+    for lo in range(0, points.shape[0], 16384):
+        hi = lo + 16384
+        d = np.hypot(towers[:, 0:1] - points[lo:hi, 0], towers[:, 1:2] - points[lo:hi, 1])
+        np.maximum(d, D_MIN_M, out=d)
+        cell_gains = gain(env.pathloss, d)
+        for z in range(len(ZONES)):
+            for c in np.flatnonzero(bands == z):
+                g[z, lo:hi] += cell_gains[c]
+    return g

@@ -93,13 +93,18 @@ class TestGridBuild:
 
     def test_towers_at_cell_centers_row_major(self):
         grid = Grid.from_spec(GridSpec(rows=2, cols=3, lsa1_cols=2))
-        towers = grid.towers()
-        assert towers.shape == (6, 2)
-        assert tuple(towers[0]) == (850.0, 850.0)
-        assert tuple(towers[1]) == (2550.0, 850.0)
-        assert tuple(towers[3]) == (850.0, 2550.0)
+        xs, ys = grid.tower_axes()
+        assert (xs.shape, ys.shape) == ((3,), (2,))
+
+        def tower(c):  # cell c sits in row c // cols and column c % cols
+            return xs[c % 3], ys[c // 3]
+
+        assert len(grid.cells) == 6
+        assert tower(0) == (850.0, 850.0)
+        assert tower(1) == (2550.0, 850.0)
+        assert tower(3) == (850.0, 2550.0)
         assert grid.cells[4] == 4
-        assert tuple(towers[4]) == (2550.0, 2550.0)  # row 1, column 1
+        assert tower(4) == (2550.0, 2550.0)  # row 1, column 1
 
     def test_wider_buffer(self):
         grid = Grid.from_spec(GridSpec(buffer_cols_per_side=2))
@@ -132,11 +137,12 @@ def test_column_rule_and_x_rule_agree_on_every_small_grid():
         # a column's band counts the band edges at or left of it
         column_band = [(c >= lsa1 - b) + (c >= lsa1) + (c >= lsa1 + b) for c in range(spec.cols)]
         assert grid.bands().tolist() == column_band * spec.rows, spec
-        xs, _ = grid.tower_axes()
+        xs, ys = grid.tower_axes()
         assert lsa1_of_x(xs, spec).tolist() == [band < 2 for band in column_band], spec
         want = [(((c % spec.cols) + 0.5) * spec.isd, ((c // spec.cols) + 0.5) * spec.isd)
                 for c in grid.cells]
-        assert grid.towers().tobytes() == np.array(want).tobytes(), spec
+        got = [(xs[c % spec.cols], ys[c // spec.cols]) for c in grid.cells]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), spec
 
 
 class TestPointMembership:

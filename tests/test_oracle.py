@@ -25,6 +25,7 @@ from sfn_lsi_sim.oracle import (
     run_oracle_suite,
 )
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
+from sfn_lsi_sim import sinr
 from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator, sinr_at
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,10 +52,11 @@ def test_oracle_agrees_with_engine_at_arbitrary_point():
     plan = equal_split(3, 3.0, 7.2e6)
     env = RadioEnv(n0=5e-18, pathloss=PathLossModel(kind=PathLossKind.HATA))
     tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=0.25))
-    points = [(123.4, 567.8), (3400.0, 1700.0), (6700.0, 3300.0)]
+    xs, ys = [123.4, 3400.0, 6700.0], [567.8, 1700.0, 3300.0]
     for m in (1, 2, 3):
-        for point, got in zip(points, sinr_at(points, m, tp, env, plan)):
-            want = oracle_sinr(point, m, tp, env, plan)
+        values = sinr_at(xs, ys, m, tp, env, plan)
+        for (i, y), (j, x) in product(enumerate(ys), enumerate(xs)):
+            want, got = oracle_sinr((x, y), m, tp, env, plan), values[i, j]
             if want == 0.0:
                 assert got == 0.0
             else:
@@ -109,6 +111,20 @@ def test_suite_catches_a_broken_shipped_formula(monkeypatch):
         return p
 
     monkeypatch.setattr(SinrEvaluator, "zone_powers", broken)
+    cases = run_oracle_suite(n_points=5, seed=7)
+    assert any(not case.ok for case in cases)
+
+
+def test_suite_catches_a_broken_gain_kernel(monkeypatch):
+    # Shift every folded tower-to-sample offset by one slot, so each kernel
+    # window starts one sample late; only the lattice kernel reads them.
+    fold = sinr._fold
+
+    def shifted(towers, samples, period=None):
+        p, offsets = fold(towers, samples, period)
+        return p, np.roll(offsets, 1)
+
+    monkeypatch.setattr(sinr, "_fold", shifted)
     cases = run_oracle_suite(n_points=5, seed=7)
     assert any(not case.ok for case in cases)
 

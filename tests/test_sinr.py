@@ -1,4 +1,4 @@
-"""SINR engine tests: point/field agreement, floors, determinism."""
+"""SINR engine tests: kernel/point-reference agreement, floors, determinism."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import LEFT_BUFFER, cell_refs, equal_split
+from helpers import LEFT_BUFFER, cell_refs, equal_split, zone_gains
 from sfn_lsi_sim.allocation import (
     SchemeConfig,
     SchemeKind,
@@ -24,6 +24,7 @@ from sfn_lsi_sim.grid import (
     EvalArea,
     Grid,
     GridSpec,
+    lattice_axes,
     sample_points,
     sample_shape,
 )
@@ -31,7 +32,6 @@ from sfn_lsi_sim.oracle import _GRID_SHAPES, _content_plan, _scheme_configs, ora
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
 from sfn_lsi_sim import sinr
 from sfn_lsi_sim.sinr import (
-    _CHUNK,
     SINR_FLOOR_DB,
     RadioEnv,
     SinrEvaluator,
@@ -77,25 +77,26 @@ class TestSinrAt:
         env = make_env()
         # with equal powers everywhere the global SINR is signal over noise only,
         # so it must exceed any single local content's SINR at every point
-        points = [(850.0, 850.0), (8000.0, 6800.0), (16000.0, 1000.0)]
-        g1 = sinr_at(points, 1, tp, env, plan)
-        g2 = sinr_at(points, 2, tp, env, plan)
+        xs, ys = [850.0, 8000.0, 16000.0], [850.0, 6800.0, 1000.0]
+        g1 = sinr_at(xs, ys, 1, tp, env, plan)
+        g2 = sinr_at(xs, ys, 2, tp, env, plan)
+        assert g1.shape == (3, 3)
         assert (g1 > g2).all()
 
     def test_db_matches_linear(self):
         grid, plan, tp = make_setup()
         env = make_env()
         area = EvalArea(kind=AreaKind.A1, resolution=2)
-        linear = sinr_at(sample_points(area, grid.spec), 2, tp, env, plan)
+        linear = sinr_at(*lattice_axes(area, grid.spec), 2, tp, env, plan)
         db = field_of(area, 2, tp, env, plan).values
-        assert db == pytest.approx(10 * np.log10(linear), abs=1e-12)
+        assert db == pytest.approx(10 * np.log10(linear.ravel()), abs=1e-12)
 
     def test_zero_signal_reports_floor(self):
         # under the orthogonal scheme a point in LSA1 has no serving cell for
         # the other LSA's local content
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.OLSI))
         env = make_env()
-        assert sinr_at([(850.0, 850.0)], 3, tp, env, plan).tolist() == [0.0]
+        assert sinr_at([850.0], [850.0], 3, tp, env, plan).tolist() == [[0.0]]
         # (850, 850) is the first point of the resolution-1 A1 lattice
         field = field_of(EvalArea(kind=AreaKind.A1, resolution=1), 3, tp, env, plan)
         assert field.values[0] == SINR_FLOOR_DB
@@ -104,7 +105,7 @@ class TestSinrAt:
         grid, plan, tp = make_setup()
         for content_id in (0, 4):
             with pytest.raises(ValueError, match="content_id"):
-                sinr_at([(0.0, 0.0)], content_id, tp, make_env(), plan)
+                sinr_at([0.0], [0.0], content_id, tp, make_env(), plan)
 
     def test_symmetry_of_mirror_points(self):
         # reuse-1 with equal powers: the grid is mirror-symmetric about the
@@ -112,11 +113,10 @@ class TestSinrAt:
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
         env = make_env()
         width = grid.spec.cols * grid.spec.isd
-        points = np.array([(850.0, 850.0), (4000.0, 5000.0), (8200.0, 12000.0)])
-        mirrored = np.column_stack((width - points[:, 0], points[:, 1]))
-        left = sinr_at(points, 2, tp, env, plan)
-        right = sinr_at(mirrored, 3, tp, env, plan)
-        assert left == pytest.approx(right, rel=1e-12)
+        xs, ys = np.array([850.0, 4000.0, 8200.0]), np.array([850.0, 5000.0, 12000.0])
+        left = sinr_at(xs, ys, 2, tp, env, plan)
+        right = sinr_at(width - xs, ys, 3, tp, env, plan)
+        assert left.ravel() == pytest.approx(right.ravel(), rel=1e-12)
 
     def test_reused_evaluator_matches_a_fresh_one_across_grids(self):
         # sinr_at keeps the evaluator of the last (grid, env) it saw.
@@ -131,16 +131,17 @@ class TestSinrAt:
         for _ in range(2):
             for (grid, plan, tp), env in itertools.product(setups, envs):
                 want = SinrEvaluator(grid, env).field(area, 2, tp, plan).values.tobytes()
-                points = sample_points(area, grid.spec)
+                xs, ys = lattice_axes(area, grid.spec)
                 for _ in range(2):
-                    assert to_db(sinr_at(points, 2, tp, env, plan)).tobytes() == want
+                    assert to_db(sinr_at(xs, ys, 2, tp, env, plan)).tobytes() == want
         assert sinr._evaluator.cache_info()[:2] == (8, 8)  # (hits, misses)
 
 
 class TestSinrField:
     def test_field_matches_point_evaluation(self):
-        # The point path and the lattice path share one SINR formula, so
-        # every lattice point gets the same bytes on both.
+        # sinr_at folds no period, so on a periodic lattice it reads
+        # disjoint kernel windows where the field reads overlapping ones;
+        # both must give every lattice point the same bytes.
         schemes = [SchemeConfig(SchemeKind.OLSI),
                    SchemeConfig(SchemeKind.IMLSI_PS, beta=0.5),
                    SchemeConfig(SchemeKind.IMLSI_O, beta=0.25)]
@@ -158,7 +159,7 @@ class TestSinrField:
                     evaluator = SinrEvaluator(grid, env)
                     for area, m in itertools.product(areas, plan.content_ids):
                         field = evaluator.field(area, m, tp, plan).values
-                        point = sinr_at(sample_points(area, spec), m, tp, env, plan)
+                        point = sinr_at(*lattice_axes(area, spec), m, tp, env, plan)
                         where = f"{spec} {kind} {scheme.label} {area} content {m}"
                         assert to_db(point).tobytes() == field.tobytes(), where
 
@@ -209,17 +210,29 @@ class TestSinrField:
             evaluator.field(EvalArea(kind=AreaKind.A1, resolution=2), 1, tp, plan)
 
     @pytest.mark.parametrize("kind", [PathLossKind.POWER_LAW, PathLossKind.HATA])
-    def test_chunk_boundaries_do_not_change_bytes(self, kind):
+    def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch, kind):
+        # A2 at resolution 40: 320 rows of 400 points, reduced in blocks of
+        # 40 rows by default, then of 1 and of 3 rows (the last partial).
         grid, plan, tp = make_setup()
-        env = make_env(kind)
-        # 320 x 400 = 128000 points: 8 evaluation chunks.  Dropping the first
-        # 5 points moves every chunk boundary of the point evaluation.
+        evaluator = SinrEvaluator(grid, make_env(kind))
         area = EvalArea(kind=AreaKind.A2, resolution=40)
-        ny, nx = sample_shape(area, grid.spec)
-        assert -(-ny * nx // _CHUNK) >= 8
-        field = SinrEvaluator(grid, env).field(area, 2, tp, plan).values
-        shifted = sinr_at(sample_points(area, grid.spec)[5:], 2, tp, env, plan)
-        assert to_db(shifted).tobytes() == field[5:].tobytes()
+        nx = sample_shape(area, grid.spec)[1]
+        blocks = []
+        linear = SinrEvaluator._linear
+
+        def counted(self, g, in_lsa1, key):
+            blocks.append(g.shape[1])
+            return linear(self, g, in_lsa1, key)
+
+        monkeypatch.setattr(SinrEvaluator, "_linear", counted)
+        fields = {}
+        for rows_per_block, chunk in ((40, sinr._CHUNK), (1, nx), (3, 3 * nx + 1)):
+            monkeypatch.setattr(sinr, "_CHUNK", chunk)
+            blocks.clear()
+            fields[rows_per_block] = evaluator.field(area, 2, tp, plan).values.tobytes()
+            assert len(blocks) >= 8 and blocks[0] == rows_per_block, chunk
+            assert sum(blocks) == 320
+        assert fields[1] == fields[3] == fields[40]
 
     def test_repeated_evaluation_identical(self):
         grid, plan, tp = make_setup()
@@ -274,12 +287,7 @@ class TestZoneEngine:
                                                     resolution):
         grid, env = Grid.from_spec(spec), make_env(kind)
         areas = [EvalArea(kind=k, resolution=resolution) for k in (AreaKind.A2, AreaKind.A1)]
-        want = [SinrEvaluator(grid, env)._zone_gains(sample_points(a, spec)) for a in areas]
-
-        def point_path(self, points):
-            raise AssertionError("periodic lattice evaluated point by point")
-
-        monkeypatch.setattr(SinrEvaluator, "_zone_gains", point_path)
+        want = [zone_gains(grid, env, sample_points(a, spec)) for a in areas]
         slabs = []
         kernel_gain = sinr.gain
 
@@ -318,12 +326,7 @@ class TestZoneEngine:
         # An axis whose offsets do not repeat with the tower period folds
         # with its sample count as period: disjoint kernel windows.
         grid, env = Grid.from_spec(spec), make_env(PathLossKind.HATA)
-        want = SinrEvaluator(grid, env)._zone_gains(sample_points(area, spec))
-
-        def point_path(self, points):
-            raise AssertionError("lattice evaluated point by point")
-
-        monkeypatch.setattr(SinrEvaluator, "_zone_gains", point_path)
+        want = zone_gains(grid, env, sample_points(area, spec))
         slabs = []
         kernel_gain = sinr.gain
 
@@ -446,28 +449,28 @@ class TestSchemeEffects:
     def test_power_scaling_improves_local_sinr_inside_lsa1(self):
         grid, plan, _ = make_setup()
         env = make_env()
-        point = (850.0, 6800.0)  # deep inside LSA1
+        point = ([850.0], [6800.0])  # deep inside LSA1
         values = {}
         for beta in (1.0, 0.5, 0.25):
             tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=beta))
-            values[beta] = sinr_at([point], 2, tp, env, plan)[0]
+            values[beta] = sinr_at(*point, 2, tp, env, plan)[0, 0]
         assert values[0.25] > values[0.5] > values[1.0]
 
     def test_global_boost_monotone_in_beta(self):
         grid, plan, _ = make_setup()
         env = make_env()
-        point = (7600.0, 850.0)  # inside the left buffer column
+        point = ([7600.0], [850.0])  # inside the left buffer column
         values = []
         for beta in (1.0, 0.5, 0.25, 0.0):
             tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=beta))
-            values.append(sinr_at([point], 1, tp, env, plan)[0])
+            values.append(sinr_at(*point, 1, tp, env, plan)[0, 0])
         assert values == sorted(values)
 
     def test_imo_removes_cross_interference_in_buffer(self):
         grid, plan, _ = make_setup()
         env = make_env()
-        point = (7600.0, 6800.0)  # left buffer, next to the boundary
+        point = ([7600.0], [6800.0])  # left buffer, next to the boundary
         ps = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
         imo = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_O, beta=1.0))
         # the orthogonal buffer silences the nearest interferers of content 2
-        assert sinr_at([point], 2, imo, env, plan) > sinr_at([point], 2, ps, env, plan)
+        assert sinr_at(*point, 2, imo, env, plan) > sinr_at(*point, 2, ps, env, plan)
