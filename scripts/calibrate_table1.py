@@ -6,10 +6,11 @@ quantifications (over its map area) against their targets, and prints the
 feasible region.  Local-content coverage depends only on the slope and the
 ratio rho = S_m*g(1km)/(N0*B_m), so the sweep is two-dimensional.
 
-The scan evaluates the shipped config through the engine's public API: one
-``SinrEvaluator`` per slope, every content's power set to rho*N0*B/g(1km),
-rows from ``metrics.coverage`` and map stats from
-``metrics.content_count_map``.
+The scan evaluates the shipped config through the engine and the run's own
+reduction: per slope one ``SinrEvaluator`` and one ``runner.scan_totals``
+pass over every rho at once, with every content's power set to
+rho*N0*B/g(1km); rows come from its coverage reports and map stats from its
+count maps.
 
 Run:  python3 scripts/calibrate_table1.py [--resolution N] [--slopes S ...]
 """
@@ -25,8 +26,8 @@ import numpy as np
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.grid import Grid
-from sfn_lsi_sim.metrics import content_count_map, coverage
 from sfn_lsi_sim.propagation import PathLossKind, gain
+from sfn_lsi_sim.runner import scan_totals
 from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "paper_table1.cfg"
@@ -54,41 +55,49 @@ def order_ok(rows: dict[str, float], targets: dict[str, float]) -> bool:
     return True
 
 
-def evaluate(cfg, evaluator: SinrEvaluator, rho: float, g1km: float):
-    """rho: S_m*g(1km)/(N0*B). Returns (table rows, map stats)."""
-    plan = cfg.plan
-    powers = tuple(rho * cfg.n0 * plan.bandwidth_of(m) / g1km for m in plan.content_ids)
-    plan = replace(plan, base_power=powers, base_power_prime=powers)
+def evaluate(cfg, evaluator: SinrEvaluator, rhos, g1km: float):
+    """rho: S_m*g(1km)/(N0*B).  Returns (table rows, map stats) per rho,
+    all from one scan."""
     schemes = {s.label: s for s in cfg.schemes}
-    plans = {name: allocate(evaluator.grid, plan, schemes[label])
-             for name, label in SCHEMES.items()}
+    groups = []  # per rho, one list of content keys per scan name
+    for rho in rhos:
+        powers = tuple(rho * cfg.n0 * cfg.plan.bandwidth_of(m) / g1km
+                       for m in cfg.plan.content_ids)
+        plan = replace(cfg.plan, base_power=powers, base_power_prime=powers)
+        for label in SCHEMES.values():
+            tp = allocate(evaluator.grid, plan, schemes[label])
+            groups.append([evaluator.field_key(m, tp, plan) for m in plan.content_ids])
+    totals = scan_totals(evaluator, groups, cfg.coverage_area(), cfg.map_area(),
+                         TABLE_THRESHOLDS_DB, cfg.content_map_threshold_db)
 
-    def pct(scheme, m):
-        field = evaluator.field(cfg.coverage_area(), m, plans[scheme], plan)
-        return [100.0 * f for f in coverage(field, TABLE_THRESHOLDS_DB).fractions]
+    results = []
+    for r in range(len(rhos)):
+        group = dict(zip(SCHEMES, range(r * len(SCHEMES), (r + 1) * len(SCHEMES))))
 
-    cov = {(scheme, m): pct(scheme, m) for scheme in SCHEMES for m in (2, 3)}
-    rows = {}
-    for t_i in range(len(TABLE_THRESHOLDS_DB)):
-        rows[t_i] = {
-            "imo_c2": cov["imo1", 2][t_i],
-            "imo_c3": cov["imo1", 3][t_i],
-            "ps025": 0.5 * (cov["ps025", 2][t_i] + cov["ps025", 3][t_i]),
-            "reuse1": 0.5 * (cov["reuse1", 2][t_i] + cov["reuse1", 3][t_i]),
-        }
-        rows[t_i]["imo_avg"] = 0.5 * (rows[t_i]["imo_c2"] + rows[t_i]["imo_c3"])
+        def pct(scheme, m):
+            key = groups[group[scheme]][m - 1]
+            return [100.0 * f for f in totals.reports[key].fractions]
 
-    tau = cfg.content_map_threshold_db
-    maps = {}
-    for scheme, key in (("imo1", "imo"), ("ps025", "ps")):
-        fields = [evaluator.field(cfg.map_area(), m, plans[scheme], plan)
-                  for m in plan.content_ids]
-        cmap = content_count_map(fields, tau)
-        maps[f"{key}_count3"] = 100.0 * cmap.fraction_with_count(3)
-        maps[f"{key}_at_least2"] = 100.0 * cmap.fraction_at_least(2)
-        maps[f"{key}_global"] = 100.0 * coverage(fields[0], (tau,)).fractions[0]
-        maps[f"{key}_count2"] = 100.0 * cmap.fraction_with_count(2)
-    return rows, maps
+        cov = {(scheme, m): pct(scheme, m) for scheme in SCHEMES for m in (2, 3)}
+        rows = {}
+        for t_i in range(len(TABLE_THRESHOLDS_DB)):
+            rows[t_i] = {
+                "imo_c2": cov["imo1", 2][t_i],
+                "imo_c3": cov["imo1", 3][t_i],
+                "ps025": 0.5 * (cov["ps025", 2][t_i] + cov["ps025", 3][t_i]),
+                "reuse1": 0.5 * (cov["reuse1", 2][t_i] + cov["reuse1", 3][t_i]),
+            }
+            rows[t_i]["imo_avg"] = 0.5 * (rows[t_i]["imo_c2"] + rows[t_i]["imo_c3"])
+
+        maps = {}
+        for scheme, key in (("imo1", "imo"), ("ps025", "ps")):
+            cmap = totals.count_maps[group[scheme]]
+            maps[f"{key}_count3"] = 100.0 * cmap.fraction_with_count(3)
+            maps[f"{key}_at_least2"] = 100.0 * cmap.fraction_at_least(2)
+            maps[f"{key}_global"] = 100.0 * totals.map_fractions[groups[group[scheme]][0]]
+            maps[f"{key}_count2"] = 100.0 * cmap.fraction_with_count(2)
+        results.append((rows, maps))
+    return results
 
 
 def map_band(maps: dict[str, float]) -> bool:
@@ -118,8 +127,9 @@ def main() -> None:
         evaluator = SinrEvaluator(grid, RadioEnv(n0=cfg.n0, pathloss=model))
         print(f"\n=== slope {slope} (model {model.kind.value}) ===")
         best = None
-        for rho_db in np.arange(5.0, 55.1, 0.5):
-            rows, maps = evaluate(cfg, evaluator, 10 ** (rho_db / 10.0), g1km)
+        rhos_db = np.arange(5.0, 55.1, 0.5)
+        results = evaluate(cfg, evaluator, [10 ** (rho_db / 10.0) for rho_db in rhos_db], g1km)
+        for rho_db, (rows, maps) in zip(rhos_db, results):
             t15 = {k: rows[0][k] for k in TARGETS}
             t20 = {k: rows[1][k] for k in TARGETS}
             band15 = all(abs(t15[k] - TARGETS[k][0]) <= 5.0 for k in TARGETS)

@@ -86,24 +86,18 @@ class ContentCountMap:
 
 
 def content_count_map(fields: list[SinrField], threshold_db: float) -> ContentCountMap:
-    """Combine one field per content, all on one lattice, into a map."""
+    """Combine one field per content, all on one lattice, into a map.
+    Counts are a sum, so the order of the fields does not matter."""
     if not fields:
         raise ValueError("content_count_map requires at least one field")
     first = fields[0]
     if any(f.area != first.area or f.shape != first.shape for f in fields):
         raise ValueError("all fields must share the same sampling lattice")
-    return count_map([f.values >= threshold_db for f in fields], first.shape)
-
-
-def count_map(masks: list[np.ndarray], shape: tuple[int, int]) -> ContentCountMap:
-    """Count map from per-content masks ``values >= threshold_db``, one per
-    content, on one lattice of ``shape``.  Counts are a sum, so the order of
-    the masks does not matter."""
     # The narrowest unsigned type that holds M: uint8 up to 255 contents.
-    counts = np.zeros(masks[0].size, dtype=np.min_scalar_type(len(masks)))
-    for mask in masks:
-        counts += mask
-    return ContentCountMap(m_count=len(masks), counts=counts, shape=shape)
+    counts = np.zeros(first.values.size, dtype=np.min_scalar_type(len(fields)))
+    for f in fields:
+        counts += f.values >= threshold_db
+    return ContentCountMap(m_count=len(fields), counts=counts, shape=first.shape)
 
 
 def bits_per_symbol(mod_order: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,8 +58,10 @@ class PathLossModel:
                 )
 
 
+@lru_cache(maxsize=16)
 def hata_coefficients(model: PathLossModel) -> tuple[float, float]:
-    """(fixed_db, slope_db) such that L(d) = fixed_db + slope_db*log10(d_km)."""
+    """(fixed_db, slope_db) such that L(d) = fixed_db + slope_db*log10(d_km).
+    Computed once per model: every gain evaluation reads them."""
     lf = np.log10(model.f_mhz)
     a_hm = (1.1 * lf - 0.7) * model.hm_m - (1.56 * lf - 0.8)
     fixed = 69.55 + 26.16 * lf - 13.82 * np.log10(model.hb_m) - a_hm
@@ -66,19 +69,34 @@ def hata_coefficients(model: PathLossModel) -> tuple[float, float]:
     return float(fixed), float(slope)
 
 
-def gain(model: PathLossModel, d_m):
+def gain(model: PathLossModel, d_m, out=None):
     """Linear power gain at distance ``d_m`` (meters; scalar or array).
 
     POWER_LAW returns d^(-eta); HATA returns 10^(-L/10).  Both are strictly
     decreasing in d.  Callers are responsible for clamping distances to the
-    model's validity floor (see ``grid.D_MIN_M``).
+    model's validity floor (see ``grid.D_MIN_M``).  An array result is
+    written into ``out`` when given, which may be ``d_m`` itself: every step
+    is one elementwise ufunc, so the bytes do not depend on where they go.
     """
     d = np.asarray(d_m, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive; clamp to grid.D_MIN_M first")
+    if out is None:
+        out = np.empty_like(d)
     if model.kind is PathLossKind.POWER_LAW:
-        out = d ** (-model.eta)
+        np.power(d, -model.eta, out=out)
     else:
         fixed, slope = hata_coefficients(model)
-        out = 10.0 ** (-(fixed + slope * np.log10(d / 1000.0)) / 10.0)
+        # 10 ** (-(fixed + slope * log10(d / 1000)) / 10), one ufunc a step.
+        np.divide(d, 1000.0, out=out)
+        np.log10(out, out=out)
+        np.multiply(slope, out, out=out)
+        np.add(fixed, out, out=out)
+        np.negative(out, out=out)
+        np.divide(out, 10.0, out=out)
+        if np.isscalar(d_m):
+            # A scalar takes numpy's scalar power, as it always has: the
+            # array loop may round the last bit differently.
+            return float(10.0 ** out[()])
+        np.power(10.0, out, out=out)
     return float(out) if np.isscalar(d_m) else out

@@ -16,13 +16,14 @@ byte-identical files.  A run is written into a sibling temporary directory
 that then replaces the output directory, so the directory never mixes two
 runs and a failed run leaves the previous output as it was.
 
-Each distinct SINR field, as ``SinrEvaluator.field_key`` defines it, is
-evaluated once per run, on A2 if either area is A2; A1 results come from
-the left columns of that A2 field.  Per distinct key the run holds only
-what the artifacts read: its coverage report, its map-area mask
-``values >= content_map_threshold_db`` and, only with SINR maps on, its
-map-area raster levels; no field outlives its evaluation.  Count maps and
-``pct_global`` are counted from the masks.  Results carry no scheme or
+A run makes one ``SinrEvaluator.scan`` over the lattice of A2 if either
+area is A2, else A1, with every distinct SINR key (``field_key``) of every
+scheme; A1 results are the left columns of each block.  It reduces each
+block as it comes (``scan_totals``) and holds, per key, only integers: its
+covered point count at each threshold over the coverage area and its
+map-area count at ``content_map_threshold_db``; per scheme, its uint8
+count map; and, only with SINR maps on, each key's map-area raster levels.
+No float field and no full-area gain is held.  Results carry no scheme or
 content: the run names them where it writes them.
 """
 
@@ -39,14 +40,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from sfn_lsi_sim.allocation import TransmitPlan, allocate
+from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import MANIFEST_FORMAT, ExperimentConfig
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, Grid, sample_shape
+from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, sample_shape
 from sfn_lsi_sim.metrics import (
+    ContentCountMap,
     CoverageReport,
-    count_map,
-    coverage,
     se_report,
     spectral_efficiency_from_plan,
 )
@@ -129,6 +129,77 @@ def emit_heatmap(image: np.ndarray, maxval: int, path: str,
     with open(sidecar, "w", encoding="ascii", newline="\n") as handle:
         handle.write(header)
     return [path, sidecar]
+
+
+@dataclass(frozen=True)
+class ScanTotals:
+    """What one ``scan_totals`` pass yields.  Per distinct key: its
+    ``CoverageReport`` over the coverage area, the fraction of map-area
+    points at or above the map threshold and, if asked for, its map-area
+    raster levels (``sinr_levels``).  Per group of keys: its count map over
+    the map area."""
+
+    reports: dict[tuple, CoverageReport]
+    map_fractions: dict[tuple, float]
+    count_maps: list[ContentCountMap]
+    levels: dict[tuple, np.ndarray] | None
+
+
+def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
+                coverage_area: EvalArea, map_area: EvalArea,
+                thresholds_db, map_threshold_db: float,
+                with_levels: bool = False) -> ScanTotals:
+    """Reduce one ``evaluator.scan`` of every distinct key in ``groups``
+    (one list of ``field_key``s per count map, in content order).
+
+    The scan covers A2 if either area is A2, else A1.  Both lattices step
+    by isd/resolution from x = 0, so an A1 point's value is the value at
+    the same column of the A2 lattice, and each area reads the left columns
+    of every block.  Counts are sums, so the scan's block order does not
+    change them.
+    """
+    spec = evaluator.grid.spec
+    full = map_area if map_area.kind is AreaKind.A2 else coverage_area
+    keys = list(dict.fromkeys(key for group in groups for key in group))
+    index = {key: i for i, key in enumerate(keys)}
+    ny_cov, nx_cov = sample_shape(coverage_area, spec)
+    map_shape = sample_shape(map_area, spec)
+    nx_map = map_shape[1]
+    covered = [[0] * len(thresholds_db) for _ in keys]
+    map_covered = [0] * len(keys)
+    # The narrowest unsigned type that holds M: uint8 up to 255 contents.
+    counts = [np.zeros(map_shape, dtype=np.min_scalar_type(len(group))) for group in groups]
+    # Per key, the count maps its mask adds to, once per content that has it.
+    adds: list[list[np.ndarray]] = [[] for _ in keys]
+    for cmap, group in zip(counts, groups):
+        for key in group:
+            adds[index[key]].append(cmap)
+    levels = [np.empty(map_shape, dtype=np.uint8) for _ in keys] if with_levels else None
+
+    for rows, i, values in evaluator.scan(full, keys):
+        # Threshold compares on a column slice cost more than one copy of
+        # it and compares on the copy.
+        cov = np.ascontiguousarray(values[:, :nx_cov])
+        for t, threshold in enumerate(thresholds_db):
+            covered[i][t] += int(np.count_nonzero(cov >= threshold))
+        mask = values[:, :nx_map] >= map_threshold_db
+        map_covered[i] += int(np.count_nonzero(mask))
+        for cmap in adds[i]:
+            cmap[rows] += mask
+        if levels is not None:
+            levels[i][rows] = sinr_levels(values[:, :nx_map])
+
+    n_cov = ny_cov * nx_cov
+    n_map = map_shape[0] * nx_map
+    thresholds = tuple(float(t) for t in thresholds_db)
+    return ScanTotals(
+        reports={key: CoverageReport(thresholds, tuple(c / n_cov for c in covered[i]))
+                 for i, key in enumerate(keys)},
+        map_fractions={key: map_covered[i] / n_map for i, key in enumerate(keys)},
+        count_maps=[ContentCountMap(m_count=len(group), counts=cmap.ravel(), shape=map_shape)
+                    for cmap, group in zip(counts, groups)],
+        levels=None if levels is None else dict(zip(keys, levels)),
+    )
 
 
 @dataclass(frozen=True)
@@ -232,24 +303,12 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     evaluator = SinrEvaluator(grid, cfg.env())
     coverage_area = cfg.coverage_area()
     map_area = cfg.map_area()
-    map_shape = sample_shape(map_area, cfg.grid)
-    # A1 results are the left columns of the A2 field.
-    full = map_area if map_area.kind is AreaKind.A2 else coverage_area
     contents = list(cfg.plan.content_ids)
     plans = [allocate(grid, cfg.plan, scheme) for scheme in cfg.schemes]
     keys = [[evaluator.field_key(m, tp, cfg.plan) for m in contents] for tp in plans]
-    last_use = {key: i for i, scheme_keys in enumerate(keys) for key in scheme_keys}
     threshold = cfg.content_map_threshold_db
-    # Per distinct key: its coverage report, its map-area mask and, only
-    # when SINR maps are written, its map-area raster levels.
-    evaluated: dict[tuple, tuple[CoverageReport, np.ndarray, np.ndarray | None]] = {}
-
-    def evaluate(m: int, tp: TransmitPlan):
-        field = evaluator.field(full, m, tp, cfg.plan)
-        report = coverage(evaluator.restrict(field, coverage_area), cfg.thresholds_db)
-        field = evaluator.restrict(field, map_area)
-        levels = sinr_levels(field.as_image()) if cfg.emit_sinr_maps else None
-        return report, field.values >= threshold, levels
+    totals = scan_totals(evaluator, keys, coverage_area, map_area, cfg.thresholds_db,
+                         threshold, with_levels=cfg.emit_sinr_maps)
 
     files: list[str] = []
 
@@ -265,20 +324,15 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     summary_maps: dict[str, dict] = {}
     per_scheme_xi: dict[str, float] = {}
 
-    for i, (scheme, tp, scheme_keys) in enumerate(zip(cfg.schemes, plans, keys)):
+    for scheme, tp, scheme_keys, cmap in zip(cfg.schemes, plans, keys, totals.count_maps):
         per_scheme_xi[scheme.label] = round9(
             spectral_efficiency_from_plan(tp, cfg.plan)
         )
 
-        for m, key in zip(contents, scheme_keys):
-            if key not in evaluated:
-                evaluated[key] = evaluate(m, tp)
-        reports = [evaluated[key][0] for key in scheme_keys]
+        reports = [totals.reports[key] for key in scheme_keys]
         csv_rows.extend(_coverage_rows(scheme.label, coverage_area, reports))
         summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
 
-        masks = [evaluated[key][1] for key in scheme_keys]
-        cmap = count_map(masks, map_shape)
         histogram = cmap.histogram()
         map_doc = {
             "scheme": scheme.label,
@@ -293,7 +347,7 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
                 for k in range(1, cfg.plan.m_count + 1)
             },
             "mean_count": round9(cmap.mean_count()),
-            "pct_global": round9(100.0 * (np.count_nonzero(masks[0]) / masks[0].size)),
+            "pct_global": round9(100.0 * totals.map_fractions[scheme_keys[0]]),
         }
         _write_json(out_path(f"content_counts_{scheme.label}.json"), map_doc)
         emit_heatmap(cmap.as_image(), cmap.m_count,
@@ -305,13 +359,8 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
                 path = os.path.join(out_dir, f"sinr_{scheme.label}_content{m}.pgm")
                 header = (f"{_SINR_SIDECAR}scheme {scheme.label}\ncontent {m}\n"
                           f"area {map_area.kind.value}\n")
-                written = emit_heatmap(evaluated[key][2], 255, path, header)
+                written = emit_heatmap(totals.levels[key], 255, path, header)
                 files.extend(os.path.basename(p) for p in written)
-        # Free each key's results after the last scheme that uses it.
-        del masks, cmap
-        for key in set(scheme_keys):
-            if last_use[key] == i:
-                del evaluated[key]
 
     with open(os.path.join(out_dir, "coverage.csv"), "w",
               encoding="utf-8", newline="") as handle:

@@ -4,9 +4,10 @@ For a receiver point and content m, every cell of the point's own LSA that
 transmits content m contributes signal, and every cell of the other LSA that
 transmits the same subcarriers contributes interference.  The global content
 is carried synchronously by all cells, so it sees no cross-LSA interference,
-only noise.  Every SINR, of an evaluation area's lattice (``field``) or of
-any other pair of 1-D axes (``sinr_at``), takes its zone gains from one
-lattice kernel and its value from one own/other/noise expression.
+only noise.  Every SINR, of an evaluation area's lattice (``scan`` and
+``field``) or of any other pair of 1-D axes (``sinr_at``), takes its zone
+gains from one lattice kernel and its value from one own/other/noise
+expression.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import (
     D_MIN_M,
     ZONES,
-    AreaKind,
     EvalArea,
     Grid,
     lattice_axes,
@@ -34,14 +34,18 @@ SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
 
 _CHUNK = 16384
-"""Most points in the block of whole lattice rows ``SinrEvaluator.field``
-reduces to dB at once (one row if a row is longer).  Bounds the field's
-per-block SINR temporaries; ``_KERNEL_CHUNK`` bounds the gain build's."""
+"""Most points in the block of whole lattice rows ``SinrEvaluator.scan``
+reduces to dB at once, per key (one row if a row is longer).  Bounds a
+key's per-block SINR temporaries; ``_KERNEL_CHUNK`` bounds the slab's."""
 
-_KERNEL_CHUNK = 1 << 18
+_KERNEL_CHUNK = 1 << 17
 """Elements per slab of the lattice gain kernel: the kernel rows of one
-block of residues mod the y fold period.  Bounds the slab's distance and
-gain temporaries; the whole kernel is never held."""
+block of residues mod the y fold period.  Bounds the slab's distance buffer,
+in which its gains are evaluated in place; the zone gains of the lattice
+rows the slab feeds take at most four times as many elements.  Neither the
+whole kernel nor an area's whole gains are ever held.  With fresh slab
+buffers, 2**17 measured as fast as 2**18 and kept the 6x12 maps-on sweep's
+peak RSS about 1.3 MiB lower."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,9 @@ class SinrField:
 
     ``values`` is 1-D in sampling order (rows of constant y, increasing x,
     bottom row first); ``shape`` is (ny, nx).  All values are finite: points
-    with zero received signal carry ``SINR_FLOOR_DB``.  ``SinrEvaluator.field``
-    checks that once where it makes the values; restrictions share them
-    unchecked.  A field names no scheme or content: one field serves every
-    content and plan with its ``field_key``.
+    with zero received signal carry ``SINR_FLOOR_DB``; ``SinrEvaluator.scan``
+    checks that where it makes the values.  A field names no scheme or
+    content: one field serves every content and plan with its ``field_key``.
     """
 
     area: EvalArea
@@ -128,20 +131,21 @@ def _terms(g: np.ndarray, in_lsa1: np.ndarray, key: tuple) -> tuple:
 
 
 class SinrEvaluator:
-    """Evaluates SINR fields for one grid and radio environment.
+    """Evaluates SINR for one grid and radio environment.
 
     Each content's power is constant over each band of ``ZONES``, so the
     received power sum over cells factors into four zone terms, p_z * G_z,
-    with G_z the gain summed over the zone's cells.  Only the four G_z rows
-    are cached per evaluation area and reused by all contents and transmit
-    plans.
+    with G_z the gain summed over the zone's cells.  All contents and
+    transmit plans read the same four G_z rows; only the powers differ.
 
-    Every SINR is built from 1-D axes, never from a point array:
-    ``_kernel_gains`` evaluates a gain kernel over tower-to-sample offsets
-    and adds its windows, one slab of kernel rows at a time, in cell-index
-    order.  A field is reduced block of lattice rows by block; LSA
-    membership depends on x alone, so the LSA1 flag is one per column.  The
-    gain rows and the output are the only full-size arrays a field touches.
+    Every SINR is built from 1-D axes, never from a point array: ``_slabs``
+    evaluates a gain kernel over tower-to-sample offsets one slab of kernel
+    rows at a time and adds its windows, in cell-index order, into the G_z
+    of the lattice rows that slab feeds.  ``scan`` reduces each slab's rows
+    to every requested key's dB values before the next slab is built, so an
+    area's G_z are never held whole and its values only by a caller that
+    keeps them (``field``).  LSA membership depends on x alone, so the LSA1
+    flag is one per column.
     """
 
     def __init__(self, grid: Grid, env: RadioEnv):
@@ -157,12 +161,12 @@ class SinrEvaluator:
         self._windows = tuple(
             tuple((rows - 1 - c // cols, cols - 1 - c % cols) for c in cells.tolist())
             for cells in self._band_cells)
-        self._gains: dict[EvalArea, np.ndarray] = {}
 
-    def _kernel_gains(self, xs: np.ndarray, ys: np.ndarray,
-                      period: int | None = None) -> np.ndarray:
-        """(4, ny*nx) zone gains at every point of the axes ``xs`` and
-        ``ys``, y varying slowest.
+    def _slabs(self, xs: np.ndarray, ys: np.ndarray, period: int | None = None):
+        """Zone gains at every point of the axes ``xs`` and ``ys``, one
+        kernel slab at a time: yields ``(rows, g)``, the indices into ``ys``
+        of the slab's lattice rows and their (4, len(rows), nx) zone gains,
+        a fresh array per slab.  Every row comes from exactly one slab.
 
         A tower's x depends only on its column and its y only on its row.
         ``_fold`` lays each axis's tower-to-sample offsets out so that tower
@@ -179,34 +183,56 @@ class SinrEvaluator:
         With ``q = ny // py`` window rows, output row ``k*py + r`` reads
         only kernel rows congruent to ``r`` mod ``py``.  ``K`` is evaluated
         one slab at a time, the kernel rows of a block of residues ``r``,
-        and the slab's windows are added before the next slab is evaluated.
+        with the gains computed in place in the slab's distance buffer; the
+        slab feeds rows ``k*py + r`` for every ``k`` and every ``r`` of its
+        block, listed ``k``-major.
         """
         rows = self.grid.spec.rows
         tx, ty = self._tower_axes
         px, kx = _fold(tx, xs, period)
         py, ky = _fold(ty, ys, period)
         nx, q = xs.size, ys.size // py
-        g = np.zeros((len(ZONES), ys.size * nx))
-        out = g.reshape(len(ZONES), q, py, nx)
         ky = ky.reshape(q + rows - 1, py)
         block = max(1, _KERNEL_CHUNK // ky.shape[0] // kx.size)
         for lo in range(0, py, block):
             d = np.hypot(kx, ky[:, lo:lo + block, None])
             np.maximum(d, D_MIN_M, out=d)
-            slab = gain(self.env.pathloss, d)
-            for acc, windows in zip(out[:, :, lo:lo + block], self._windows):
+            slab = gain(self.env.pathloss, d, out=d)
+            residues = np.arange(lo, lo + slab.shape[1])
+            g = np.zeros((len(ZONES), q, residues.size, nx))
+            for acc, windows in zip(g, self._windows):
                 for y0, x0 in windows:
                     acc += slab[y0:y0 + q, :, x0 * px:x0 * px + nx]
+            # Free the kernel slab before the caller reduces its rows.
+            del d, slab
+            rows_fed = (py * np.arange(q)[:, None] + residues).ravel()
+            yield rows_fed, g.reshape(len(ZONES), rows_fed.size, nx)
+
+    def _whole_gains(self, xs: np.ndarray, ys: np.ndarray,
+               period: int | None = None) -> np.ndarray:
+        """(4, ny, nx) zone gains at every point of the axes, assembled
+        from ``_slabs``.  A lone slab feeds every row in order, so it is the
+        result itself: ``sinr_at``'s small axes take no copy."""
+        slabs = self._slabs(xs, ys, period)
+        rows, slab = next(slabs)
+        if rows.size == ys.size:
+            return slab
+        g = np.empty((len(ZONES), ys.size, xs.size))
+        g[:, rows] = slab
+        for rows, slab in slabs:
+            g[:, rows] = slab
         return g
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
-        """(4, n_points) read-only zone gains G_z, one row per band of ``ZONES``."""
-        g = self._gains.get(area)
-        if g is None:
-            g = self._kernel_gains(*lattice_axes(area, self.grid.spec), area.resolution)
-            g.flags.writeable = False
-            self._gains[area] = g
-        return g
+        """(4, n_points) read-only zone gains G_z of ``area``'s lattice, one
+        row per band of ``ZONES``, built afresh on every call.
+
+        No run reads it: ``scan`` never holds an area's gains whole.  It is
+        kept for the kernel byte tests and for the benchmark's list of
+        traced layer entry points, until that list names stages."""
+        g = self._whole_gains(*lattice_axes(area, self.grid.spec), area.resolution)
+        g.flags.writeable = False
+        return g.reshape(len(ZONES), -1)
 
     def zone_powers(self, tp: TransmitPlan, content_id: int) -> np.ndarray:
         """Content ``content_id``'s transmit power in each band of ``ZONES``.
@@ -250,41 +276,41 @@ class SinrEvaluator:
         own, other = _terms(g, in_lsa1, key)
         return own / (other + self.env.n0 * key[1])
 
+    def scan(self, area: EvalArea, keys: list[tuple]):
+        """SINR in dB over ``area``'s lattice for every ``field_key`` in
+        ``keys``, in one pass over the gain kernel.
+
+        Yields ``(rows, i, values)``: the (len(rows), nx) dB values of
+        ``keys[i]`` at the lattice rows ``rows``.  Per kernel slab, the
+        slab's rows are taken in blocks of at most ``_CHUNK`` points, and
+        each block yields every key in turn.  Across the scan each key gets
+        every row exactly once, in no fixed order.  Values are checked
+        finite as they are made; each block is a fresh array.
+        """
+        xs, ys = lattice_axes(area, self.grid.spec)
+        in_lsa1 = lsa1_of_x(xs, self.grid.spec)
+        step = max(1, _CHUNK // xs.size)
+        for rows, g in self._slabs(xs, ys, area.resolution):
+            for lo in range(0, rows.size, step):
+                block = g[:, lo:lo + step]
+                for i, key in enumerate(keys):
+                    values = np.empty(block.shape[1:])
+                    _db(self._linear(block, in_lsa1, key), values)
+                    if not np.isfinite(values).all():
+                        raise ValueError("SINR field contains non-finite values")
+                    yield rows[lo:lo + step], i, values
+
     def field(
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
     ) -> SinrField:
         """SINR in dB of content ``content_id`` under ``tp`` at every lattice
-        point of ``area``.
-
-        The area's zone gains are built on first use and cached; the field
-        depends on the content only through its ``field_key``.
-        """
-        xs, ys = lattice_axes(area, self.grid.spec)
-        g = self.gains_for(area).reshape(len(ZONES), ys.size, xs.size)
-        in_lsa1 = lsa1_of_x(xs, self.grid.spec)
+        point of ``area``: ``scan`` of the content's ``field_key`` alone,
+        kept whole."""
         key = self.field_key(content_id, tp, plan)
-        values = np.empty((ys.size, xs.size))
-        step = max(1, _CHUNK // xs.size)
-        for lo in range(0, ys.size, step):
-            _db(self._linear(g[:, lo:lo + step], in_lsa1, key), values[lo:lo + step])
-        if not np.isfinite(values).all():
-            raise ValueError("SINR field contains non-finite values")
+        values = np.empty(sample_shape(area, self.grid.spec))
+        for rows, _, block in self.scan(area, [key]):
+            values[rows] = block
         return SinrField(area=area, values=values.ravel(), shape=values.shape)
-
-    def restrict(self, field: SinrField, area: EvalArea) -> SinrField:
-        """``field`` on ``area``: the field itself, or the left columns of an
-        A2 field when ``area`` is A1 at the same resolution.  Both lattices
-        step by isd/resolution from x = 0, and every point's value depends
-        only on that point's zone gains and x, so these are the bytes of
-        ``field(area, ...)``."""
-        if area == field.area:
-            return field
-        if area.kind is not AreaKind.A1 or field.area != EvalArea(
-            kind=AreaKind.A2, resolution=area.resolution
-        ):
-            raise ValueError(f"cannot take area {area} from a field on {field.area}")
-        ny, nx = sample_shape(area, self.grid.spec)
-        return SinrField(area=area, values=field.as_image()[:, :nx].ravel(), shape=(ny, nx))
 
 
 @lru_cache(maxsize=1)
@@ -306,12 +332,12 @@ def sinr_at(
     and ``ys``, which need not be sorted, evenly spaced or inside the grid.
 
     Computed by the gain kernel and SINR expression of
-    ``SinrEvaluator.field``, with no fold period, so a lattice's axes get
+    ``SinrEvaluator.scan``, with no fold period, so a lattice's axes get
     the field's values.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     evaluator = _evaluator(tp.grid, env)
     key = evaluator.field_key(content_id, tp, plan)
-    g = evaluator._kernel_gains(xs, ys).reshape(len(ZONES), ys.size, xs.size)
+    g = evaluator._whole_gains(xs, ys)
     return evaluator._linear(g, lsa1_of_x(xs, tp.grid.spec), key)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.cli import main
+from sfn_lsi_sim.config import parse_config
+from sfn_lsi_sim.grid import Grid
+from sfn_lsi_sim.sinr import SinrEvaluator
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -212,14 +217,36 @@ def test_traced_cli_finds_every_benchmark_layer(tmp_path):
     assert document["returncode"] == 0
 
 
-def test_traced_run_feeds_every_engine_counter(tmp_path):
-    # The counters read attributes of the engine's arguments and results; a
-    # run, unlike validate, calls them, so one reading a dropped attribute
-    # raises here rather than only inside the benchmark.
+def test_traced_run_feeds_every_engine_counter(tmp_path, monkeypatch):
+    # The counters read attributes of the engine's arguments and results;
+    # one reading a dropped attribute must raise here rather than only
+    # inside the benchmark.  A run feeds the kernel's counter.
     document = _traced(tmp_path, "run", "--config", "configs/smoke_1x2.cfg",
                        "--resolution", "2", "--out", str(tmp_path / "run"))
     assert document["returncode"] == 0
     assert document["missing"] == []
-    counts = document["counts"]
-    for name in ("sinr.field_points", "propagation.gain_evals", "sinr.gain_cache_mb"):
-        assert counts[name] > 0, name
+    assert document["counts"]["propagation.gain_evals"] > 0
+
+    # A run reduces through SinrEvaluator.scan and calls neither field nor
+    # gains_for, so call those under the same tracer, installed in this
+    # process; every attribute it replaces is restored afterwards.
+    loader = importlib.util.spec_from_file_location(
+        "trace_run", ROOT / "perfbench" / "trace_run.py")
+    trace_run = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(trace_run)
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{trace_run.PACKAGE}."):
+            for key, value in list(vars(module).items()):
+                monkeypatch.setattr(module, key, value)
+    for key in ("field", "gains_for"):
+        monkeypatch.setattr(SinrEvaluator, key, getattr(SinrEvaluator, key))
+    tracer = trace_run.Tracer()
+    assert trace_run.install(tracer) == []
+
+    cfg = parse_config(SMOKE)
+    grid = Grid.from_spec(cfg.grid)
+    evaluator = SinrEvaluator(grid, cfg.env())
+    evaluator.field(cfg.map_area(), 2, allocate(grid, cfg.plan, cfg.schemes[0]), cfg.plan)
+    evaluator.gains_for(cfg.map_area())
+    for name in ("sinr.field_points", "sinr.gain_cache_mb"):
+        assert tracer.counts[name] > 0, name

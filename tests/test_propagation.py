@@ -124,3 +124,18 @@ class TestCommonBehavior:
     def test_scalar_in_scalar_out(self):
         model = PathLossModel(kind=PathLossKind.POWER_LAW, eta=2.0)
         assert isinstance(gain(model, 5.0), float)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5),
+            PathLossModel(kind=PathLossKind.HATA),
+        ],
+    )
+    def test_in_place_gain_keeps_the_bytes(self, model):
+        # The kernel evaluates each slab's gains in its distance buffer.
+        d = np.random.default_rng(3).uniform(20.0, 30000.0, (15, 4, 190))
+        want = gain(model, d)
+        buffer = d.copy()
+        assert gain(model, buffer, out=buffer) is buffer
+        assert buffer.tobytes() == want.tobytes()

@@ -5,18 +5,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import weakref
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sfn_lsi_sim import runner
+from sfn_lsi_sim import runner, sinr
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid
+from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, sample_shape
 from sfn_lsi_sim.metrics import ContentCountMap, content_count_map, coverage
 from sfn_lsi_sim.runner import (
     SUMMARY_FORMAT,
@@ -356,54 +356,128 @@ class TestDistinctFields:
         assert listing == (DATA / "shared_keys_sha256.txt").read_text()
 
     def test_maps_off_run_holds_one_field_at_a_time(self, tmp_path, monkeypatch):
-        made = []
-        field = SinrEvaluator.field
-
-        def recorded(self, *args):
-            assert all(ref() is None for ref in made), "an earlier field is still held"
-            result = field(self, *args)
-            made.append(weakref.ref(result))
-            return result
-
-        monkeypatch.setattr(SinrEvaluator, "field", recorded)
+        # A run holds no float field at all, not even one at a time.
         cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
-                              out_dir=str(tmp_path / "paper"), resolution=4)
+                              out_dir=str(tmp_path / "paper"), resolution=20)
         assert not cfg.emit_sinr_maps
-        run_experiment(cfg)
-        assert len(made) == 10
+        assert_run_holds_no_field(cfg, monkeypatch)
 
     def test_maps_on_run_holds_no_field_between_calls(self, tmp_path, monkeypatch):
         # With SINR maps on, a key keeps its raster levels, not its field.
-        made = []
-        field = SinrEvaluator.field
-
-        def recorded(self, *args):
-            alive = sum(ref() is not None for ref in made)
-            assert alive == 0, f"{alive} earlier field(s) still held"
-            result = field(self, *args)
-            made.append(weakref.ref(result))
-            return result
-
-        monkeypatch.setattr(SinrEvaluator, "field", recorded)
-        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(tmp_path / "smoke"))
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(tmp_path / "smoke"),
+                              resolution=20)
         assert cfg.emit_sinr_maps
-        run_experiment(cfg)
-        assert len(made) > 1
+        assert_run_holds_no_field(cfg, monkeypatch)
 
     def test_paper_run_evaluates_each_distinct_field_once(self, tmp_path, monkeypatch):
-        # Table I: 6 schemes x 3 contents on two areas, 10 distinct keys.
-        areas = []
-        field = SinrEvaluator.field
+        # Table I: 6 schemes x 3 contents on two areas, 10 distinct keys,
+        # all in one scan of A2 that gives each key every lattice row once.
+        scans, rows_per_key = [], {}
+        scan = SinrEvaluator.scan
 
-        def counted(self, area, *args):
-            areas.append(area)
-            return field(self, area, *args)
+        def counted(self, area, keys):
+            scans.append((area, len(keys), len(set(keys))))
+            for rows, i, values in scan(self, area, keys):
+                rows_per_key.setdefault(i, []).extend(rows.tolist())
+                yield rows, i, values
 
-        monkeypatch.setattr(SinrEvaluator, "field", counted)
+        monkeypatch.setattr(SinrEvaluator, "scan", counted)
         cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
                               out_dir=str(tmp_path / "paper"), resolution=4)
         run_experiment(cfg)
-        assert areas == [EvalArea(kind=AreaKind.A2, resolution=4)] * 10
+        assert scans == [(EvalArea(kind=AreaKind.A2, resolution=4), 10, 10)]
+        assert sorted(rows_per_key) == list(range(10))
+        assert all(sorted(rows) == list(range(32)) for rows in rows_per_key.values())
+
+    @pytest.mark.parametrize("config,rows_per_block", [("paper", 3), ("shared-maps-on", 1)])
+    def test_small_slabs_and_blocks_keep_run_bytes(self, tmp_path, monkeypatch, config,
+                                                   rows_per_block):
+        # Resolution 5 with two kernel residues per slab: slabs of 2, 2 and
+        # 1 residues, each split into at least two key blocks.  Every file
+        # must keep the bytes of the default run, which takes one slab.
+        if config == "paper":
+            path = CONFIG_DIR / "paper_table1.cfg"
+        else:
+            path = tmp_path / "shared.cfg"
+            path.write_text(SHARED_KEYS_CFG.format(coverage_area="a1", map_area="a2"))
+        cfg = apply_overrides(parse_config(str(path)), out_dir=str(tmp_path / "out"),
+                              resolution=5)
+        assert cfg.emit_sinr_maps == (config != "paper")
+        out = Path(run_experiment(cfg).out_dir)
+        want = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        spec = cfg.grid
+        ny, nx = sample_shape(EvalArea(kind=AreaKind.A2, resolution=5), spec)
+        # A periodic lattice's kernel: 2*rows - 1 rows per residue, of
+        # nx + (cols-1)*resolution offsets.
+        residue_size = (2 * spec.rows - 1) * (nx + (spec.cols - 1) * 5)
+        monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 2 * residue_size)
+        monkeypatch.setattr(sinr, "_CHUNK", rows_per_block * nx)
+        slabs, blocks = [], []
+        kernel_gain = sinr.gain
+
+        def counted_gain(model, d, **kwargs):
+            slabs.append(d.shape[1])
+            blocks.append(set())
+            return kernel_gain(model, d, **kwargs)
+
+        scan = SinrEvaluator.scan
+
+        def counted_scan(self, area, keys):
+            for rows, i, values in scan(self, area, keys):
+                blocks[-1].add((int(rows[0]), rows.size))
+                yield rows, i, values
+
+        monkeypatch.setattr(sinr, "gain", counted_gain)
+        monkeypatch.setattr(SinrEvaluator, "scan", counted_scan)
+        run_experiment(cfg)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+        assert slabs == [2, 2, 1]
+        assert all(len(b) >= 2 for b in blocks), blocks
+        assert sum(size for b in blocks for _, size in b) == ny
+
+    def test_paper_run_peak_stays_below_the_old_gain_cache(self, tmp_path):
+        # A run once held the A2 lattice's (4, n) float64 zone gains from
+        # the first field to the end.  Without them, the traced peak of a
+        # whole paper run at resolution 100 stays below that cache alone.
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(tmp_path / "paper"), resolution=100)
+        ny, nx = sample_shape(EvalArea(kind=AreaKind.A2, resolution=100), cfg.grid)
+        cache_bytes = 4 * ny * nx * 8
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cache_bytes, (peak, cache_bytes)
+
+
+def assert_run_holds_no_field(cfg, monkeypatch) -> None:
+    """Run ``cfg`` and check, after every block the scan yields, that no
+    live numpy buffer is as large as one float64 field of the scanned A2
+    lattice.  One kernel residue per slab keeps the slab's own buffers (the
+    gains of its rows, four per point) under that size."""
+    monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
+    ny, nx = sample_shape(EvalArea(kind=AreaKind.A2, resolution=cfg.resolution), cfg.grid)
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    largest = []
+    scan = SinrEvaluator.scan
+
+    def watched(self, area, keys):
+        for block in scan(self, area, keys):
+            yield block
+            snapshot = tracemalloc.take_snapshot().filter_traces(numpy_only)
+            largest.append(max(trace.size for trace in snapshot.traces))
+
+    monkeypatch.setattr(SinrEvaluator, "scan", watched)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(largest) > 1
+    assert max(largest) < 8 * ny * nx, (max(largest), 8 * ny * nx)
 
 
 class TestSummary:
