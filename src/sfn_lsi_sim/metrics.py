@@ -130,10 +130,7 @@ def _se_numerator(weights: tuple[Fraction, ...], plan: ContentPlan) -> Fraction:
 
 
 def _xi(numerator: Fraction, plan: ContentPlan) -> float:
-    total_bw = sum(plan.bandwidth_hz)
-    if total_bw <= 0:
-        raise ConfigurationError("total bandwidth must be positive")
-    return float(numerator) / (plan.t_sym * total_bw)
+    return float(numerator) / (plan.t_sym * sum(plan.bandwidth_hz))
 
 
 def spectral_efficiency_from_plan(tp: TransmitPlan, plan: ContentPlan) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, TransmitPlan, allocate
 from sfn_lsi_sim.grid import Grid, GridSpec
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
-from sfn_lsi_sim.sinr import RadioEnv, sinr_at
+from sfn_lsi_sim.sinr import SINR_FLOOR_DB, RadioEnv, sinr_at
 
 
 # Bounded above the points one suite case revisits for every scheme and
@@ -146,9 +146,10 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
     model) group draws one uniformly random x axis and one y axis, of
     ``n_points // ny`` and ``ny`` values with ``ny`` the largest divisor of
     ``n_points`` not above its square root, and every case compares all
-    ``n_points`` points of their lattice.  Engine values come from
-    ``sinr_at``, which builds its gains in the lattice kernel and its SINR
-    in the expression of the fields that write the artifacts.
+    ``n_points`` points of their lattice.  Engine values are the dB blocks
+    of ``sinr_at``, made by the ``scan`` that writes the artifacts: each is
+    compared in linear units, ``10 ** (dB / 10)``, and must be exactly
+    ``SINR_FLOOR_DB`` where the brute force is 0.
     """
     models = (
         PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5),
@@ -169,11 +170,12 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
             tp = allocate(grid, plan, scheme)
             worst = 0.0
             for content_id in plan.content_ids:
-                values = sinr_at(xs, ys, content_id, tp, env, plan).ravel().tolist()
-                for (py, px), got in zip(points, values):
+                db = sinr_at(xs, ys, content_id, tp, env, plan).ravel()
+                for (py, px), got_db, got in zip(points, db.tolist(),
+                                                 (10.0 ** (db / 10.0)).tolist()):
                     expected = oracle_sinr((px, py), content_id, tp, env, plan)
                     if expected == 0.0:
-                        err = 0.0 if got == 0.0 else math.inf
+                        err = 0.0 if got_db == SINR_FLOOR_DB else math.inf
                     else:
                         err = abs(got - expected) / abs(expected)
                     if err > worst:

@@ -43,7 +43,7 @@ import numpy as np
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import MANIFEST_FORMAT, ExperimentConfig
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, sample_shape
+from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, lattice_axes, sample_shape
 from sfn_lsi_sim.metrics import (
     ContentCountMap,
     CoverageReport,
@@ -176,7 +176,7 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
             adds[index[key]].append(cmap)
     levels = [np.empty(map_shape, dtype=np.uint8) for _ in keys] if with_levels else None
 
-    for rows, i, values in evaluator.scan(full, keys):
+    for rows, i, values in evaluator.scan(*lattice_axes(full, spec), keys, full.resolution):
         # Threshold compares on a column slice cost more than one copy of
         # it and compares on the copy.
         cov = np.ascontiguousarray(values[:, :nx_cov])

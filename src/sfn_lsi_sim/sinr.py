@@ -4,10 +4,10 @@ For a receiver point and content m, every cell of the point's own LSA that
 transmits content m contributes signal, and every cell of the other LSA that
 transmits the same subcarriers contributes interference.  The global content
 is carried synchronously by all cells, so it sees no cross-LSA interference,
-only noise.  Every SINR, of an evaluation area's lattice (``scan`` and
-``field``) or of any other pair of 1-D axes (``sinr_at``), takes its zone
-gains from one lattice kernel and its value from one own/other/noise
-expression.
+only noise.  Every SINR, of an evaluation area's lattice (``field`` and the
+run's reduction) or of any other pair of 1-D axes (``sinr_at``), is a dB
+block made by ``SinrEvaluator.scan``: zone gains from one lattice kernel,
+one own/other/noise expression, one dB conversion and one finite check.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from sfn_lsi_sim.grid import (
     Grid,
     lattice_axes,
     lsa1_of_x,
-    sample_shape,
 )
 from sfn_lsi_sim.propagation import PathLossModel, gain
 
@@ -144,23 +143,25 @@ class SinrEvaluator:
     of the lattice rows that slab feeds.  ``scan`` reduces each slab's rows
     to every requested key's dB values before the next slab is built, so an
     area's G_z are never held whole and its values only by a caller that
-    keeps them (``field``).  LSA membership depends on x alone, so the LSA1
-    flag is one per column.
+    keeps them (``field`` and ``sinr_at``).  LSA membership depends on x
+    alone, so the LSA1 flag is one per column.
     """
 
     def __init__(self, grid: Grid, env: RadioEnv):
         self.grid = grid
         self.env = env
         self._tower_axes = grid.tower_axes()
-        bands = grid.bands()
-        self._band_cells = tuple(np.flatnonzero(bands == z) for z in range(len(ZONES)))
+        self._bands = grid.bands()
+        # Each non-empty band and its first cell.
+        self._zones, self._firsts = np.unique(self._bands, return_index=True)
         # Each cell's kernel window origin, (rows-1-row, cols-1-col): its
         # kernel row, and its x offset in fold periods.  Per band, in
         # cell-index order.
         rows, cols = grid.spec.rows, grid.spec.cols
         self._windows = tuple(
-            tuple((rows - 1 - c // cols, cols - 1 - c % cols) for c in cells.tolist())
-            for cells in self._band_cells)
+            tuple((rows - 1 - c // cols, cols - 1 - c % cols)
+                  for c in np.flatnonzero(self._bands == z).tolist())
+            for z in range(len(ZONES)))
 
     def _slabs(self, xs: np.ndarray, ys: np.ndarray, period: int | None = None):
         """Zone gains at every point of the axes ``xs`` and ``ys``, one
@@ -208,29 +209,18 @@ class SinrEvaluator:
             rows_fed = (py * np.arange(q)[:, None] + residues).ravel()
             yield rows_fed, g.reshape(len(ZONES), rows_fed.size, nx)
 
-    def _whole_gains(self, xs: np.ndarray, ys: np.ndarray,
-               period: int | None = None) -> np.ndarray:
-        """(4, ny, nx) zone gains at every point of the axes, assembled
-        from ``_slabs``.  A lone slab feeds every row in order, so it is the
-        result itself: ``sinr_at``'s small axes take no copy."""
-        slabs = self._slabs(xs, ys, period)
-        rows, slab = next(slabs)
-        if rows.size == ys.size:
-            return slab
-        g = np.empty((len(ZONES), ys.size, xs.size))
-        g[:, rows] = slab
-        for rows, slab in slabs:
-            g[:, rows] = slab
-        return g
-
     def gains_for(self, area: EvalArea) -> np.ndarray:
         """(4, n_points) read-only zone gains G_z of ``area``'s lattice, one
-        row per band of ``ZONES``, built afresh on every call.
+        row per band of ``ZONES``, assembled from ``_slabs`` afresh on every
+        call.
 
         No run reads it: ``scan`` never holds an area's gains whole.  It is
         kept for the kernel byte tests and for the benchmark's list of
         traced layer entry points, until that list names stages."""
-        g = self._whole_gains(*lattice_axes(area, self.grid.spec), area.resolution)
+        xs, ys = lattice_axes(area, self.grid.spec)
+        g = np.empty((len(ZONES), ys.size, xs.size))
+        for rows, slab in self._slabs(xs, ys, area.resolution):
+            g[:, rows] = slab
         g.flags.writeable = False
         return g.reshape(len(ZONES), -1)
 
@@ -243,23 +233,21 @@ class SinrEvaluator:
         """
         p = tp.power[:, content_id - 1]
         out = np.zeros(len(ZONES))
-        for z, cells in enumerate(self._band_cells):
-            if cells.size == 0:
-                continue
-            band = p[cells]
-            if (band != band[0]).any():
-                raise ValueError(
-                    f"content {content_id} power varies within zone {ZONES[z]} "
-                    f"(scheme {tp.scheme.label}); the engine needs one power per zone"
-                )
-            out[z] = band[0]
+        out[self._zones] = p[self._firsts]
+        varies = p != out[self._bands]
+        if varies.any():
+            raise ValueError(
+                f"content {content_id} power varies within zone "
+                f"{ZONES[self._bands[varies].min()]} "
+                f"(scheme {tp.scheme.label}); the engine needs one power per zone"
+            )
         return out
 
     def field_key(self, content_id: int, tp: TransmitPlan, plan: ContentPlan) -> tuple:
         """What fixes content ``content_id``'s field on any area: its zone
         powers, its noise bandwidth and whether it is the global content.
 
-        ``_linear`` reads nothing else of the content, so contents and plans
+        ``scan`` reads nothing else of the content, so contents and plans
         with equal keys have equal fields.
         """
         if not 1 <= content_id <= plan.m_count:
@@ -269,47 +257,51 @@ class SinrEvaluator:
         return (tuple(self.zone_powers(tp, content_id)), plan.bandwidth_of(content_id),
                 content_id == 1)
 
-    def _linear(self, g: np.ndarray, in_lsa1: np.ndarray, key: tuple) -> np.ndarray:
-        """Linear SINR of the content with ``field_key`` ``key`` from zone
-        gains ``g``: ``_terms``' own signal over its interference plus
-        noise."""
-        own, other = _terms(g, in_lsa1, key)
-        return own / (other + self.env.n0 * key[1])
-
-    def scan(self, area: EvalArea, keys: list[tuple]):
-        """SINR in dB over ``area``'s lattice for every ``field_key`` in
-        ``keys``, in one pass over the gain kernel.
+    def scan(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple],
+             period: int | None = None):
+        """SINR in dB at every point of the 1-D axes ``xs`` and ``ys`` for
+        every ``field_key`` in ``keys``, in one pass over the gain kernel of
+        ``_slabs`` with fold ``period``.  This is the one place zone gains
+        become SINR values.
 
         Yields ``(rows, i, values)``: the (len(rows), nx) dB values of
-        ``keys[i]`` at the lattice rows ``rows``.  Per kernel slab, the
+        ``keys[i]`` at the rows ``rows`` of ``ys``.  Per kernel slab, the
         slab's rows are taken in blocks of at most ``_CHUNK`` points, and
         each block yields every key in turn.  Across the scan each key gets
         every row exactly once, in no fixed order.  Values are checked
         finite as they are made; each block is a fresh array.
         """
-        xs, ys = lattice_axes(area, self.grid.spec)
         in_lsa1 = lsa1_of_x(xs, self.grid.spec)
         step = max(1, _CHUNK // xs.size)
-        for rows, g in self._slabs(xs, ys, area.resolution):
+        for rows, g in self._slabs(xs, ys, period):
             for lo in range(0, rows.size, step):
                 block = g[:, lo:lo + step]
                 for i, key in enumerate(keys):
                     values = np.empty(block.shape[1:])
-                    _db(self._linear(block, in_lsa1, key), values)
+                    own, other = _terms(block, in_lsa1, key)
+                    _db(own / (other + self.env.n0 * key[1]), values)
+                    # Free the terms before the caller reduces the block.
+                    del own, other
                     if not np.isfinite(values).all():
                         raise ValueError("SINR field contains non-finite values")
                     yield rows[lo:lo + step], i, values
+
+    def _whole(self, xs: np.ndarray, ys: np.ndarray, key: tuple,
+               period: int | None = None) -> np.ndarray:
+        """(ny, nx) dB values of one key: its ``scan`` blocks, assembled."""
+        values = np.empty((ys.size, xs.size))
+        for rows, _, block in self.scan(xs, ys, [key], period):
+            values[rows] = block
+        return values
 
     def field(
         self, area: EvalArea, content_id: int, tp: TransmitPlan, plan: ContentPlan
     ) -> SinrField:
         """SINR in dB of content ``content_id`` under ``tp`` at every lattice
-        point of ``area``: ``scan`` of the content's ``field_key`` alone,
-        kept whole."""
+        point of ``area``: ``scan`` of the content's ``field_key`` alone over
+        the lattice's axes, folded with the area's period, kept whole."""
         key = self.field_key(content_id, tp, plan)
-        values = np.empty(sample_shape(area, self.grid.spec))
-        for rows, _, block in self.scan(area, [key]):
-            values[rows] = block
+        values = self._whole(*lattice_axes(area, self.grid.spec), key, area.resolution)
         return SinrField(area=area, values=values.ravel(), shape=values.shape)
 
 
@@ -328,16 +320,13 @@ def sinr_at(
     env: RadioEnv,
     plan: ContentPlan,
 ) -> np.ndarray:
-    """(ny, nx) linear SINR at every point (x, y) of the 1-D axes ``xs``
+    """(ny, nx) SINR in dB at every point (x, y) of the 1-D axes ``xs``
     and ``ys``, which need not be sorted, evenly spaced or inside the grid.
 
-    Computed by the gain kernel and SINR expression of
-    ``SinrEvaluator.scan``, with no fold period, so a lattice's axes get
-    the field's values.
+    The blocks of ``SinrEvaluator.scan`` with no fold period, assembled as
+    ``field`` assembles them, so a lattice's axes get the field's bytes.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     evaluator = _evaluator(tp.grid, env)
-    key = evaluator.field_key(content_id, tp, plan)
-    g = evaluator._whole_gains(xs, ys)
-    return evaluator._linear(g, lsa1_of_x(xs, tp.grid.spec), key)
+    return evaluator._whole(xs, ys, evaluator.field_key(content_id, tp, plan))

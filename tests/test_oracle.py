@@ -26,7 +26,7 @@ from sfn_lsi_sim.oracle import (
 )
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
 from sfn_lsi_sim import sinr
-from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator, sinr_at
+from sfn_lsi_sim.sinr import SINR_FLOOR_DB, RadioEnv, SinrEvaluator, sinr_at
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,9 +58,9 @@ def test_oracle_agrees_with_engine_at_arbitrary_point():
         for (i, y), (j, x) in product(enumerate(ys), enumerate(xs)):
             want, got = oracle_sinr((x, y), m, tp, env, plan), values[i, j]
             if want == 0.0:
-                assert got == 0.0
+                assert got == SINR_FLOOR_DB
             else:
-                assert got == pytest.approx(want, rel=1e-12)
+                assert 10.0 ** (got / 10.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_signal_cases_return_zero():
@@ -125,6 +125,20 @@ def test_suite_catches_a_broken_gain_kernel(monkeypatch):
         return p, np.roll(offsets, 1)
 
     monkeypatch.setattr(sinr, "_fold", shifted)
+    cases = run_oracle_suite(n_points=5, seed=7)
+    assert any(not case.ok for case in cases)
+
+
+def test_suite_catches_a_broken_db_conversion(monkeypatch):
+    # Add 1e-7 dB to every value the artifacts' dB conversion writes: a
+    # relative error of about 2.3e-8 in linear terms.
+    db = sinr._db
+
+    def offset(linear, out):
+        db(linear, out)
+        out += 1e-7
+
+    monkeypatch.setattr(sinr, "_db", offset)
     cases = run_oracle_suite(n_points=5, seed=7)
     assert any(not case.ok for case in cases)
 

@@ -16,7 +16,7 @@ from sfn_lsi_sim import runner, sinr
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, sample_shape
+from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, lattice_axes, sample_shape
 from sfn_lsi_sim.metrics import ContentCountMap, content_count_map, coverage
 from sfn_lsi_sim.runner import (
     SUMMARY_FORMAT,
@@ -375,9 +375,9 @@ class TestDistinctFields:
         scans, rows_per_key = [], {}
         scan = SinrEvaluator.scan
 
-        def counted(self, area, keys):
-            scans.append((area, len(keys), len(set(keys))))
-            for rows, i, values in scan(self, area, keys):
+        def counted(self, xs, ys, keys, period=None):
+            scans.append((xs.tobytes(), ys.tobytes(), period, len(keys), len(set(keys))))
+            for rows, i, values in scan(self, xs, ys, keys, period):
                 rows_per_key.setdefault(i, []).extend(rows.tolist())
                 yield rows, i, values
 
@@ -385,7 +385,8 @@ class TestDistinctFields:
         cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
                               out_dir=str(tmp_path / "paper"), resolution=4)
         run_experiment(cfg)
-        assert scans == [(EvalArea(kind=AreaKind.A2, resolution=4), 10, 10)]
+        xs, ys = lattice_axes(EvalArea(kind=AreaKind.A2, resolution=4), cfg.grid)
+        assert scans == [(xs.tobytes(), ys.tobytes(), 4, 10, 10)]
         assert sorted(rows_per_key) == list(range(10))
         assert all(sorted(rows) == list(range(32)) for rows in rows_per_key.values())
 
@@ -423,8 +424,8 @@ class TestDistinctFields:
 
         scan = SinrEvaluator.scan
 
-        def counted_scan(self, area, keys):
-            for rows, i, values in scan(self, area, keys):
+        def counted_scan(self, xs, ys, keys, period=None):
+            for rows, i, values in scan(self, xs, ys, keys, period):
                 blocks[-1].add((int(rows[0]), rows.size))
                 yield rows, i, values
 
@@ -464,8 +465,8 @@ def assert_run_holds_no_field(cfg, monkeypatch) -> None:
     largest = []
     scan = SinrEvaluator.scan
 
-    def watched(self, area, keys):
-        for block in scan(self, area, keys):
+    def watched(self, xs, ys, keys, period=None):
+        for block in scan(self, xs, ys, keys, period):
             yield block
             snapshot = tracemalloc.take_snapshot().filter_traces(numpy_only)
             largest.append(max(trace.size for trace in snapshot.traces))

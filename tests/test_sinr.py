@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import LEFT_BUFFER, cell_refs, equal_split, zone_gains
+from helpers import LEFT_BUFFER, RIGHT_BUFFER, cell_refs, equal_split, zone_gains
 from sfn_lsi_sim.allocation import (
     SchemeConfig,
     SchemeKind,
@@ -46,13 +46,6 @@ def make_env(kind=PathLossKind.POWER_LAW) -> RadioEnv:
     return RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=kind, eta=3.5))
 
 
-def to_db(linear: np.ndarray) -> np.ndarray:
-    db = np.full(linear.shape, SINR_FLOOR_DB)
-    pos = linear > 0.0
-    db[pos] = 10.0 * np.log10(linear[pos])
-    return db
-
-
 def field_of(area, content_id, tp, env, plan):
     return SinrEvaluator(tp.grid, env).field(area, content_id, tp, plan)
 
@@ -84,19 +77,27 @@ class TestSinrAt:
         assert (g1 > g2).all()
 
     def test_db_matches_linear(self):
+        # The dB values are 10 log10 of own / (other + noise), built here
+        # from the point-by-point reference zone gains.
         grid, plan, tp = make_setup()
         env = make_env()
         area = EvalArea(kind=AreaKind.A1, resolution=2)
-        linear = sinr_at(*lattice_axes(area, grid.spec), 2, tp, env, plan)
-        db = field_of(area, 2, tp, env, plan).values
-        assert db == pytest.approx(10 * np.log10(linear.ravel()), abs=1e-12)
+        points = sample_points(area, grid.spec)
+        g = zone_gains(grid, env, points)
+        p = SinrEvaluator(grid, env).zone_powers(tp, 2)
+        from1, from2 = p[0] * g[0] + p[1] * g[1], p[2] * g[2] + p[3] * g[3]
+        in_lsa1 = points[:, 0] < grid.spec.lsa1_cols * grid.spec.isd
+        own, other = np.where(in_lsa1, from1, from2), np.where(in_lsa1, from2, from1)
+        linear = own / (other + env.n0 * plan.bandwidth_of(2))
+        db = sinr_at(*lattice_axes(area, grid.spec), 2, tp, env, plan)
+        assert db.ravel() == pytest.approx(10 * np.log10(linear), abs=1e-12)
 
     def test_zero_signal_reports_floor(self):
         # under the orthogonal scheme a point in LSA1 has no serving cell for
         # the other LSA's local content
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.OLSI))
         env = make_env()
-        assert sinr_at([850.0], [850.0], 3, tp, env, plan).tolist() == [[0.0]]
+        assert sinr_at([850.0], [850.0], 3, tp, env, plan).tolist() == [[SINR_FLOOR_DB]]
         # (850, 850) is the first point of the resolution-1 A1 lattice
         field = field_of(EvalArea(kind=AreaKind.A1, resolution=1), 3, tp, env, plan)
         assert field.values[0] == SINR_FLOOR_DB
@@ -133,7 +134,7 @@ class TestSinrAt:
                 want = SinrEvaluator(grid, env).field(area, 2, tp, plan).values.tobytes()
                 xs, ys = lattice_axes(area, grid.spec)
                 for _ in range(2):
-                    assert to_db(sinr_at(xs, ys, 2, tp, env, plan)).tobytes() == want
+                    assert sinr_at(xs, ys, 2, tp, env, plan).tobytes() == want
         assert sinr._evaluator.cache_info()[:2] == (8, 8)  # (hits, misses)
 
 
@@ -161,7 +162,7 @@ class TestSinrField:
                         field = evaluator.field(area, m, tp, plan).values
                         point = sinr_at(*lattice_axes(area, spec), m, tp, env, plan)
                         where = f"{spec} {kind} {scheme.label} {area} content {m}"
-                        assert to_db(point).tobytes() == field.tobytes(), where
+                        assert point.tobytes() == field.tobytes(), where
 
     def test_all_values_finite_even_with_zero_signal(self):
         grid, plan, tp = make_setup(SchemeConfig(SchemeKind.OLSI))
@@ -173,17 +174,22 @@ class TestSinrField:
 
     def test_non_finite_linear_sinr_is_refused_where_made(self, monkeypatch):
         grid, plan, tp = make_setup()
-        evaluator = SinrEvaluator(grid, make_env())
-        linear = SinrEvaluator._linear
+        env = make_env()
+        evaluator = SinrEvaluator(grid, env)
+        terms = sinr._terms
 
-        def infinite(self, g, in_lsa1, key):
-            out = linear(self, g, in_lsa1, key)
-            out[-1] = np.inf
-            return out
+        def infinite(g, in_lsa1, key):
+            own, other = terms(g, in_lsa1, key)
+            own = own.copy()
+            own[..., -1] = np.inf
+            return own, other
 
-        monkeypatch.setattr(SinrEvaluator, "_linear", infinite)
+        monkeypatch.setattr(sinr, "_terms", infinite)
+        area = EvalArea(kind=AreaKind.A1, resolution=3)
         with pytest.raises(ValueError, match="non-finite"):
-            evaluator.field(EvalArea(kind=AreaKind.A1, resolution=3), 2, tp, plan)
+            evaluator.field(area, 2, tp, plan)
+        with pytest.raises(ValueError, match="non-finite"):
+            sinr_at(*lattice_axes(area, grid.spec), 2, tp, env, plan)
 
     def test_field_shape_and_image(self):
         grid, plan, tp = make_setup()
@@ -213,25 +219,30 @@ class TestSinrField:
     def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch, kind):
         # A2 at resolution 40: 320 rows of 400 points, reduced in blocks of
         # 40 rows by default, then of 1 and of 3 rows (the last partial).
+        # sinr_at on the lattice's axes, unfolded, must give the same bytes
+        # under every block size.
         grid, plan, tp = make_setup()
-        evaluator = SinrEvaluator(grid, make_env(kind))
+        env = make_env(kind)
+        evaluator = SinrEvaluator(grid, env)
         area = EvalArea(kind=AreaKind.A2, resolution=40)
-        nx = sample_shape(area, grid.spec)[1]
+        xs, ys = lattice_axes(area, grid.spec)
         blocks = []
-        linear = SinrEvaluator._linear
+        terms = sinr._terms
 
-        def counted(self, g, in_lsa1, key):
+        def counted(g, in_lsa1, key):
             blocks.append(g.shape[1])
-            return linear(self, g, in_lsa1, key)
+            return terms(g, in_lsa1, key)
 
-        monkeypatch.setattr(SinrEvaluator, "_linear", counted)
+        monkeypatch.setattr(sinr, "_terms", counted)
         fields = {}
-        for rows_per_block, chunk in ((40, sinr._CHUNK), (1, nx), (3, 3 * nx + 1)):
+        for rows_per_block, chunk in ((40, sinr._CHUNK), (1, xs.size), (3, 3 * xs.size + 1)):
             monkeypatch.setattr(sinr, "_CHUNK", chunk)
             blocks.clear()
             fields[rows_per_block] = evaluator.field(area, 2, tp, plan).values.tobytes()
             assert len(blocks) >= 8 and blocks[0] == rows_per_block, chunk
             assert sum(blocks) == 320
+            point = sinr_at(xs, ys, 2, tp, env, plan)
+            assert point.tobytes() == fields[rows_per_block], chunk
         assert fields[1] == fields[3] == fields[40]
 
     def test_repeated_evaluation_identical(self):
@@ -383,6 +394,19 @@ class TestZoneEngine:
             evaluator.field(area, 2, bad, plan)
         # the other contents are still one power per zone
         evaluator.field(area, 3, bad, plan)
+        # Varying in both buffers, the error names the lower band, even
+        # though a right-buffer cell comes first in cell-index order.
+        rb_cell = next(c for c in cell_refs(grid.spec) if c.zone == RIGHT_BUFFER)
+        lb_last = [c for c in cell_refs(grid.spec) if c.zone == LEFT_BUFFER][-1]
+        assert rb_cell.index < lb_last.index
+        assert tp.power[[rb_cell.index, lb_last.index], 2].all()
+        power = tp.power.copy()
+        power[rb_cell.index, 2] *= 0.5
+        power[lb_last.index, 2] *= 0.5
+        bad = TransmitPlan(grid=grid, scheme=tp.scheme, power=power,
+                           active=tp.active.copy())
+        with pytest.raises(ValueError, match="content 3 .*zone left_buffer"):
+            evaluator.field(area, 3, bad, plan)
 
 
 _ORACLE_MODELS = (
