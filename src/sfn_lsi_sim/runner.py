@@ -91,17 +91,27 @@ def _token_table(maxval: int, terminator: str) -> np.ndarray:
     return table
 
 
+_PGM_BLOCK = 1 << 14
+"""Raster points one ``_write_pgm`` step encodes: whole rows when a row
+fits, else pieces of one row."""
+
+
 def _write_pgm(path: str, image: np.ndarray, maxval: int) -> None:
     ny, nx = image.shape
     # PNM rows run top to bottom; the lattice's first row is the smallest y.
     rows = image[::-1]
-    words = _token_table(maxval, " ")[rows]
-    words[:, -1] = _token_table(maxval, "\n")[rows[:, -1]]
-    # Tokens hold no NUL, so dropping the padding leaves the raster text.
-    text = words.ravel().view(np.uint8)
+    spaced, ended = _token_table(maxval, " "), _token_table(maxval, "\n")
+    height, width = max(1, _PGM_BLOCK // nx), min(nx, _PGM_BLOCK)
     with open(path, "wb") as handle:
         handle.write(f"P2\n{nx} {ny}\n{maxval}\n".encode("ascii"))
-        handle.write(text[text != 0].tobytes())
+        for r0 in range(0, ny, height):
+            for c0 in range(0, nx, width):
+                block = rows[r0:r0 + height, c0:c0 + width]
+                words = spaced[block]
+                if c0 + width >= nx:
+                    words[:, -1] = ended[block[:, -1]]
+                # Tokens hold no NUL, so dropping the padding leaves the text.
+                handle.write(words.tobytes().replace(b"\0", b""))
 
 
 def sinr_levels(values_db: np.ndarray) -> np.ndarray:

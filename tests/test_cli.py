@@ -182,6 +182,25 @@ class TestOracle:
         assert "worst case" in captured.out
 
 
+def test_commands_leave_numpy_random_unloaded(tmp_path):
+    # Importing numpy.random costs about 6 MiB of resident memory, and
+    # neither the engine nor the oracle suite draws from it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys\n"
+        "from sfn_lsi_sim.cli import main\n"
+        f"assert main(['oracle', '--config', {SMOKE!r}]) == 0\n"
+        f"assert main(['run', '--config', {SMOKE!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 class TestParser:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc_info:

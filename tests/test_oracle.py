@@ -25,7 +25,7 @@ from sfn_lsi_sim.oracle import (
     run_oracle_suite,
 )
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
-from sfn_lsi_sim import sinr
+from sfn_lsi_sim import oracle, sinr
 from sfn_lsi_sim.sinr import SINR_FLOOR_DB, RadioEnv, SinrEvaluator, sinr_at
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,8 +38,8 @@ def test_single_cell_pair_by_hand():
     plan = equal_split(2, 2.0, 2e6)
     tp = allocate(grid, plan, SchemeConfig(SchemeKind.IMLSI_PS, beta=1.0))
     env = RadioEnv(n0=1e-15, pathloss=PathLossModel(kind=PathLossKind.POWER_LAW, eta=2.0))
-    point = (250.0, 500.0)  # 250 m from tower 1, 1250 m from tower 2
-    got = oracle_sinr(point, 2, tp, env, plan)
+    # the point (250, 500): 250 m from tower 1, 1250 m from tower 2
+    [[got]] = oracle_sinr([250.0], [500.0], 2, tp, env, plan)
     own = 1.0 / 250.0**2
     other = 1.0 / 1250.0**2
     noise = 1e-15 * 1e6
@@ -55,8 +55,10 @@ def test_oracle_agrees_with_engine_at_arbitrary_point():
     xs, ys = [123.4, 3400.0, 6700.0], [567.8, 1700.0, 3300.0]
     for m in (1, 2, 3):
         values = sinr_at(xs, ys, m, tp, env, plan)
-        for (i, y), (j, x) in product(enumerate(ys), enumerate(xs)):
-            want, got = oracle_sinr((x, y), m, tp, env, plan), values[i, j]
+        expected = oracle_sinr(xs, ys, m, tp, env, plan)
+        assert values.shape == (len(ys), len(xs))
+        for i, j in product(range(len(ys)), range(len(xs))):
+            want, got = expected[i][j], values[i, j]
             if want == 0.0:
                 assert got == SINR_FLOOR_DB
             else:
@@ -70,7 +72,7 @@ def test_zero_signal_cases_return_zero():
     plan = equal_split(3, 3.0, 3e6)
     env = RadioEnv(n0=1e-17, pathloss=PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.0))
     tp = allocate(grid, plan, SchemeConfig(SchemeKind.OLSI))
-    assert oracle_sinr((250.0, 250.0), 3, tp, env, plan) == 0.0
+    assert oracle_sinr([250.0], [250.0], 3, tp, env, plan) == [[0.0]]
 
 
 def test_ok_threshold():
@@ -179,10 +181,23 @@ def uncached_oracle_sinr(point, content_id, tp, env, plan):
     return math.fsum(own_terms) / (math.fsum(other_terms) + noise)
 
 
+def gray_order(*factors):
+    """Every combination of the factors, in an order where each one differs
+    from the one before in a single factor (a reflected Gray code)."""
+    if not factors:
+        yield ()
+        return
+    rest = list(gray_order(*factors[1:]))
+    for i, value in enumerate(factors[0]):
+        for tail in rest if i % 2 == 0 else reversed(rest):
+            yield (value, *tail)
+
+
 def test_brute_force_matches_the_uncached_loop_bit_for_bit():
-    # At each point, calls alternate between the two models and between
-    # specs that differ only in isd or lsa1_cols, so a reused per-point
-    # result keyed on too little shows as a changed bit.
+    # Consecutive (axes, spec, model) triples differ in one of them only:
+    # another y axis on the same x axis or another x axis on the same y
+    # axis, a spec differing only in isd or lsa1_cols, or the other model.
+    # So held gains keyed on too little show as a changed bit.
     envs = [RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5)),
             RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=PathLossKind.HATA))]
     rng = np.random.default_rng(11)
@@ -193,18 +208,37 @@ def test_brute_force_matches_the_uncached_loop_bit_for_bit():
         if cols > 2:
             specs.append(replace(base, lsa1_cols=lsa1_cols % (cols - 1) + 1))
         plan = _content_plan(m_count)
-        plans = [[allocate(Grid.from_spec(spec), plan, scheme) for spec in specs]
-                 for scheme in _scheme_configs()]
-        points = np.column_stack((rng.uniform(0.0, cols * base.isd, 3),
-                                  rng.uniform(0.0, rows * base.isd, 3))).tolist()
-        for point, tps, m in product(points, plans, plan.content_ids):
-            for tp, env in product(tps, envs):
-                want = uncached_oracle_sinr(tuple(point), m, tp, env, plan)
-                got = oracle_sinr(tuple(point), m, tp, env, plan)
+        plans = [[allocate(Grid.from_spec(spec), plan, scheme) for scheme in _scheme_configs()]
+                 for spec in specs]
+        (x1, x2), (y1, y2) = ([rng.uniform(0.0, extent * base.isd, n).tolist() for n in (3, 2)]
+                              for extent in (cols, rows))
+        axes = [(x1, y2), (x1, y1), (x2, y1)]
+        for (xs, ys), tps, env in gray_order(axes, plans, envs):
+            for tp, m in product(tps, plan.content_ids):
+                want = [[uncached_oracle_sinr((x, y), m, tp, env, plan) for x in xs]
+                        for y in ys]
+                got = oracle_sinr(xs, ys, m, tp, env, plan)
                 assert got == want, (tp.grid.spec, tp.scheme.label, env.pathloss.kind, m)
                 checked += 1
-    # points x schemes x contents over M x specs over shapes x models
+    # axes pairs x schemes x contents over M x specs over shapes x models
     assert checked == 3 * 9 * (2 + 3) * (2 * 2 + 4 * 3) * 2
+
+
+def test_suite_computes_each_points_gains_once(monkeypatch):
+    # Every scheme and content of a (grid, M, model) group reads the gains
+    # of the group's one axes pair; only that pair is held.
+    cell_gains = oracle._cell_gains
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cell_gains(*args)
+
+    monkeypatch.setattr(oracle, "_cell_gains", counted)
+    oracle._axes_gains.cache_clear()
+    run_oracle_suite(n_points=5, seed=7)
+    assert len(calls) == 24 * 5
+    assert oracle._axes_gains.cache_info().currsize <= 1
 
 
 def test_oracle_cli_output_unchanged():

@@ -604,6 +604,34 @@ class TestPgmEncoder:
         image[:, 1] = maxval
         self.assert_matches_reference(tmp_path, image, maxval)
 
+    @pytest.mark.parametrize("shape", [
+        (2, 20),  # rows wider than a block, the last piece partial
+        (3, 16),  # rows two blocks wide exactly
+        (7, 3),   # two rows per block, the last block partial
+        (4, 4),   # two rows per block exactly
+        (5, 8),   # one row per block exactly
+    ], ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("maxval", (3, 255, 12345))
+    def test_rows_cross_block_boundaries(self, tmp_path, monkeypatch, maxval, shape):
+        monkeypatch.setattr(runner, "_PGM_BLOCK", 8)
+        image = np.random.default_rng(maxval).integers(0, maxval + 1, size=shape)
+        image[:, -1] = maxval  # the widest token ends every row
+        self.assert_matches_reference(tmp_path, image, maxval)
+        self.assert_matches_reference(tmp_path, image[:, ::-1], maxval)
+
+    def test_a_large_raster_is_encoded_in_bounded_blocks(self, tmp_path):
+        # An 800 x 1000 count map: encoding it whole takes about 4.6 MiB.
+        image = np.random.default_rng(5).integers(0, 4, size=(800, 1000), dtype=np.uint8)
+        path = tmp_path / "x.pgm"
+        tracemalloc.start()
+        try:
+            runner._write_pgm(str(path), image, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        assert path.read_bytes() == reference_pgm(image, 3)
+
     def test_token_tables_are_shared_and_read_only(self, tmp_path):
         table = runner._token_table(255, " ")
         assert runner._token_table(255, " ") is table

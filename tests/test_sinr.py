@@ -423,7 +423,7 @@ def test_field_matches_oracle_at_every_lattice_point(shape, model):
     grid = Grid.from_spec(spec)
     env = RadioEnv(n0=4e-21, pathloss=model)
     area = EvalArea(kind=AreaKind.A2, resolution=3)
-    points = [tuple(p) for p in sample_points(area, spec)]
+    xs, ys = lattice_axes(area, spec)
     evaluator = SinrEvaluator(grid, env)
     for m_count in (2, 3):
         plan = _content_plan(m_count)
@@ -431,9 +431,11 @@ def test_field_matches_oracle_at_every_lattice_point(shape, model):
             tp = allocate(grid, plan, scheme)
             for m in plan.content_ids:
                 got = evaluator.field(area, m, tp, plan).values
-                for point, db in zip(points, got):
-                    want = oracle_sinr(point, m, tp, env, plan)
-                    where = f"{scheme.label} M={m_count} content {m} at {point}"
+                expected = oracle_sinr(xs, ys, m, tp, env, plan)
+                points = itertools.product(ys, xs)
+                for (y, x), db, want in zip(points, got, itertools.chain(*expected),
+                                            strict=True):
+                    where = f"{scheme.label} M={m_count} content {m} at {(x, y)}"
                     if want == 0.0:
                         assert db == SINR_FLOOR_DB, where
                     else:
