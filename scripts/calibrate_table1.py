@@ -9,8 +9,8 @@ ratio rho = S_m*g(1km)/(N0*B_m), so the sweep is two-dimensional.
 The scan evaluates the shipped config through the engine and the run's own
 reduction: per slope one ``SinrEvaluator`` and one ``runner.scan_totals``
 pass over every rho at once, with every content's power set to
-rho*N0*B/g(1km); rows come from its coverage reports and map stats from its
-count maps.
+rho*N0*B/g(1km); rows come from its coverage reports and map stats from the
+count maps it sums on demand from its packed masks.
 
 Run:  python3 scripts/calibrate_table1.py [--resolution N] [--slopes S ...]
 """
@@ -91,7 +91,7 @@ def evaluate(cfg, evaluator: SinrEvaluator, rhos, g1km: float):
 
         maps = {}
         for scheme, key in (("imo1", "imo"), ("ps025", "ps")):
-            cmap = totals.count_maps[group[scheme]]
+            cmap = totals.count_map(groups[group[scheme]])
             maps[f"{key}_count3"] = 100.0 * cmap.fraction_with_count(3)
             maps[f"{key}_at_least2"] = 100.0 * cmap.fraction_at_least(2)
             maps[f"{key}_global"] = 100.0 * totals.map_fractions[groups[group[scheme]][0]]

@@ -207,6 +207,8 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
                         err = abs(got - want) / abs(want)
                     if err > worst:
                         worst = err
+                    elif err != err:  # NaN counts as infinite
+                        worst = math.inf
             cases.append(
                 OracleCase(
                     rows=rows, cols=cols, lsa1_cols=lsa1_cols, m_count=m_count,

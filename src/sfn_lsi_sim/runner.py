@@ -19,12 +19,14 @@ runs and a failed run leaves the previous output as it was.
 A run makes one ``SinrEvaluator.scan`` over the lattice of A2 if either
 area is A2, else A1, with every distinct SINR key (``field_key``) of every
 scheme; A1 results are the left columns of each block.  It reduces each
-block as it comes (``scan_totals``) and holds, per key, only integers: its
-covered point count at each threshold over the coverage area and its
-map-area count at ``content_map_threshold_db``; per scheme, its uint8
-count map; and, only with SINR maps on, each key's map-area raster levels.
-No float field and no full-area gain is held.  Results carry no scheme or
-content: the run names them where it writes them.
+block as it comes (``scan_totals``) and holds, per key, only counts and
+bits: its covered point count at each threshold over the coverage area, its
+map-area count at ``content_map_threshold_db`` and that map-area mask,
+packed eight points to a byte; and, only with SINR maps on, its map-area
+raster levels.  No float field and no full-area gain is held.  A scheme's
+count map is the sum of its contents' masks, built only while the scheme is
+written.  Results carry no scheme or content: the run names them where it
+writes them.
 """
 
 from __future__ import annotations
@@ -141,18 +143,40 @@ def emit_heatmap(image: np.ndarray, maxval: int, path: str,
     return [path, sidecar]
 
 
+_UNPACK_BLOCK = 1 << 16
+"""Map points one ``ScanTotals.count_map`` step unpacks: whole rows when a
+row fits, else one row."""
+
+
 @dataclass(frozen=True)
 class ScanTotals:
     """What one ``scan_totals`` pass yields.  Per distinct key: its
     ``CoverageReport`` over the coverage area, the fraction of map-area
-    points at or above the map threshold and, if asked for, its map-area
-    raster levels (``sinr_levels``).  Per group of keys: its count map over
-    the map area."""
+    points at or above the map threshold, the mask of those points packed
+    along rows (``np.packbits``, eight points to a byte) and, if asked for,
+    its map-area raster levels (``sinr_levels``).  ``count_map`` sums a
+    group's masks into its count map on demand."""
 
     reports: dict[tuple, CoverageReport]
     map_fractions: dict[tuple, float]
-    count_maps: list[ContentCountMap]
+    masks: dict[tuple, np.ndarray]
+    map_shape: tuple[int, int]
     levels: dict[tuple, np.ndarray] | None
+
+    def count_map(self, keys: list[tuple]) -> ContentCountMap:
+        """Count map of one group of keys, one per content: per map-area
+        point, how many of the keys' masks hold it.  A key listed twice
+        counts twice.  Unpacked a block of rows at a time, so the map is the
+        only full-size array it makes."""
+        ny, nx = self.map_shape
+        # The narrowest unsigned type that holds M: uint8 up to 255 contents.
+        counts = np.zeros(self.map_shape, dtype=np.min_scalar_type(len(keys)))
+        step = max(1, _UNPACK_BLOCK // nx)
+        for r0 in range(0, ny, step):
+            block = counts[r0:r0 + step]
+            for key in keys:
+                block += np.unpackbits(self.masks[key][r0:r0 + step], axis=1, count=nx)
+        return ContentCountMap(m_count=len(keys), counts=counts.ravel(), shape=self.map_shape)
 
 
 def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
@@ -166,24 +190,19 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
     by isd/resolution from x = 0, so an A1 point's value is the value at
     the same column of the A2 lattice, and each area reads the left columns
     of every block.  Counts are sums, so the scan's block order does not
-    change them.
+    change them.  Each key's map-area mask is packed as its blocks arrive:
+    a (ny, ceil(nx / 8)) uint8 array per distinct key.
     """
     spec = evaluator.grid.spec
     full = map_area if map_area.kind is AreaKind.A2 else coverage_area
     keys = list(dict.fromkeys(key for group in groups for key in group))
-    index = {key: i for i, key in enumerate(keys)}
     ny_cov, nx_cov = sample_shape(coverage_area, spec)
     map_shape = sample_shape(map_area, spec)
     nx_map = map_shape[1]
     covered = [[0] * len(thresholds_db) for _ in keys]
     map_covered = [0] * len(keys)
-    # The narrowest unsigned type that holds M: uint8 up to 255 contents.
-    counts = [np.zeros(map_shape, dtype=np.min_scalar_type(len(group))) for group in groups]
-    # Per key, the count maps its mask adds to, once per content that has it.
-    adds: list[list[np.ndarray]] = [[] for _ in keys]
-    for cmap, group in zip(counts, groups):
-        for key in group:
-            adds[index[key]].append(cmap)
+    # Every row of every key is written once by the scan.
+    masks = [np.empty((map_shape[0], -(-nx_map // 8)), dtype=np.uint8) for _ in keys]
     levels = [np.empty(map_shape, dtype=np.uint8) for _ in keys] if with_levels else None
 
     for rows, i, values in evaluator.scan(*lattice_axes(full, spec), keys, full.resolution):
@@ -194,8 +213,7 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
             covered[i][t] += int(np.count_nonzero(cov >= threshold))
         mask = values[:, :nx_map] >= map_threshold_db
         map_covered[i] += int(np.count_nonzero(mask))
-        for cmap in adds[i]:
-            cmap[rows] += mask
+        masks[i][rows] = np.packbits(mask, axis=1)
         if levels is not None:
             levels[i][rows] = sinr_levels(values[:, :nx_map])
 
@@ -206,8 +224,8 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
         reports={key: CoverageReport(thresholds, tuple(c / n_cov for c in covered[i]))
                  for i, key in enumerate(keys)},
         map_fractions={key: map_covered[i] / n_map for i, key in enumerate(keys)},
-        count_maps=[ContentCountMap(m_count=len(group), counts=cmap.ravel(), shape=map_shape)
-                    for cmap, group in zip(counts, groups)],
+        masks=dict(zip(keys, masks)),
+        map_shape=map_shape,
         levels=None if levels is None else dict(zip(keys, levels)),
     )
 
@@ -334,7 +352,7 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     summary_maps: dict[str, dict] = {}
     per_scheme_xi: dict[str, float] = {}
 
-    for scheme, tp, scheme_keys, cmap in zip(cfg.schemes, plans, keys, totals.count_maps):
+    for scheme, tp, scheme_keys in zip(cfg.schemes, plans, keys):
         per_scheme_xi[scheme.label] = round9(
             spectral_efficiency_from_plan(tp, cfg.plan)
         )
@@ -343,6 +361,7 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
         csv_rows.extend(_coverage_rows(scheme.label, coverage_area, reports))
         summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
 
+        cmap = totals.count_map(scheme_keys)
         histogram = cmap.histogram()
         map_doc = {
             "scheme": scheme.label,
@@ -362,6 +381,7 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
         _write_json(out_path(f"content_counts_{scheme.label}.json"), map_doc)
         emit_heatmap(cmap.as_image(), cmap.m_count,
                      out_path(f"content_counts_{scheme.label}.pgm"))
+        del cmap  # one scheme's count map at a time
         summary_maps[scheme.label] = map_doc
 
         if cfg.emit_sinr_maps:

@@ -145,6 +145,21 @@ def test_suite_catches_a_broken_db_conversion(monkeypatch):
     assert any(not case.ok for case in cases)
 
 
+def test_suite_counts_a_nan_error_as_infinite(monkeypatch):
+    # One NaN reference value per call: NaN compares false with everything,
+    # so it must not leave its case ok.
+    brute_force = oracle.oracle_sinr
+
+    def one_nan(*args):
+        values = brute_force(*args)
+        values[0][0] = math.nan
+        return values
+
+    monkeypatch.setattr(oracle, "oracle_sinr", one_nan)
+    cases = run_oracle_suite(n_points=5, seed=7)
+    assert all(case.max_rel_err == math.inf and not case.ok for case in cases)
+
+
 def uncached_oracle_sinr(point, content_id, tp, env, plan):
     """The brute force as a plain loop that recomputes every cell's gain on
     each call: the bit-level reference for the memoized ``oracle_sinr``."""
@@ -196,15 +211,22 @@ def gray_order(*factors):
 def test_brute_force_matches_the_uncached_loop_bit_for_bit():
     # Consecutive (axes, spec, model) triples differ in one of them only:
     # another y axis on the same x axis or another x axis on the same y
-    # axis, a spec differing only in isd or lsa1_cols, or the other model.
-    # So held gains keyed on too little show as a changed bit.
-    envs = [RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5)),
-            RadioEnv(n0=4e-21, pathloss=PathLossModel(kind=PathLossKind.HATA))]
+    # axis; the next spec (the base grid sits between one a row taller and
+    # one a column wider, all on the same axes, and specs with another isd
+    # and another lsa1_cols follow); or the next model, one field away from
+    # the one before (eta, path-loss kind or a Hata parameter).  So held
+    # gains keyed on too little show as a changed bit.
+    models = [PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.0)]
+    for change in ({"eta": 3.5}, {"kind": PathLossKind.HATA}, {"f_mhz": 900.0},
+                   {"hb_m": 50.0}, {"hm_m": 3.0}):
+        models.append(replace(models[-1], **change))
+    envs = [RadioEnv(n0=4e-21, pathloss=model) for model in models]
     rng = np.random.default_rng(11)
     checked = 0
     for (rows, cols, lsa1_cols), m_count in product(_GRID_SHAPES, (2, 3)):
         base = GridSpec(rows=rows, cols=cols, lsa1_cols=lsa1_cols, buffer_cols_per_side=1)
-        specs = [base, replace(base, isd=base.isd * 1.25)]
+        specs = [replace(base, rows=rows + 1), base, replace(base, cols=cols + 1),
+                 replace(base, isd=base.isd * 1.25)]
         if cols > 2:
             specs.append(replace(base, lsa1_cols=lsa1_cols % (cols - 1) + 1))
         plan = _content_plan(m_count)
@@ -218,10 +240,10 @@ def test_brute_force_matches_the_uncached_loop_bit_for_bit():
                 want = [[uncached_oracle_sinr((x, y), m, tp, env, plan) for x in xs]
                         for y in ys]
                 got = oracle_sinr(xs, ys, m, tp, env, plan)
-                assert got == want, (tp.grid.spec, tp.scheme.label, env.pathloss.kind, m)
+                assert got == want, (tp.grid.spec, tp.scheme.label, env.pathloss, m)
                 checked += 1
     # axes pairs x schemes x contents over M x specs over shapes x models
-    assert checked == 3 * 9 * (2 + 3) * (2 * 2 + 4 * 3) * 2
+    assert checked == 3 * 9 * (2 + 3) * (2 * 4 + 4 * 5) * 6
 
 
 def test_suite_computes_each_points_gains_once(monkeypatch):

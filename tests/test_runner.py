@@ -453,6 +453,26 @@ class TestDistinctFields:
             tracemalloc.stop()
         assert peak < cache_bytes, (peak, cache_bytes)
 
+    def test_paper_run_peak_stays_below_the_old_count_maps(self, tmp_path, monkeypatch):
+        # A run once held one uint8 count map per scheme from the first scan
+        # block to the last file.  It now holds one packed mask per distinct
+        # key and builds each scheme's map only while it writes it, so with
+        # one kernel residue per slab the traced peak of a paper run at
+        # resolution 100 stays below those maps alone.
+        monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(tmp_path / "paper"), resolution=100)
+        assert not cfg.emit_sinr_maps
+        ny, nx = sample_shape(EvalArea(kind=AreaKind.A2, resolution=100), cfg.grid)
+        maps_bytes = len(cfg.schemes) * ny * nx
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < maps_bytes, (peak, maps_bytes)
+
 
 def assert_run_holds_no_field(cfg, monkeypatch) -> None:
     """Run ``cfg`` and check, after every block the scan yields, that no
@@ -479,6 +499,24 @@ def assert_run_holds_no_field(cfg, monkeypatch) -> None:
         tracemalloc.stop()
     assert len(largest) > 1
     assert max(largest) < 8 * ny * nx, (max(largest), 8 * ny * nx)
+
+
+@pytest.mark.parametrize("unpack_block", [1, 30, 1 << 16])
+def test_count_map_sums_packed_masks_in_row_blocks(monkeypatch, unpack_block):
+    # 300 keys over five masks, so keys repeat and the map is uint16, on a
+    # 9 x 13 map, whose rows are not a whole number of bytes, unpacked one
+    # row, two rows (the last block one) or the whole map at a time.
+    monkeypatch.setattr(runner, "_UNPACK_BLOCK", unpack_block)
+    rng = np.random.default_rng(3)
+    shape = (9, 13)
+    masks = [rng.random(shape) < 0.5 for _ in range(5)]
+    keys = [("key", i % 5) for i in range(300)]
+    totals = runner.ScanTotals(
+        reports={}, map_fractions={}, levels=None, map_shape=shape,
+        masks={("key", i): np.packbits(mask, axis=1) for i, mask in enumerate(masks)})
+    cmap = totals.count_map(keys)
+    assert (cmap.m_count, cmap.shape, cmap.counts.dtype) == (300, shape, np.uint16)
+    assert (cmap.as_image() == 60 * sum(mask.astype(int) for mask in masks)).all()
 
 
 class TestSummary:
