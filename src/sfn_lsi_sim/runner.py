@@ -22,15 +22,17 @@ scheme; A1 results are the left columns of each block.  It reduces each
 block as it comes (``scan_totals``) and holds, per key, only counts and
 bits: its covered point count at each threshold over the coverage area, its
 map-area count at ``content_map_threshold_db`` and that map-area mask,
-packed eight points to a byte; and, only with SINR maps on, its map-area
-raster levels.  No float field and no full-area gain is held.  A scheme's
-count map is the sum of its contents' masks, built only while the scheme is
-written.  Results carry no scheme or content: the run names them where it
-writes them.
+packed eight points to a byte.  With SINR maps on, the scan runs top row
+first, in row order, and each block's raster text is appended to the key's
+open raster files as it arrives, so no raster level outlives its block.  No
+float field and no full-area gain is held.  A scheme's count map is the sum
+of its contents' masks, built only while the scheme is written.  Results
+carry no scheme or content: the run names them where it writes them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -94,26 +96,30 @@ def _token_table(maxval: int, terminator: str) -> np.ndarray:
 
 
 _PGM_BLOCK = 1 << 14
-"""Raster points one ``_write_pgm`` step encodes: whole rows when a row
+"""Raster points one ``_pgm_text`` step encodes: whole rows when a row
 fits, else pieces of one row."""
 
 
-def _write_pgm(path: str, image: np.ndarray, maxval: int) -> None:
-    ny, nx = image.shape
-    # PNM rows run top to bottom; the lattice's first row is the smallest y.
-    rows = image[::-1]
+def _pgm_header(shape: tuple[int, int], maxval: int) -> bytes:
+    """The P2 header of a (ny, nx) raster of levels 0..``maxval``."""
+    ny, nx = shape
+    return f"P2\n{nx} {ny}\n{maxval}\n".encode("ascii")
+
+
+def _pgm_text(rows: np.ndarray, maxval: int):
+    """Yields the P2 text of the raster rows ``rows``, in their order, each
+    row ended by a newline, at most ``_PGM_BLOCK`` points at a time."""
+    nx = rows.shape[1]
     spaced, ended = _token_table(maxval, " "), _token_table(maxval, "\n")
     height, width = max(1, _PGM_BLOCK // nx), min(nx, _PGM_BLOCK)
-    with open(path, "wb") as handle:
-        handle.write(f"P2\n{nx} {ny}\n{maxval}\n".encode("ascii"))
-        for r0 in range(0, ny, height):
-            for c0 in range(0, nx, width):
-                block = rows[r0:r0 + height, c0:c0 + width]
-                words = spaced[block]
-                if c0 + width >= nx:
-                    words[:, -1] = ended[block[:, -1]]
-                # Tokens hold no NUL, so dropping the padding leaves the text.
-                handle.write(words.tobytes().replace(b"\0", b""))
+    for r0 in range(0, rows.shape[0], height):
+        for c0 in range(0, nx, width):
+            block = rows[r0:r0 + height, c0:c0 + width]
+            words = spaced[block]
+            if c0 + width >= nx:
+                words[:, -1] = ended[block[:, -1]]
+            # Tokens hold no NUL, so dropping the padding leaves the text.
+            yield words.tobytes().replace(b"\0", b"")
 
 
 def sinr_levels(values_db: np.ndarray) -> np.ndarray:
@@ -129,18 +135,13 @@ _SINR_SIDECAR = (f"kind sinr_db\ndb_min {fmt9(SINR_DB_RANGE[0])}\n"
 """The window lines that open every SINR raster's sidecar."""
 
 
-def emit_heatmap(image: np.ndarray, maxval: int, path: str,
-                 header: str | None = None) -> list[str]:
-    """Write ``image`` (row index increasing with y) as a plain P2 raster of
-    levels 0..``maxval`` and, when ``header`` is given, that text as the
-    sidecar ``<path>.hdr.txt``.  Returns the list of files written."""
-    _write_pgm(path, image, maxval)
-    if header is None:
-        return [path]
-    sidecar = path + ".hdr.txt"
-    with open(sidecar, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(header)
-    return [path, sidecar]
+def emit_heatmap(image: np.ndarray, maxval: int, path: str) -> None:
+    """Write ``image`` (row index increasing with y) to ``path`` as a plain
+    P2 raster of levels 0..``maxval``."""
+    with open(path, "wb") as handle:
+        handle.write(_pgm_header(image.shape, maxval))
+        # PNM rows run top to bottom; the lattice's first row is the smallest y.
+        handle.writelines(_pgm_text(image[::-1], maxval))
 
 
 _UNPACK_BLOCK = 1 << 16
@@ -152,16 +153,15 @@ row fits, else one row."""
 class ScanTotals:
     """What one ``scan_totals`` pass yields.  Per distinct key: its
     ``CoverageReport`` over the coverage area, the fraction of map-area
-    points at or above the map threshold, the mask of those points packed
-    along rows (``np.packbits``, eight points to a byte) and, if asked for,
-    its map-area raster levels (``sinr_levels``).  ``count_map`` sums a
-    group's masks into its count map on demand."""
+    points at or above the map threshold and the mask of those points
+    packed along rows (``np.packbits``, eight points to a byte).
+    ``count_map`` sums a group's masks into its count map on demand.  SINR
+    raster levels are not kept: ``scan_totals`` writes them as it goes."""
 
     reports: dict[tuple, CoverageReport]
     map_fractions: dict[tuple, float]
     masks: dict[tuple, np.ndarray]
     map_shape: tuple[int, int]
-    levels: dict[tuple, np.ndarray] | None
 
     def count_map(self, keys: list[tuple]) -> ContentCountMap:
         """Count map of one group of keys, one per content: per map-area
@@ -182,7 +182,7 @@ class ScanTotals:
 def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
                 coverage_area: EvalArea, map_area: EvalArea,
                 thresholds_db, map_threshold_db: float,
-                with_levels: bool = False) -> ScanTotals:
+                rasters: dict[tuple, list] | None = None) -> ScanTotals:
     """Reduce one ``evaluator.scan`` of every distinct key in ``groups``
     (one list of ``field_key``s per count map, in content order).
 
@@ -192,6 +192,12 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
     of every block.  Counts are sums, so the scan's block order does not
     change them.  Each key's map-area mask is packed as its blocks arrive:
     a (ny, ceil(nx / 8)) uint8 array per distinct key.
+
+    ``rasters`` maps every key to the open binary files of its SINR rasters,
+    each past its P2 header.  Then the scan runs over the y axis reversed
+    and in order, so its rows come top row first, as PGM rows run, and each
+    block's raster text is encoded once per key and appended to each of the
+    key's files.
     """
     spec = evaluator.grid.spec
     full = map_area if map_area.kind is AreaKind.A2 else coverage_area
@@ -203,9 +209,13 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
     map_covered = [0] * len(keys)
     # Every row of every key is written once by the scan.
     masks = [np.empty((map_shape[0], -(-nx_map // 8)), dtype=np.uint8) for _ in keys]
-    levels = [np.empty(map_shape, dtype=np.uint8) for _ in keys] if with_levels else None
 
-    for rows, i, values in evaluator.scan(*lattice_axes(full, spec), keys, full.resolution):
+    xs, ys = lattice_axes(full, spec)
+    if rasters is None:
+        blocks = evaluator.scan(xs, ys, keys, full.resolution)
+    else:
+        blocks = evaluator.scan(xs, ys[::-1], keys, full.resolution, in_order=True)
+    for rows, i, values in blocks:
         # Threshold compares on a column slice cost more than one copy of
         # it and compares on the copy.
         cov = np.ascontiguousarray(values[:, :nx_cov])
@@ -213,9 +223,13 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
             covered[i][t] += int(np.count_nonzero(cov >= threshold))
         mask = values[:, :nx_map] >= map_threshold_db
         map_covered[i] += int(np.count_nonzero(mask))
+        if rasters is not None:
+            text = b"".join(_pgm_text(sinr_levels(values[:, :nx_map]), 255))
+            for handle in rasters[keys[i]]:
+                handle.write(text)
+            # The scan's rows index ys reversed; masks keep lattice rows.
+            rows = ys.size - 1 - rows
         masks[i][rows] = np.packbits(mask, axis=1)
-        if levels is not None:
-            levels[i][rows] = sinr_levels(values[:, :nx_map])
 
     n_cov = ny_cov * nx_cov
     n_map = map_shape[0] * nx_map
@@ -226,7 +240,6 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
         map_fractions={key: map_covered[i] / n_map for i, key in enumerate(keys)},
         masks=dict(zip(keys, masks)),
         map_shape=map_shape,
-        levels=None if levels is None else dict(zip(keys, levels)),
     )
 
 
@@ -335,14 +348,29 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     plans = [allocate(grid, cfg.plan, scheme) for scheme in cfg.schemes]
     keys = [[evaluator.field_key(m, tp, cfg.plan) for m in contents] for tp in plans]
     threshold = cfg.content_map_threshold_db
-    totals = scan_totals(evaluator, keys, coverage_area, map_area, cfg.thresholds_db,
-                         threshold, with_levels=cfg.emit_sinr_maps)
-
     files: list[str] = []
 
     def out_path(name: str) -> str:
         files.append(name)
         return os.path.join(out_dir, name)
+
+    with contextlib.ExitStack() as open_rasters:
+        rasters = None
+        if cfg.emit_sinr_maps:
+            rasters = {}
+            header = _pgm_header(sample_shape(map_area, grid.spec), 255)
+            for scheme, scheme_keys in zip(cfg.schemes, keys):
+                for m, key in zip(contents, scheme_keys):
+                    name = f"sinr_{scheme.label}_content{m}.pgm"
+                    with open(out_path(f"{name}.hdr.txt"), "w", encoding="ascii",
+                              newline="\n") as handle:
+                        handle.write(f"{_SINR_SIDECAR}scheme {scheme.label}\ncontent {m}\n"
+                                     f"area {map_area.kind.value}\n")
+                    raster = open_rasters.enter_context(open(out_path(name), "wb"))
+                    raster.write(header)
+                    rasters.setdefault(key, []).append(raster)
+        totals = scan_totals(evaluator, keys, coverage_area, map_area, cfg.thresholds_db,
+                             threshold, rasters)
 
     _write_json(out_path("manifest.json"),
                 {"format": MANIFEST_FORMAT, "config": cfg.to_mapping()})
@@ -383,14 +411,6 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
                      out_path(f"content_counts_{scheme.label}.pgm"))
         del cmap  # one scheme's count map at a time
         summary_maps[scheme.label] = map_doc
-
-        if cfg.emit_sinr_maps:
-            for m, key in zip(contents, scheme_keys):
-                path = os.path.join(out_dir, f"sinr_{scheme.label}_content{m}.pgm")
-                header = (f"{_SINR_SIDECAR}scheme {scheme.label}\ncontent {m}\n"
-                          f"area {map_area.kind.value}\n")
-                written = emit_heatmap(totals.levels[key], 255, path, header)
-                files.extend(os.path.basename(p) for p in written)
 
     with open(os.path.join(out_dir, "coverage.csv"), "w",
               encoding="utf-8", newline="") as handle:

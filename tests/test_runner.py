@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -198,6 +199,29 @@ class TestOutputDirectory:
         # no temporary sibling is left behind
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_scan_failing_after_a_block_closes_every_raster(self, tmp_path, monkeypatch):
+        # With SINR maps on, every raster file is open while the scan runs
+        # and one block of text has gone to one of them when the scan fails.
+        out = tmp_path / "out"
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
+        assert cfg.emit_sinr_maps
+        run_experiment(cfg)
+        before = digests(out)
+        scan = SinrEvaluator.scan
+
+        def failing(self, *args, **kwargs):
+            yield next(scan(self, *args, **kwargs))
+            raise RuntimeError("scan failed")
+
+        monkeypatch.setattr(SinrEvaluator, "scan", failing)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeError, match="scan failed"):
+            run_experiment(cfg)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert digests(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
     def test_empty_directory_is_used(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -363,7 +387,7 @@ class TestDistinctFields:
         assert_run_holds_no_field(cfg, monkeypatch)
 
     def test_maps_on_run_holds_no_field_between_calls(self, tmp_path, monkeypatch):
-        # With SINR maps on, a key keeps its raster levels, not its field.
+        # With SINR maps on, a key's values go to its rasters block by block.
         cfg = apply_overrides(parse_config(SMOKE), out_dir=str(tmp_path / "smoke"),
                               resolution=20)
         assert cfg.emit_sinr_maps
@@ -375,9 +399,10 @@ class TestDistinctFields:
         scans, rows_per_key = [], {}
         scan = SinrEvaluator.scan
 
-        def counted(self, xs, ys, keys, period=None):
+        def counted(self, xs, ys, keys, *args, **kwargs):
+            period = args[0] if args else kwargs.get("period")
             scans.append((xs.tobytes(), ys.tobytes(), period, len(keys), len(set(keys))))
-            for rows, i, values in scan(self, xs, ys, keys, period):
+            for rows, i, values in scan(self, xs, ys, keys, *args, **kwargs):
                 rows_per_key.setdefault(i, []).extend(rows.tolist())
                 yield rows, i, values
 
@@ -393,9 +418,12 @@ class TestDistinctFields:
     @pytest.mark.parametrize("config,rows_per_block", [("paper", 3), ("shared-maps-on", 1)])
     def test_small_slabs_and_blocks_keep_run_bytes(self, tmp_path, monkeypatch, config,
                                                    rows_per_block):
-        # Resolution 5 with two kernel residues per slab: slabs of 2, 2 and
-        # 1 residues, each split into at least two key blocks.  Every file
-        # must keep the bytes of the default run, which takes one slab.
+        # Resolution 5 with two kernel residues per slab: on the paper run
+        # (maps off, y folded) slabs of 2, 2 and 1 residues mod the period;
+        # on the maps-on run (y unfolded, so a residue is one lattice row)
+        # five slabs of 2 rows.  Each slab is split into at least two key
+        # blocks.  Every file must keep the bytes of the default run, which
+        # takes one slab.
         if config == "paper":
             path = CONFIG_DIR / "paper_table1.cfg"
         else:
@@ -409,9 +437,10 @@ class TestDistinctFields:
 
         spec = cfg.grid
         ny, nx = sample_shape(EvalArea(kind=AreaKind.A2, resolution=5), spec)
-        # A periodic lattice's kernel: 2*rows - 1 rows per residue, of
-        # nx + (cols-1)*resolution offsets.
-        residue_size = (2 * spec.rows - 1) * (nx + (spec.cols - 1) * 5)
+        # A periodic lattice's kernel: 2*rows - 1 rows per residue, or rows
+        # per lattice row with y unfolded, of nx + (cols-1)*resolution offsets.
+        kernel_rows = spec.rows if cfg.emit_sinr_maps else 2 * spec.rows - 1
+        residue_size = kernel_rows * (nx + (spec.cols - 1) * 5)
         monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 2 * residue_size)
         monkeypatch.setattr(sinr, "_CHUNK", rows_per_block * nx)
         slabs, blocks = [], []
@@ -424,8 +453,8 @@ class TestDistinctFields:
 
         scan = SinrEvaluator.scan
 
-        def counted_scan(self, xs, ys, keys, period=None):
-            for rows, i, values in scan(self, xs, ys, keys, period):
+        def counted_scan(self, *args, **kwargs):
+            for rows, i, values in scan(self, *args, **kwargs):
                 blocks[-1].add((int(rows[0]), rows.size))
                 yield rows, i, values
 
@@ -433,7 +462,7 @@ class TestDistinctFields:
         monkeypatch.setattr(SinrEvaluator, "scan", counted_scan)
         run_experiment(cfg)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == want
-        assert slabs == [2, 2, 1]
+        assert slabs == ([2] * 5 if cfg.emit_sinr_maps else [2, 2, 1])
         assert all(len(b) >= 2 for b in blocks), blocks
         assert sum(size for b in blocks for _, size in b) == ny
 
@@ -473,6 +502,34 @@ class TestDistinctFields:
             tracemalloc.stop()
         assert peak < maps_bytes, (peak, maps_bytes)
 
+    def test_maps_on_run_peak_stays_below_the_old_raster_levels(self, tmp_path, monkeypatch):
+        # A maps-on run once held one uint8 raster level per distinct key and
+        # map point from the first scan block to the last file.  It now
+        # appends each block's raster text to the key's files as the scan
+        # makes it, so with one lattice row per slab the traced peak of a
+        # maps-on run at resolution 100, 9 distinct keys over 12 rasters,
+        # stays below those levels alone.
+        monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
+        path = tmp_path / "shared.cfg"
+        path.write_text(SHARED_KEYS_CFG.format(coverage_area="a1", map_area="a2"))
+        cfg = apply_overrides(parse_config(str(path)), out_dir=str(tmp_path / "out"),
+                              resolution=100)
+        assert cfg.emit_sinr_maps
+        grid = Grid.from_spec(cfg.grid)
+        evaluator = SinrEvaluator(grid, cfg.env())
+        keys = {evaluator.field_key(m, allocate(grid, cfg.plan, scheme), cfg.plan)
+                for scheme in cfg.schemes for m in cfg.plan.content_ids}
+        assert (len(keys), len(cfg.schemes) * cfg.plan.m_count) == (9, 12)
+        ny, nx = sample_shape(cfg.map_area(), cfg.grid)
+        levels_bytes = len(keys) * ny * nx
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < levels_bytes, (peak, levels_bytes)
+
 
 def assert_run_holds_no_field(cfg, monkeypatch) -> None:
     """Run ``cfg`` and check, after every block the scan yields, that no
@@ -485,8 +542,8 @@ def assert_run_holds_no_field(cfg, monkeypatch) -> None:
     largest = []
     scan = SinrEvaluator.scan
 
-    def watched(self, xs, ys, keys, period=None):
-        for block in scan(self, xs, ys, keys, period):
+    def watched(self, *args, **kwargs):
+        for block in scan(self, *args, **kwargs):
             yield block
             snapshot = tracemalloc.take_snapshot().filter_traces(numpy_only)
             largest.append(max(trace.size for trace in snapshot.traces))
@@ -512,7 +569,7 @@ def test_count_map_sums_packed_masks_in_row_blocks(monkeypatch, unpack_block):
     masks = [rng.random(shape) < 0.5 for _ in range(5)]
     keys = [("key", i % 5) for i in range(300)]
     totals = runner.ScanTotals(
-        reports={}, map_fractions={}, levels=None, map_shape=shape,
+        reports={}, map_fractions={}, map_shape=shape,
         masks={("key", i): np.packbits(mask, axis=1) for i, mask in enumerate(masks)})
     cmap = totals.count_map(keys)
     assert (cmap.m_count, cmap.shape, cmap.counts.dtype) == (300, shape, np.uint16)
@@ -569,8 +626,7 @@ class TestEmitHeatmap:
     def test_count_map_golden(self, tmp_path):
         cmap = ContentCountMap(m_count=3, counts=np.array([1, 3, 3, 1]), shape=(2, 2))
         path = tmp_path / "counts.pgm"
-        written = emit_heatmap(cmap.as_image(), cmap.m_count, str(path))
-        assert written == [str(path)]
+        emit_heatmap(cmap.as_image(), cmap.m_count, str(path))
         # bottom lattice row [1, 3] lands on the last raster line
         assert path.read_text() == "P2\n2 2\n3\n3 1\n1 3\n"
 
@@ -584,9 +640,9 @@ class TestEmitHeatmap:
         levels = sinr_levels(np.array([[-10.0, 15.0, 40.0], [90.0, -55.0, 0.0]]))
         assert levels.dtype == np.uint8
         path = tmp_path / "sinr.pgm"
-        written = emit_heatmap(levels, 255, str(path), "kind sinr_db\n")
-        assert written == [str(path), str(path) + ".hdr.txt"]
-        assert (tmp_path / "sinr.pgm.hdr.txt").read_text() == "kind sinr_db\n"
+        emit_heatmap(levels, 255, str(path))
+        # the run writes the sidecar itself: see test_sinr_pgm_dimensions_and_sidecar
+        assert [p.name for p in tmp_path.iterdir()] == ["sinr.pgm"]
         pixels, maxval = read_pgm(path)
         assert maxval == 255
         # out-of-window values clip; in-window values scale onto 0..255
@@ -609,7 +665,7 @@ class TestPgmEncoder:
     @staticmethod
     def assert_matches_reference(tmp_path, image, maxval):
         path = tmp_path / "x.pgm"
-        runner._write_pgm(str(path), image, maxval)
+        emit_heatmap(image, maxval, str(path))
         assert path.read_bytes() == reference_pgm(image, maxval)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -663,7 +719,7 @@ class TestPgmEncoder:
         path = tmp_path / "x.pgm"
         tracemalloc.start()
         try:
-            runner._write_pgm(str(path), image, 3)
+            emit_heatmap(image, 3, str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -351,6 +351,50 @@ class TestZoneEngine:
         assert SinrEvaluator(grid, env).gains_for(area).tobytes() == want.tobytes()
         assert len(slabs) >= 3 and [s[1] for s in slabs] == split
 
+    @pytest.mark.parametrize("descending", [True, False], ids=["top-first", "bottom-first"])
+    @pytest.mark.parametrize("one_row_slabs", [False, True], ids=["default", "chunk1"])
+    @pytest.mark.parametrize("spec,resolution", [
+        (GridSpec(rows=1, cols=2, lsa1_cols=1), 4),
+        (GridSpec(), 20),
+        (GridSpec(), 7),
+    ], ids=["smoke-1x2-r4", "paper-r20", "paper-r7"])
+    def test_in_order_scan_gives_every_row_once_in_ascending_order(
+            self, monkeypatch, spec, resolution, one_row_slabs, descending):
+        # A maps-on run scans its lattice's y axis reversed and in order, so
+        # that rows come top row first, as a raster's text runs: on one
+        # tower row, on a periodic and on an aperiodic lattice, and across
+        # one slab per lattice row.  Each key must get every row once, in
+        # ascending order, with the bytes of its field.  The ascending axis,
+        # which the period folds, must come in order too: the order may not
+        # rest on the fold failing on a descending axis.
+        grid, plan, tp = make_setup(spec=spec)
+        evaluator = SinrEvaluator(grid, make_env(PathLossKind.HATA))
+        area = EvalArea(kind=AreaKind.A2, resolution=resolution)
+        xs, ys = lattice_axes(area, spec)
+        keys = [evaluator.field_key(m, tp, plan) for m in plan.content_ids]
+        flip = slice(None, None, -1 if descending else 1)
+        want = [evaluator.field(area, m, tp, plan).as_image()[flip]
+                for m in plan.content_ids]
+        slabs = []
+        kernel_gain = sinr.gain
+
+        def counted(model, d, **kwargs):
+            slabs.append(d.shape[1])
+            return kernel_gain(model, d, **kwargs)
+
+        monkeypatch.setattr(sinr, "gain", counted)
+        if one_row_slabs:
+            monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
+        got = [[] for _ in keys]
+        for rows, i, values in evaluator.scan(xs, ys[flip], keys, resolution,
+                                              in_order=True):
+            got[i].extend(rows.tolist())
+            assert values.tobytes() == np.ascontiguousarray(want[i][rows]).tobytes()
+        assert got == [list(range(ys.size))] * len(keys)
+        assert sum(slabs) == ys.size
+        if one_row_slabs:
+            assert slabs == [1] * ys.size
+
     def test_kernel_evaluates_each_offset_once(self, monkeypatch):
         # paper A2 at resolution 20: 160 x 200 points, 80 towers.  The
         # offset grid is (160 + 7*20) x (200 + 9*20); point by point it
