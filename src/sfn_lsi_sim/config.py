@@ -16,13 +16,15 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind
 from sfn_lsi_sim.errors import ConfigurationError, ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, EvalArea, GridSpec
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
-from sfn_lsi_sim.sinr import RadioEnv
+
+if TYPE_CHECKING:
+    from sfn_lsi_sim.sinr import RadioEnv
 
 MANIFEST_FORMAT = "sfn-lsi-sim/manifest-v1"
 
@@ -49,6 +51,10 @@ class ExperimentConfig:
     seed: int
 
     def env(self) -> RadioEnv:
+        # Imported here so that ``validate``, which parses a config and
+        # builds no environment, loads no engine.
+        from sfn_lsi_sim.sinr import RadioEnv
+
         return RadioEnv(n0=self.n0, pathloss=self.pathloss)
 
     def coverage_area(self) -> EvalArea:

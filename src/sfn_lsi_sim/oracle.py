@@ -11,6 +11,11 @@ the scheme or content, so ``_axes_gains`` computes them once per point of
 an axes pair and holds only the last pair, which every scheme and content
 of one suite group reads.  A held gain is the float the loop computed, so
 every SINR has the bits of a fresh loop.
+
+``run_oracle_suite`` checks the engine as a run drives it: one
+``SinrEvaluator.scan`` per suite group over every distinct ``field_key``
+of the group's schemes and contents, then one brute-force call per
+(scheme, content) against that content's key.
 """
 
 from __future__ import annotations
@@ -21,11 +26,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
+from operator import mul
+
+import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, TransmitPlan, allocate
 from sfn_lsi_sim.grid import Grid, GridSpec
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
-from sfn_lsi_sim.sinr import SINR_FLOOR_DB, RadioEnv, sinr_at
+from sfn_lsi_sim.sinr import SINR_FLOOR_DB, RadioEnv, SinrEvaluator
 
 
 def _cell_gains(
@@ -69,7 +77,8 @@ def _axes_gains(
     """``_cell_gains`` at every point of the axes, rows by y.  Keyed on
     plain numbers and tuples of floats, not on the spec and model
     dataclasses, whose field-by-field hashing would cost more than it
-    saves; holds the last axes pair only, like ``sinr._evaluator``."""
+    saves; holds the last axes pair only, which is all one suite group
+    reads."""
     return tuple(
         tuple(_cell_gains(rows, cols, isd, power_law, eta, f_mhz, hb_m, hm_m, px, py)
               for px in xs)
@@ -101,22 +110,18 @@ def oracle_sinr(
     noise = env.n0 * plan.bandwidth_hz[content_id - 1]
     cell_in_lsa1 = [col < spec.lsa1_cols for _ in range(spec.rows) for col in range(spec.cols)]
     lsa1_edge = spec.lsa1_cols * spec.isd
-    out: list[list[float]] = []
-    for row_gains in gains:
-        values: list[float] = []
-        for px, cell_gains in zip(xs, row_gains):
-            point_in_lsa1 = px < lsa1_edge
-            own_terms: list[float] = []
-            other_terms: list[float] = []
-            for p, g, in_lsa1 in zip(power, cell_gains, cell_in_lsa1):
-                term = p * g
-                if content_id == 1 or in_lsa1 == point_in_lsa1:
-                    own_terms.append(term)
-                else:
-                    other_terms.append(term)
-            values.append(math.fsum(own_terms) / (math.fsum(other_terms) + noise))
-        out.append(values)
-    return out
+    # Per side of the LSA boundary, each cell's power as own signal and as
+    # interference, 0.0 where it is the other kind.  math.fsum is exactly
+    # rounded, so the zero terms change no bit of a sum.
+    sides = {}
+    for point_in_lsa1 in (True, False):
+        is_own = [content_id == 1 or in_lsa1 == point_in_lsa1 for in_lsa1 in cell_in_lsa1]
+        sides[point_in_lsa1] = ([p if o else 0.0 for p, o in zip(power, is_own)],
+                                [0.0 if o else p for p, o in zip(power, is_own)])
+    point_sides = [sides[px < lsa1_edge] for px in xs]
+    return [[math.fsum(map(mul, own, g)) / (math.fsum(map(mul, other, g)) + noise)
+             for (own, other), g in zip(point_sides, row_gains)]
+            for row_gains in gains]
 
 
 @dataclass(frozen=True)
@@ -171,12 +176,14 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
     model) group draws one uniformly random x axis and one y axis, of
     ``n_points // ny`` and ``ny`` values with ``ny`` the largest divisor of
     ``n_points`` not above its square root, from ``random.Random(seed)``.
-    Every case makes one ``sinr_at`` and one ``oracle_sinr`` call per
-    content on those axes and compares all ``n_points`` points.  Engine
-    values are the dB blocks of ``sinr_at``, made by the ``scan`` that
-    writes the artifacts: each is compared in linear units,
-    ``10 ** (dB / 10)``, and must be exactly ``SINR_FLOOR_DB`` where the
-    brute force is 0.
+    The nine schemes' plans are allocated once per (grid, M) and serve both
+    models.  Each group builds one ``SinrEvaluator`` and makes one ``scan``
+    on its axes, with no fold period, over every distinct ``field_key`` of
+    its schemes and contents, as a run scans a lattice.  Every (scheme,
+    content) then makes one ``oracle_sinr`` call and compares all
+    ``n_points`` points with the dB block of its key: in linear units,
+    ``10 ** (dB / 10)``, and exactly ``SINR_FLOOR_DB`` where the brute
+    force is 0.
     """
     models = (
         PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5),
@@ -185,35 +192,41 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
     ny = max(d for d in range(1, math.isqrt(n_points) + 1) if n_points % d == 0)
     draw = random.Random(seed).uniform
     cases: list[OracleCase] = []
-    for (rows, cols, lsa1_cols), m_count, model in product(_GRID_SHAPES, (2, 3), models):
+    for (rows, cols, lsa1_cols), m_count in product(_GRID_SHAPES, (2, 3)):
         spec = GridSpec(rows=rows, cols=cols, lsa1_cols=lsa1_cols, buffer_cols_per_side=1)
         grid = Grid.from_spec(spec)
         plan = _content_plan(m_count)
-        env = RadioEnv(n0=4e-21, pathloss=model)
-        xs = [draw(0.0, cols * spec.isd) for _ in range(n_points // ny)]
-        ys = [draw(0.0, rows * spec.isd) for _ in range(ny)]
-        for scheme in _scheme_configs():
-            tp = allocate(grid, plan, scheme)
-            worst = 0.0
-            for content_id in plan.content_ids:
-                db = sinr_at(xs, ys, content_id, tp, env, plan)
-                expected = oracle_sinr(xs, ys, content_id, tp, env, plan)
-                for got_db, got, want in zip(db.ravel().tolist(),
-                                             (10.0 ** (db / 10.0)).ravel().tolist(),
-                                             chain.from_iterable(expected), strict=True):
-                    if want == 0.0:
-                        err = 0.0 if got_db == SINR_FLOOR_DB else math.inf
-                    else:
-                        err = abs(got - want) / abs(want)
-                    if err > worst:
-                        worst = err
-                    elif err != err:  # NaN counts as infinite
-                        worst = math.inf
-            cases.append(
-                OracleCase(
-                    rows=rows, cols=cols, lsa1_cols=lsa1_cols, m_count=m_count,
-                    scheme=scheme.label, model=model.kind.value,
-                    n_points=n_points, max_rel_err=worst,
+        schemes = _scheme_configs()
+        tps = [allocate(grid, plan, scheme) for scheme in schemes]
+        for model in models:
+            env = RadioEnv(n0=4e-21, pathloss=model)
+            xs = [draw(0.0, cols * spec.isd) for _ in range(n_points // ny)]
+            ys = [draw(0.0, rows * spec.isd) for _ in range(ny)]
+            evaluator = SinrEvaluator(grid, env)
+            keys = [[evaluator.field_key(m, tp, plan) for m in plan.content_ids] for tp in tps]
+            distinct = list(dict.fromkeys(chain.from_iterable(keys)))
+            db_of = dict(zip(distinct, evaluator._whole(np.array(xs), np.array(ys), distinct)))
+            for scheme, tp, tp_keys in zip(schemes, tps, keys):
+                worst = 0.0
+                for content_id, key in zip(plan.content_ids, tp_keys):
+                    db = db_of[key]
+                    expected = oracle_sinr(xs, ys, content_id, tp, env, plan)
+                    for got_db, got, want in zip(db.ravel().tolist(),
+                                                 (10.0 ** (db / 10.0)).ravel().tolist(),
+                                                 chain.from_iterable(expected), strict=True):
+                        if want == 0.0:
+                            err = 0.0 if got_db == SINR_FLOOR_DB else math.inf
+                        else:
+                            err = abs(got - want) / abs(want)
+                        if err > worst:
+                            worst = err
+                        elif err != err:  # NaN counts as infinite
+                            worst = math.inf
+                cases.append(
+                    OracleCase(
+                        rows=rows, cols=cols, lsa1_cols=lsa1_cols, m_count=m_count,
+                        scheme=scheme.label, model=model.kind.value,
+                        n_points=n_points, max_rel_err=worst,
+                    )
                 )
-            )
     return cases

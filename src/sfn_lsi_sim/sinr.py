@@ -13,7 +13,6 @@ one own/other/noise expression, one dB conversion and one finite check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -295,12 +294,13 @@ class SinrEvaluator:
                         raise ValueError("SINR field contains non-finite values")
                     yield rows[lo:lo + step], i, values
 
-    def _whole(self, xs: np.ndarray, ys: np.ndarray, key: tuple,
-               period: int | None = None) -> np.ndarray:
-        """(ny, nx) dB values of one key: its ``scan`` blocks, assembled."""
-        values = np.empty((ys.size, xs.size))
-        for rows, _, block in self.scan(xs, ys, [key], period):
-            values[rows] = block
+    def _whole(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple],
+               period: int | None = None) -> list[np.ndarray]:
+        """(ny, nx) dB values of each of ``keys``, in order: the blocks of
+        one ``scan`` over all of them, assembled."""
+        values = [np.empty((ys.size, xs.size)) for _ in keys]
+        for rows, i, block in self.scan(xs, ys, keys, period):
+            values[i][rows] = block
         return values
 
     def field(
@@ -310,15 +310,8 @@ class SinrEvaluator:
         point of ``area``: ``scan`` of the content's ``field_key`` alone over
         the lattice's axes, folded with the area's period, kept whole."""
         key = self.field_key(content_id, tp, plan)
-        values = self._whole(*lattice_axes(area, self.grid.spec), key, area.resolution)
+        [values] = self._whole(*lattice_axes(area, self.grid.spec), [key], area.resolution)
         return SinrField(area=area, values=values.ravel(), shape=values.shape)
-
-
-@lru_cache(maxsize=1)
-def _evaluator(grid: Grid, env: RadioEnv) -> SinrEvaluator:
-    """The evaluator of the last (grid, env) ``sinr_at`` saw: callers such
-    as the oracle suite make many point calls on one grid in a row."""
-    return SinrEvaluator(grid, env)
 
 
 def sinr_at(
@@ -337,5 +330,6 @@ def sinr_at(
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    evaluator = _evaluator(tp.grid, env)
-    return evaluator._whole(xs, ys, evaluator.field_key(content_id, tp, plan))
+    evaluator = SinrEvaluator(tp.grid, env)
+    [values] = evaluator._whole(xs, ys, [evaluator.field_key(content_id, tp, plan)])
+    return values

@@ -201,6 +201,22 @@ def test_commands_leave_numpy_random_unloaded(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_validate_loads_no_engine():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys\n"
+        "from sfn_lsi_sim.cli import main\n"
+        f"assert main(['validate', '--config', {SMOKE!r}]) == 0\n"
+        "print('sfn_lsi_sim.sinr' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 class TestParser:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -160,6 +160,54 @@ def test_suite_counts_a_nan_error_as_infinite(monkeypatch):
     assert all(case.max_rel_err == math.inf and not case.ok for case in cases)
 
 
+def test_suite_scans_each_group_once(monkeypatch):
+    # One scan per (grid, M, model) group over the group's distinct keys
+    # and the nine plans allocated once per (grid, M).  Every sinr_at call
+    # makes a scan of its own, so 24 scans leave room for none.
+    scan, allocate_plan = SinrEvaluator.scan, oracle.allocate
+    scanned, allocated = [], []
+
+    def counted_scan(self, xs, ys, keys, period=None, in_order=False):
+        scanned.append(list(keys))
+        return scan(self, xs, ys, keys, period, in_order)
+
+    def counted_allocate(*args):
+        allocated.append(args)
+        return allocate_plan(*args)
+
+    monkeypatch.setattr(SinrEvaluator, "scan", counted_scan)
+    monkeypatch.setattr(oracle, "allocate", counted_allocate)
+    run_oracle_suite(n_points=5, seed=7)
+    assert len(scanned) == 24
+    assert len(allocated) == 108
+    groups = iter(scanned)
+    for (rows, cols, lsa1_cols), m_count in product(_GRID_SHAPES, (2, 3)):
+        grid = Grid.from_spec(GridSpec(rows=rows, cols=cols, lsa1_cols=lsa1_cols,
+                                       buffer_cols_per_side=1))
+        plan = _content_plan(m_count)
+        tps = [allocate(grid, plan, scheme) for scheme in _scheme_configs()]
+        evaluator = SinrEvaluator(grid, RadioEnv(n0=4e-21, pathloss=PathLossModel()))
+        want = {evaluator.field_key(m, tp, plan) for tp in tps for m in plan.content_ids}
+        for _ in range(2):  # one scan per path-loss model
+            keys = next(groups)
+            assert len(keys) == len(set(keys))
+            assert set(keys) == want
+
+
+def test_suite_catches_keys_crossed_in_one_scan(monkeypatch):
+    # Hand key i's values to key i+1 inside one multi-key scan: every key's
+    # own values are right, only their assignment is wrong.
+    scan = SinrEvaluator.scan
+
+    def crossed(self, xs, ys, keys, period=None, in_order=False):
+        for rows, i, values in scan(self, xs, ys, keys, period, in_order):
+            yield rows, (i + 1) % len(keys), values
+
+    monkeypatch.setattr(SinrEvaluator, "scan", crossed)
+    cases = run_oracle_suite(n_points=5, seed=7)
+    assert not any(case.ok for case in cases)
+
+
 def uncached_oracle_sinr(point, content_id, tp, env, plan):
     """The brute force as a plain loop that recomputes every cell's gain on
     each call: the bit-level reference for the memoized ``oracle_sinr``."""
