@@ -22,17 +22,18 @@ scheme; A1 results are the left columns of each block.  It reduces each
 block as it comes (``scan_totals``) and holds, per key, only counts and
 bits: its covered point count at each threshold over the coverage area, its
 map-area count at ``content_map_threshold_db`` and that map-area mask,
-packed eight points to a byte.  With SINR maps on, the scan runs top row
-first, in row order, and each block's raster text is appended to the key's
-open raster files as it arrives, so no raster level outlives its block.  No
-float field and no full-area gain is held.  A scheme's count map is the sum
-of its contents' masks, built only while the scheme is written.  Results
-carry no scheme or content: the run names them where it writes them.
+packed eight points to a byte.  With SINR maps on, each block's uint8
+raster levels go to one unlinked spill file in the staging directory; after
+the scan each key's levels are read back and written as its first raster,
+which is copied to the key's other rasters, so a run holds at most the
+spill file, one raster file and one key's levels.  No float field and no
+full-area gain is held.  A scheme's count map is the sum of its contents'
+masks, built only while the scheme is written.  Results carry no scheme or
+content: the run names them where it writes them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import os
@@ -41,6 +42,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import IO
 
 import numpy as np
 
@@ -100,12 +102,6 @@ _PGM_BLOCK = 1 << 14
 fits, else pieces of one row."""
 
 
-def _pgm_header(shape: tuple[int, int], maxval: int) -> bytes:
-    """The P2 header of a (ny, nx) raster of levels 0..``maxval``."""
-    ny, nx = shape
-    return f"P2\n{nx} {ny}\n{maxval}\n".encode("ascii")
-
-
 def _pgm_text(rows: np.ndarray, maxval: int):
     """Yields the P2 text of the raster rows ``rows``, in their order, each
     row ended by a newline, at most ``_PGM_BLOCK`` points at a time."""
@@ -138,8 +134,9 @@ _SINR_SIDECAR = (f"kind sinr_db\ndb_min {fmt9(SINR_DB_RANGE[0])}\n"
 def emit_heatmap(image: np.ndarray, maxval: int, path: str) -> None:
     """Write ``image`` (row index increasing with y) to ``path`` as a plain
     P2 raster of levels 0..``maxval``."""
+    ny, nx = image.shape
     with open(path, "wb") as handle:
-        handle.write(_pgm_header(image.shape, maxval))
+        handle.write(f"P2\n{nx} {ny}\n{maxval}\n".encode("ascii"))
         # PNM rows run top to bottom; the lattice's first row is the smallest y.
         handle.writelines(_pgm_text(image[::-1], maxval))
 
@@ -156,7 +153,8 @@ class ScanTotals:
     points at or above the map threshold and the mask of those points
     packed along rows (``np.packbits``, eight points to a byte).
     ``count_map`` sums a group's masks into its count map on demand.  SINR
-    raster levels are not kept: ``scan_totals`` writes them as it goes."""
+    raster levels are not kept: ``scan_totals`` spills them to a file.  The
+    keys of ``masks`` run in scan order, the order of the spill file."""
 
     reports: dict[tuple, CoverageReport]
     map_fractions: dict[tuple, float]
@@ -182,7 +180,7 @@ class ScanTotals:
 def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
                 coverage_area: EvalArea, map_area: EvalArea,
                 thresholds_db, map_threshold_db: float,
-                rasters: dict[tuple, list] | None = None) -> ScanTotals:
+                spill: IO[bytes] | None = None) -> ScanTotals:
     """Reduce one ``evaluator.scan`` of every distinct key in ``groups``
     (one list of ``field_key``s per count map, in content order).
 
@@ -193,11 +191,11 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
     change them.  Each key's map-area mask is packed as its blocks arrive:
     a (ny, ceil(nx / 8)) uint8 array per distinct key.
 
-    ``rasters`` maps every key to the open binary files of its SINR rasters,
-    each past its P2 header.  Then the scan runs over the y axis reversed
-    and in order, so its rows come top row first, as PGM rows run, and each
-    block's raster text is encoded once per key and appended to each of the
-    key's files.
+    ``spill``, an open binary file, takes every key's SINR raster levels
+    (``sinr_levels`` of its map-area values), key-major: key ``i`` of the
+    distinct keys in order of first appearance, row ``r`` (row index
+    increasing with y) at byte ``(i*ny + r) * nx_map``, with one write per
+    run of consecutive rows of a block.
     """
     spec = evaluator.grid.spec
     full = map_area if map_area.kind is AreaKind.A2 else coverage_area
@@ -211,11 +209,7 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
     masks = [np.empty((map_shape[0], -(-nx_map // 8)), dtype=np.uint8) for _ in keys]
 
     xs, ys = lattice_axes(full, spec)
-    if rasters is None:
-        blocks = evaluator.scan(xs, ys, keys, full.resolution)
-    else:
-        blocks = evaluator.scan(xs, ys[::-1], keys, full.resolution, in_order=True)
-    for rows, i, values in blocks:
+    for rows, i, values in evaluator.scan(xs, ys, keys, full.resolution):
         # Threshold compares on a column slice cost more than one copy of
         # it and compares on the copy.
         cov = np.ascontiguousarray(values[:, :nx_cov])
@@ -223,13 +217,15 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
             covered[i][t] += int(np.count_nonzero(cov >= threshold))
         mask = values[:, :nx_map] >= map_threshold_db
         map_covered[i] += int(np.count_nonzero(mask))
-        if rasters is not None:
-            text = b"".join(_pgm_text(sinr_levels(values[:, :nx_map]), 255))
-            for handle in rasters[keys[i]]:
-                handle.write(text)
-            # The scan's rows index ys reversed; masks keep lattice rows.
-            rows = ys.size - 1 - rows
         masks[i][rows] = np.packbits(mask, axis=1)
+        if spill is not None:
+            levels = sinr_levels(values[:, :nx_map])
+            starts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist()]
+            for a, b in zip(starts, starts[1:] + [rows.size]):
+                offset = (i * map_shape[0] + int(rows[a])) * nx_map
+                # A short write would leave a hole that reads back as level 0.
+                if os.pwrite(spill.fileno(), levels[a:b], offset) != (b - a) * nx_map:
+                    raise OSError("short write to the SINR level spill file")
 
     n_cov = ny_cov * nx_cov
     n_map = map_shape[0] * nx_map
@@ -354,23 +350,31 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
         files.append(name)
         return os.path.join(out_dir, name)
 
-    with contextlib.ExitStack() as open_rasters:
-        rasters = None
-        if cfg.emit_sinr_maps:
-            rasters = {}
-            header = _pgm_header(sample_shape(map_area, grid.spec), 255)
-            for scheme, scheme_keys in zip(cfg.schemes, keys):
-                for m, key in zip(contents, scheme_keys):
-                    name = f"sinr_{scheme.label}_content{m}.pgm"
-                    with open(out_path(f"{name}.hdr.txt"), "w", encoding="ascii",
-                              newline="\n") as handle:
-                        handle.write(f"{_SINR_SIDECAR}scheme {scheme.label}\ncontent {m}\n"
-                                     f"area {map_area.kind.value}\n")
-                    raster = open_rasters.enter_context(open(out_path(name), "wb"))
-                    raster.write(header)
-                    rasters.setdefault(key, []).append(raster)
+    if not cfg.emit_sinr_maps:
         totals = scan_totals(evaluator, keys, coverage_area, map_area, cfg.thresholds_db,
-                             threshold, rasters)
+                             threshold)
+    else:
+        rasters: dict[tuple, list[str]] = {}
+        for scheme, scheme_keys in zip(cfg.schemes, keys):
+            for m, key in zip(contents, scheme_keys):
+                name = f"sinr_{scheme.label}_content{m}.pgm"
+                with open(out_path(f"{name}.hdr.txt"), "w", encoding="ascii",
+                          newline="\n") as handle:
+                    handle.write(f"{_SINR_SIDECAR}scheme {scheme.label}\ncontent {m}\n"
+                                 f"area {map_area.kind.value}\n")
+                rasters.setdefault(key, []).append(out_path(name))
+        # Unlinked when made, so it is never one of the run's files.
+        with tempfile.TemporaryFile(dir=out_dir) as spill:
+            totals = scan_totals(evaluator, keys, coverage_area, map_area,
+                                 cfg.thresholds_db, threshold, spill)
+            ny, nx = totals.map_shape
+            for i, key in enumerate(totals.masks):
+                levels = os.pread(spill.fileno(), ny * nx, i * ny * nx)
+                first, *copies = rasters[key]
+                emit_heatmap(np.frombuffer(levels, np.uint8).reshape(ny, nx), 255, first)
+                del levels  # one key's levels at a time
+                for path in copies:
+                    shutil.copyfile(first, path)
 
     _write_json(out_path("manifest.json"),
                 {"format": MANIFEST_FORMAT, "config": cfg.to_mapping()})

@@ -162,8 +162,7 @@ class SinrEvaluator:
                   for c in np.flatnonzero(self._bands == z).tolist())
             for z in range(len(ZONES)))
 
-    def _slabs(self, xs: np.ndarray, ys: np.ndarray, period: int | None = None,
-               in_order: bool = False):
+    def _slabs(self, xs: np.ndarray, ys: np.ndarray, period: int | None = None):
         """Zone gains at every point of the axes ``xs`` and ``ys``, one
         kernel slab at a time: yields ``(rows, g)``, the indices into ``ys``
         of the slab's lattice rows and their (4, len(rows), nx) zone gains,
@@ -187,18 +186,11 @@ class SinrEvaluator:
         with the gains computed in place in the slab's distance buffer; the
         slab feeds rows ``k*py + r`` for every ``k`` and every ``r`` of its
         block, listed ``k``-major.
-
-        ``in_order`` leaves the y axis unfolded whatever ``period`` is:
-        ``py`` is ``ys.size``, ``q`` is 1, and each slab is a block of
-        consecutive rows of ``ys``, the slabs in ascending row order.  That
-        takes ``rows*q / (q+rows-1)`` times the kernel evaluations of the
-        folded y axis, which cannot give rows in order without holding
-        every residue's ``q+rows-1`` kernel rows at once.
         """
         rows = self.grid.spec.rows
         tx, ty = self._tower_axes
         px, kx = _fold(tx, xs, period)
-        py, ky = _fold(ty, ys, None if in_order else period)
+        py, ky = _fold(ty, ys, period)
         nx, q = xs.size, ys.size // py
         ky = ky.reshape(q + rows - 1, py)
         block = max(1, _KERNEL_CHUNK // ky.shape[0] // kx.size)
@@ -265,23 +257,23 @@ class SinrEvaluator:
                 content_id == 1)
 
     def scan(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple],
-             period: int | None = None, in_order: bool = False):
+             period: int | None = None):
         """SINR in dB at every point of the 1-D axes ``xs`` and ``ys`` for
         every ``field_key`` in ``keys``, in one pass over the gain kernel of
-        ``_slabs`` with fold ``period`` and ``in_order``.  This is the one
-        place zone gains become SINR values.
+        ``_slabs`` with fold ``period``.  This is the one place zone gains
+        become SINR values.
 
         Yields ``(rows, i, values)``: the (len(rows), nx) dB values of
         ``keys[i]`` at the rows ``rows`` of ``ys``.  Per kernel slab, the
         slab's rows are taken in blocks of at most ``_CHUNK`` points, and
         each block yields every key in turn.  Across the scan each key gets
-        every row exactly once: in ascending order of ``rows`` with
-        ``in_order``, else in no fixed order.  Values are checked finite as
-        they are made; each block is a fresh array.
+        every row exactly once, in no fixed order: a block's rows need not be
+        consecutive.  Values are checked finite as they are made; each block
+        is a fresh array.
         """
         in_lsa1 = lsa1_of_x(xs, self.grid.spec)
         step = max(1, _CHUNK // xs.size)
-        for rows, g in self._slabs(xs, ys, period, in_order):
+        for rows, g in self._slabs(xs, ys, period):
             for lo in range(0, rows.size, step):
                 block = g[:, lo:lo + step]
                 for i, key in enumerate(keys):

@@ -167,9 +167,9 @@ def test_suite_scans_each_group_once(monkeypatch):
     scan, allocate_plan = SinrEvaluator.scan, oracle.allocate
     scanned, allocated = [], []
 
-    def counted_scan(self, xs, ys, keys, period=None, in_order=False):
+    def counted_scan(self, xs, ys, keys, period=None):
         scanned.append(list(keys))
-        return scan(self, xs, ys, keys, period, in_order)
+        return scan(self, xs, ys, keys, period)
 
     def counted_allocate(*args):
         allocated.append(args)
@@ -199,8 +199,8 @@ def test_suite_catches_keys_crossed_in_one_scan(monkeypatch):
     # own values are right, only their assignment is wrong.
     scan = SinrEvaluator.scan
 
-    def crossed(self, xs, ys, keys, period=None, in_order=False):
-        for rows, i, values in scan(self, xs, ys, keys, period, in_order):
+    def crossed(self, xs, ys, keys, period=None):
+        for rows, i, values in scan(self, xs, ys, keys, period):
             yield rows, (i + 1) % len(keys), values
 
     monkeypatch.setattr(SinrEvaluator, "scan", crossed)

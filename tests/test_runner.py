@@ -6,6 +6,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -201,8 +203,8 @@ class TestOutputDirectory:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_scan_failing_after_a_block_closes_every_raster(self, tmp_path, monkeypatch):
-        # With SINR maps on, every raster file is open while the scan runs
-        # and one block of text has gone to one of them when the scan fails.
+        # With SINR maps on, the level spill file is open while the scan runs
+        # and one block of levels has gone to it when the scan fails.
         out = tmp_path / "out"
         cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
         assert cfg.emit_sinr_maps
@@ -221,6 +223,60 @@ class TestOutputDirectory:
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert digests(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_raster_failing_after_the_scan_closes_every_file(self, tmp_path, monkeypatch):
+        # The SINR rasters are written after the scan, from the spill file:
+        # one raster is whole and the next fails half written while the
+        # spill file is open.
+        out = tmp_path / "out"
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
+        assert cfg.emit_sinr_maps
+        run_experiment(cfg)
+        before = digests(out)
+        written = []
+
+        def failing(image, maxval, path):
+            assert maxval == 255 and os.path.basename(path).startswith("sinr_")
+            if written:
+                Path(path).write_bytes(b"P2\n")
+                raise RuntimeError("raster failed")
+            emit_heatmap(image, maxval, path)
+            written.append(path)
+
+        monkeypatch.setattr(runner, "emit_heatmap", failing)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeError, match="raster failed"):
+            run_experiment(cfg)
+        assert len(written) == 1
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert digests(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_rasters_beyond_the_open_file_limit_are_written(self, tmp_path):
+        # 40 contents under 4 schemes make 160 SINR rasters, more than the
+        # 64 files the run may hold open, and 332 files in all.
+        pytest.importorskip("resource")
+        config = tmp_path / "many.cfg"
+        config.write_text(Path(SMOKE).read_text().replace("count = 2", "count = 40"))
+        script = (
+            "import resource, sys\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+            "from sfn_lsi_sim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(config),
+             "--resolution", "4", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        names = {p.name for p in out.iterdir()}
+        assert len(names) == 332
+        assert len({n for n in names if n.startswith("sinr_") and n.endswith(".pgm")}) == 160
 
     def test_empty_directory_is_used(self, tmp_path):
         out = tmp_path / "out"
@@ -387,7 +443,7 @@ class TestDistinctFields:
         assert_run_holds_no_field(cfg, monkeypatch)
 
     def test_maps_on_run_holds_no_field_between_calls(self, tmp_path, monkeypatch):
-        # With SINR maps on, a key's values go to its rasters block by block.
+        # With SINR maps on, a key's levels go to the spill file block by block.
         cfg = apply_overrides(parse_config(SMOKE), out_dir=str(tmp_path / "smoke"),
                               resolution=20)
         assert cfg.emit_sinr_maps
@@ -415,15 +471,32 @@ class TestDistinctFields:
         assert sorted(rows_per_key) == list(range(10))
         assert all(sorted(rows) == list(range(32)) for rows in rows_per_key.values())
 
+    @pytest.mark.parametrize("maps", [False, True], ids=["maps-off", "maps-on"])
+    def test_maps_on_run_evaluates_the_maps_off_kernel(self, tmp_path, monkeypatch, maps):
+        # Paper A2 at resolution 4: 32 x 40 points, y and x folded with
+        # period 4.  The kernel is (8 + 7) * 4 rows of 40 + 9 * 4 offsets,
+        # whether or not the run writes SINR rasters.
+        evaluated = []
+        kernel_gain = sinr.gain
+
+        def counted(model, d, **kwargs):
+            evaluated.append(np.size(d))
+            return kernel_gain(model, d, **kwargs)
+
+        monkeypatch.setattr(sinr, "gain", counted)
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(tmp_path / "paper"), resolution=4)
+        run_experiment(replace(cfg, emit_sinr_maps=maps))
+        assert sum(evaluated) == 4560
+
     @pytest.mark.parametrize("config,rows_per_block", [("paper", 3), ("shared-maps-on", 1)])
     def test_small_slabs_and_blocks_keep_run_bytes(self, tmp_path, monkeypatch, config,
                                                    rows_per_block):
         # Resolution 5 with two kernel residues per slab: on the paper run
-        # (maps off, y folded) slabs of 2, 2 and 1 residues mod the period;
-        # on the maps-on run (y unfolded, so a residue is one lattice row)
-        # five slabs of 2 rows.  Each slab is split into at least two key
-        # blocks.  Every file must keep the bytes of the default run, which
-        # takes one slab.
+        # (maps off) and on the maps-on run alike, y folds with the period,
+        # giving slabs of 2, 2 and 1 residues.  Each slab is split into at
+        # least two key blocks.  Every file must keep the bytes of the
+        # default run, which takes one slab.
         if config == "paper":
             path = CONFIG_DIR / "paper_table1.cfg"
         else:
@@ -437,10 +510,9 @@ class TestDistinctFields:
 
         spec = cfg.grid
         ny, nx = sample_shape(EvalArea(kind=AreaKind.A2, resolution=5), spec)
-        # A periodic lattice's kernel: 2*rows - 1 rows per residue, or rows
-        # per lattice row with y unfolded, of nx + (cols-1)*resolution offsets.
-        kernel_rows = spec.rows if cfg.emit_sinr_maps else 2 * spec.rows - 1
-        residue_size = kernel_rows * (nx + (spec.cols - 1) * 5)
+        # A periodic lattice's kernel: 2*rows - 1 rows per residue, of
+        # nx + (cols-1)*resolution offsets.
+        residue_size = (2 * spec.rows - 1) * (nx + (spec.cols - 1) * 5)
         monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 2 * residue_size)
         monkeypatch.setattr(sinr, "_CHUNK", rows_per_block * nx)
         slabs, blocks = [], []
@@ -462,7 +534,7 @@ class TestDistinctFields:
         monkeypatch.setattr(SinrEvaluator, "scan", counted_scan)
         run_experiment(cfg)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == want
-        assert slabs == ([2] * 5 if cfg.emit_sinr_maps else [2, 2, 1])
+        assert slabs == [2, 2, 1]
         assert all(len(b) >= 2 for b in blocks), blocks
         assert sum(size for b in blocks for _, size in b) == ny
 
@@ -505,10 +577,10 @@ class TestDistinctFields:
     def test_maps_on_run_peak_stays_below_the_old_raster_levels(self, tmp_path, monkeypatch):
         # A maps-on run once held one uint8 raster level per distinct key and
         # map point from the first scan block to the last file.  It now
-        # appends each block's raster text to the key's files as the scan
-        # makes it, so with one lattice row per slab the traced peak of a
-        # maps-on run at resolution 100, 9 distinct keys over 12 rasters,
-        # stays below those levels alone.
+        # spills each block's levels to a file and reads back one key's
+        # levels at a time, so with one kernel residue per slab the traced
+        # peak of a maps-on run at resolution 100, 9 distinct keys over 12
+        # rasters, stays below those levels alone.
         monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
         path = tmp_path / "shared.cfg"
         path.write_text(SHARED_KEYS_CFG.format(coverage_area="a1", map_area="a2"))

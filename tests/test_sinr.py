@@ -350,20 +350,20 @@ class TestZoneEngine:
 
     @pytest.mark.parametrize("descending", [True, False], ids=["top-first", "bottom-first"])
     @pytest.mark.parametrize("one_row_slabs", [False, True], ids=["default", "chunk1"])
-    @pytest.mark.parametrize("spec,resolution", [
-        (GridSpec(rows=1, cols=2, lsa1_cols=1), 4),
-        (GridSpec(), 20),
-        (GridSpec(), 7),
+    @pytest.mark.parametrize("spec,resolution,residues", [
+        (GridSpec(rows=1, cols=2, lsa1_cols=1), 4, {False: 4, True: 4}),
+        (GridSpec(), 20, {False: 20, True: 160}),
+        (GridSpec(), 7, {False: 56, True: 56}),
     ], ids=["smoke-1x2-r4", "paper-r20", "paper-r7"])
-    def test_in_order_scan_gives_every_row_once_in_ascending_order(
-            self, monkeypatch, spec, resolution, one_row_slabs, descending):
-        # A maps-on run scans its lattice's y axis reversed and in order, so
-        # that rows come top row first, as a raster's text runs: on one
+    def test_folded_scan_gives_every_row_once(
+            self, monkeypatch, spec, resolution, residues, one_row_slabs, descending):
+        # A run scans its lattice with the resolution as fold period: on one
         # tower row, on a periodic and on an aperiodic lattice, and across
-        # one slab per lattice row.  Each key must get every row once, in
-        # ascending order, with the bytes of its field.  The ascending axis,
-        # which the period folds, must come in order too: the order may not
-        # rest on the fold failing on a descending axis.
+        # one slab per kernel residue.  Each key must get every row exactly
+        # once, with the bytes of its field.  The y axis folds with the
+        # period where its offsets repeat (ascending, periodic) and not
+        # elsewhere (descending, or aperiodic), so the slabs' residues add
+        # up to the period or to the row count.
         grid, plan, tp = make_setup(spec=spec)
         evaluator = SinrEvaluator(grid, make_env(PathLossKind.HATA))
         area = EvalArea(kind=AreaKind.A2, resolution=resolution)
@@ -383,14 +383,13 @@ class TestZoneEngine:
         if one_row_slabs:
             monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
         got = [[] for _ in keys]
-        for rows, i, values in evaluator.scan(xs, ys[flip], keys, resolution,
-                                              in_order=True):
+        for rows, i, values in evaluator.scan(xs, ys[flip], keys, resolution):
             got[i].extend(rows.tolist())
             assert values.tobytes() == np.ascontiguousarray(want[i][rows]).tobytes()
-        assert got == [list(range(ys.size))] * len(keys)
-        assert sum(slabs) == ys.size
+        assert [sorted(rows) for rows in got] == [list(range(ys.size))] * len(keys)
+        assert sum(slabs) == residues[descending]
         if one_row_slabs:
-            assert slabs == [1] * ys.size
+            assert slabs == [1] * residues[descending]
 
     def test_kernel_evaluates_each_offset_once(self, monkeypatch):
         # paper A2 at resolution 20: 160 x 200 points, 80 towers.  The
