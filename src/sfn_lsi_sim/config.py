@@ -15,13 +15,14 @@ import configparser
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind
 from sfn_lsi_sim.errors import ConfigurationError, ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, EvalArea, GridSpec
-from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
+from sfn_lsi_sim.grid import D_MIN_M, AreaKind, EvalArea, GridSpec
+from sfn_lsi_sim.propagation import PathLossKind, PathLossModel, gain
 
 if TYPE_CHECKING:
     from sfn_lsi_sim.sinr import RadioEnv
@@ -30,6 +31,11 @@ MANIFEST_FORMAT = "sfn-lsi-sim/manifest-v1"
 
 # Upper bound on eval.resolution and --resolution: samples per cell edge.
 MAX_RESOLUTION = 200
+
+# Upper bound on the largest SINR and spectral efficiency a config can
+# give: far inside float64's range, so the engine's sums and divisions stay
+# finite.
+MAX_RATIO = 1e300
 
 
 @dataclass(frozen=True)
@@ -184,17 +190,23 @@ _KEYS = (
          "integer in [1, min(lsa1_cols, cols-lsa1_cols)]", 1,
          lambda c: c.grid.buffer_cols_per_side),
     _Key("contents", "count", int, "integer >= 2", _REQUIRED, lambda c: c.plan.m_count),
-    _Key("contents", "bandwidth_hz", _FLOATS, "positive Hz, 1 or M values", _REQUIRED,
+    _Key("contents", "bandwidth_hz", _FLOATS,
+         "positive Hz, 1 or M values, with n0*B a normal float", _REQUIRED,
          lambda c: list(c.plan.bandwidth_hz)),
     _Key("contents", "subcarriers", _INTS, "positive integers, 1 or M values",
          _REQUIRED, lambda c: list(c.plan.subcarriers)),
     _Key("contents", "mod_order", _INTS, "powers of two >= 2, 1 or M values",
          _REQUIRED, lambda c: list(c.plan.mod_order)),
-    _Key("contents", "t_sym_s", _finite, "positive seconds", _REQUIRED,
-         lambda c: c.plan.t_sym),
-    _Key("contents", "power_w", _FLOATS, "non-negative watts, 1 or M values",
+    _Key("contents", "t_sym_s", _finite,
+         f"positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= {MAX_RATIO:g}",
+         _REQUIRED, lambda c: c.plan.t_sym),
+    _Key("contents", "power_w", _FLOATS,
+         "non-negative watts, 1 or M values, with cells*sum(power_w)"
+         f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
          _REQUIRED, lambda c: list(c.plan.base_power)),
-    _Key("contents", "power_prime_w", _FLOATS, "non-negative watts, 1 or M values",
+    _Key("contents", "power_prime_w", _FLOATS,
+         "non-negative watts, 1 or M values, with cells*sum(power_prime_w)"
+         f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
          None, lambda c: list(c.plan.base_power_prime)),
     _Key("propagation", "model", str.lower, "power_law or hata", _REQUIRED,
          lambda c: c.pathloss.kind.value),
@@ -223,6 +235,43 @@ _KEYS = (
          lambda c: c.emit_sinr_maps),
     _Key("output", "seed", _non_negative_int, "integer >= 0", 0, lambda c: c.seed),
 )
+
+
+def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossModel,
+                       n0: float) -> list[str]:
+    """Where a plan would make a run's numbers non-finite, one message per
+    [contents] key at fault, giving its bound.
+
+    Per content the noise is n0*B and no point receives more than every
+    cell's power budget at the gain of ``D_MIN_M``, so the bounds on the
+    noise and on that power over it keep every SINR finite; every scheme
+    weights a content by at most 1, so the bound on the unweighted rate
+    keeps every spectral efficiency finite."""
+    expect = {row.key: row.expect for row in _KEYS if row.section == "contents"}
+    noise = [n0 * b for b in plan.bandwidth_hz]
+    bad = [n for n in noise if not sys.float_info.min <= n <= sys.float_info.max]
+    if bad:
+        return [f"contents.bandwidth_hz: n0*B = {bad[0]!r} W is not a normal float; "
+                f"expected {expect['bandwidth_hz']}"]
+    errors = []
+    budgets = [("power_w", plan.base_power)]
+    if plan.base_power_prime != plan.base_power:
+        budgets.append(("power_prime_w", plan.base_power_prime))
+    g_max = gain(pathloss, D_MIN_M)
+    for key, powers in budgets:
+        ratio = spec.rows * spec.cols * sum(powers) * g_max / min(noise)
+        if not ratio <= MAX_RATIO:
+            errors.append(f"contents.{key}: the received power at {D_MIN_M:g} m over "
+                          f"the noise reaches {ratio!r}; expected {expect[key]}")
+    bits = sum(s * (mu.bit_length() - 1) for s, mu in zip(plan.subcarriers, plan.mod_order))
+    try:
+        xi = bits / (plan.t_sym * sum(plan.bandwidth_hz))
+    except (OverflowError, ZeroDivisionError):
+        xi = math.inf
+    if not xi <= MAX_RATIO:
+        errors.append(f"contents.t_sym_s: the spectral efficiency reaches {xi!r} "
+                      f"bits/s/Hz; expected {expect['t_sym_s']}")
+    return errors
 
 
 def _read_text(path: str) -> str:
@@ -369,6 +418,8 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
     n0 = values["radio"]["n0_w_per_hz"]
     if n0 is not None and n0 <= 0:
         errors.append(f"radio.n0_w_per_hz: must be positive (got {n0})")
+    elif None not in (grid_spec, plan, pathloss, n0):
+        errors += _finite_run_errors(grid_spec, plan, pathloss, n0)
 
     schemes: list[SchemeConfig] = []
     imo_realloc = values["schemes"]["imo_buffer_reallocation"]

@@ -81,7 +81,7 @@ def round9(value: float) -> float:
 
 def _write_json(path: str, document: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, sort_keys=True, indent=2)
+        json.dump(document, handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
 
 

@@ -34,16 +34,19 @@ SINR_FLOOR_DB = -400.0
 _CHUNK = 16384
 """Most points in the block of whole lattice rows ``SinrEvaluator.scan``
 reduces to dB at once, per key (one row if a row is longer).  Bounds a
-key's per-block SINR temporaries; ``_KERNEL_CHUNK`` bounds the slab's."""
+key's per-block SINR temporaries and, with ``_KERNEL_CHUNK``, the residues
+of a kernel slab: a slab feeds at most one block of points (one residue's
+rows if they are more), so its zone gains hold at most 4 * ``_CHUNK``
+elements."""
 
 _KERNEL_CHUNK = 1 << 17
 """Elements per slab of the lattice gain kernel: the kernel rows of one
-block of residues mod the y fold period.  Bounds the slab's distance buffer,
-in which its gains are evaluated in place; the zone gains of the lattice
-rows the slab feeds take at most four times as many elements.  Neither the
-whole kernel nor an area's whole gains are ever held.  With fresh slab
-buffers, 2**17 measured as fast as 2**18 and kept the 6x12 maps-on sweep's
-peak RSS about 1.3 MiB lower."""
+block of residues mod the y fold period, which ``_CHUNK`` bounds as well
+(at least one residue per slab).  Bounds the slab's distance buffer, in
+which its gains are evaluated in place.  Neither the whole kernel nor an
+area's whole gains are ever held.  With fresh slab buffers, 2**17 measured
+as fast as 2**18 and kept the 6x12 maps-on sweep's peak RSS about 1.3 MiB
+lower."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,14 @@ class SinrField:
 
 
 def _db(linear: np.ndarray, out: np.ndarray) -> None:
-    """Write ``linear`` in dB into ``out``; zero becomes ``SINR_FLOOR_DB``."""
-    out[:] = SINR_FLOOR_DB
+    """Write ``linear`` in dB into ``out``; zero (and NaN) becomes
+    ``SINR_FLOOR_DB``.  Whole-array ufuncs, then one masked store: ufuncs
+    with ``where=`` take a slower loop."""
     pos = linear > 0.0
-    np.log10(linear, out=out, where=pos)
-    np.multiply(out, 10.0, out=out, where=pos)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log10(linear, out=out)
+    np.multiply(out, 10.0, out=out)
+    out[~pos] = SINR_FLOOR_DB
 
 
 def _fold(towers: np.ndarray, samples: np.ndarray,
@@ -165,8 +171,10 @@ class SinrEvaluator:
     def _slabs(self, xs: np.ndarray, ys: np.ndarray, period: int | None = None):
         """Zone gains at every point of the axes ``xs`` and ``ys``, one
         kernel slab at a time: yields ``(rows, g)``, the indices into ``ys``
-        of the slab's lattice rows and their (4, len(rows), nx) zone gains,
-        a fresh array per slab.  Every row comes from exactly one slab.
+        of the slab's lattice rows and their (4, len(rows), nx) zone gains.
+        Every row comes from exactly one slab.  ``g`` is a view of one
+        buffer that every slab of the call refills, so it is valid only
+        until the next slab is requested.
 
         A tower's x depends only on its column and its y only on its row.
         ``_fold`` lays each axis's tower-to-sample offsets out so that tower
@@ -183,9 +191,11 @@ class SinrEvaluator:
         With ``q = ny // py`` window rows, output row ``k*py + r`` reads
         only kernel rows congruent to ``r`` mod ``py``.  ``K`` is evaluated
         one slab at a time, the kernel rows of a block of residues ``r``,
-        with the gains computed in place in the slab's distance buffer; the
-        slab feeds rows ``k*py + r`` for every ``k`` and every ``r`` of its
-        block, listed ``k``-major.
+        with the gains computed in place in the slab's fresh distance
+        buffer; the slab feeds rows ``k*py + r`` for every ``k`` and every
+        ``r`` of its block, listed ``k``-major.  A block takes as many
+        residues as both ``_KERNEL_CHUNK`` elements of kernel and
+        ``_CHUNK`` points of fed rows allow, and at least one.
         """
         rows = self.grid.spec.rows
         tx, ty = self._tower_axes
@@ -193,13 +203,16 @@ class SinrEvaluator:
         py, ky = _fold(ty, ys, period)
         nx, q = xs.size, ys.size // py
         ky = ky.reshape(q + rows - 1, py)
-        block = max(1, _KERNEL_CHUNK // ky.shape[0] // kx.size)
+        block = max(1, min(_KERNEL_CHUNK // (ky.shape[0] * kx.size), _CHUNK // (q * nx)))
+        buffer = np.empty(len(ZONES) * q * min(block, py) * nx)
         for lo in range(0, py, block):
             d = np.hypot(kx, ky[:, lo:lo + block, None])
             np.maximum(d, D_MIN_M, out=d)
             slab = gain(self.env.pathloss, d, out=d)
             residues = np.arange(lo, lo + slab.shape[1])
-            g = np.zeros((len(ZONES), q, residues.size, nx))
+            g = buffer[:len(ZONES) * q * residues.size * nx].reshape(
+                len(ZONES), q, residues.size, nx)
+            g.fill(0.0)
             for acc, windows in zip(g, self._windows):
                 for y0, x0 in windows:
                     acc += slab[y0:y0 + q, :, x0 * px:x0 * px + nx]
@@ -265,11 +278,12 @@ class SinrEvaluator:
 
         Yields ``(rows, i, values)``: the (len(rows), nx) dB values of
         ``keys[i]`` at the rows ``rows`` of ``ys``.  Per kernel slab, the
-        slab's rows are taken in blocks of at most ``_CHUNK`` points, and
-        each block yields every key in turn.  Across the scan each key gets
-        every row exactly once, in no fixed order: a block's rows need not be
+        slab's rows are taken in blocks of at most ``_CHUNK`` points (one
+        block, unless one residue's rows alone are more), and each block
+        yields every key in turn.  Across the scan each key gets every row
+        exactly once, in no fixed order: a block's rows need not be
         consecutive.  Values are checked finite as they are made; each block
-        is a fresh array.
+        is a fresh array, while the slab's zone gains are reused by the next.
         """
         in_lsa1 = lsa1_of_x(xs, self.grid.spec)
         step = max(1, _CHUNK // xs.size)

@@ -13,7 +13,7 @@ import pytest
 
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.cli import main
-from sfn_lsi_sim.config import parse_config
+from sfn_lsi_sim.config import _KEYS, parse_config
 from sfn_lsi_sim.grid import Grid
 from sfn_lsi_sim.sinr import SinrEvaluator
 
@@ -84,6 +84,29 @@ class TestRun:
         assert code == 1
         assert ("config error: radio.n0_w_per_hz: not a finite number: 'nan'; "
                 "expected positive W/Hz") in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("power_w", "1e308", "the received power at 20 m over the noise reaches inf"),
+        ("bandwidth_hz", "1e-320", "n0*B = 0.0 W is not a normal float"),
+        ("t_sym_s", "1e-320", "the spectral efficiency reaches inf bits/s/Hz"),
+    ], ids=["power", "bandwidth", "t_sym"])
+    def test_value_that_breaks_the_run_exits_one(self, tmp_path, capsys, key, value,
+                                                 fragment):
+        # Each value once passed validate and broke the run at resolution 4:
+        # a huge power and a tiny bandwidth made the SINR non-finite (exit 2),
+        # and a tiny symbol time wrote Infinity into the JSON artifacts.
+        text = Path(SMOKE).read_text()
+        config = tmp_path / "bound.cfg"
+        config.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
+                                  else line for line in text.splitlines(keepends=True)))
+        [expect] = [row.expect for row in _KEYS if row.key == key]
+        out = tmp_path / "run"
+        for args in (["validate"], ["run", "--out", str(out), "--resolution", "4"]):
+            code = main([args[0], "--config", str(config), *args[1:]])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == f"config error: contents.{key}: {fragment}; expected {expect}\n"
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):

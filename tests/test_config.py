@@ -71,6 +71,11 @@ MESSAGE_CASES = [
     pytest.param({"contents.power_w": "1 2"}, {},
                  ["contents.power_w: expected 1 or 3 values (got 2)"],
                  id="list-length"),
+    pytest.param({"contents.power_prime_w": "1 1e308 1"}, {},
+                 ["contents.power_prime_w: the received power at 20 m over the noise "
+                  "reaches inf; expected non-negative watts, 1 or M values, with "
+                  "cells*sum(power_prime_w)*g(20 m) / (n0*min(B)) <= 1e+300"],
+                 id="lsa2-power-bound"),
     pytest.param({"contents.mod_order": "12"}, {},
                  ["contents.mod_order: entries must be powers of two >= 2 (got 12)"],
                  id="mod-order-power-of-two"),
@@ -135,10 +140,12 @@ def test_exact_error_messages(edits, overrides, expected):
 
 FLOAT_KEYS = {
     "grid.isd_m": "positive meters",
-    "contents.bandwidth_hz": "positive Hz, 1 or M values",
-    "contents.t_sym_s": "positive seconds",
-    "contents.power_w": "non-negative watts, 1 or M values",
-    "contents.power_prime_w": "non-negative watts, 1 or M values",
+    "contents.bandwidth_hz": "positive Hz, 1 or M values, with n0*B a normal float",
+    "contents.t_sym_s": "positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= 1e+300",
+    "contents.power_w": "non-negative watts, 1 or M values, with "
+                        "cells*sum(power_w)*g(20 m) / (n0*min(B)) <= 1e+300",
+    "contents.power_prime_w": "non-negative watts, 1 or M values, with "
+                              "cells*sum(power_prime_w)*g(20 m) / (n0*min(B)) <= 1e+300",
     "propagation.eta": "2 <= eta <= 6",
     "propagation.f_mhz": "150 <= f_mhz <= 1500",
     "propagation.hb_m": "30 <= hb_m <= 200",

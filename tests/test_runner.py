@@ -19,7 +19,7 @@ from sfn_lsi_sim import runner, sinr
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.errors import ConfigValidationError
-from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, lattice_axes, sample_shape
+from sfn_lsi_sim.grid import ZONES, AreaKind, EvalArea, Grid, lattice_axes, sample_shape
 from sfn_lsi_sim.metrics import ContentCountMap, content_count_map, coverage
 from sfn_lsi_sim.runner import (
     SUMMARY_FORMAT,
@@ -492,11 +492,12 @@ class TestDistinctFields:
     @pytest.mark.parametrize("config,rows_per_block", [("paper", 3), ("shared-maps-on", 1)])
     def test_small_slabs_and_blocks_keep_run_bytes(self, tmp_path, monkeypatch, config,
                                                    rows_per_block):
-        # Resolution 5 with two kernel residues per slab: on the paper run
+        # Resolution 5 with a kernel bound of two residues per slab and key
+        # blocks of fewer rows than one residue feeds: on the paper run
         # (maps off) and on the maps-on run alike, y folds with the period,
-        # giving slabs of 2, 2 and 1 residues.  Each slab is split into at
-        # least two key blocks.  Every file must keep the bytes of the
-        # default run, which takes one slab.
+        # and the block bound holds each slab to one residue, giving five
+        # slabs.  Each slab is split into at least two key blocks.  Every
+        # file must keep the bytes of the default run, which takes one slab.
         if config == "paper":
             path = CONFIG_DIR / "paper_table1.cfg"
         else:
@@ -534,7 +535,7 @@ class TestDistinctFields:
         monkeypatch.setattr(SinrEvaluator, "scan", counted_scan)
         run_experiment(cfg)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == want
-        assert slabs == [2, 2, 1]
+        assert slabs == [1] * 5
         assert all(len(b) >= 2 for b in blocks), blocks
         assert sum(size for b in blocks for _, size in b) == ny
 
@@ -553,6 +554,37 @@ class TestDistinctFields:
         finally:
             tracemalloc.stop()
         assert peak < cache_bytes, (peak, cache_bytes)
+
+    def test_paper_scan_peak_holds_one_slab_of_zone_gains(self, tmp_path, monkeypatch):
+        # A maps-off paper run at resolution 100 scans the 800 x 1000 A2
+        # lattice once.  At its peak the scan may hold the packed mask of
+        # every distinct key, one kernel slab, the zone gains of one slab
+        # (four per point, at most one key block of points) and a few key
+        # block temporaries: no slab's gains outlive the next slab.
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(tmp_path / "paper"), resolution=100)
+        assert not cfg.emit_sinr_maps
+        peaks, n_keys = [], []
+        scan_totals = runner.scan_totals
+
+        def traced(evaluator, groups, *args):
+            n_keys.append(len({key for group in groups for key in group}))
+            tracemalloc.start()
+            try:
+                return scan_totals(evaluator, groups, *args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(runner, "scan_totals", traced)
+        run_experiment(cfg)
+        ny, nx = sample_shape(cfg.map_area(), cfg.grid)
+        masks = n_keys[0] * ny * -(-nx // 8)
+        zone_gains = len(ZONES) * 8 * sinr._CHUNK
+        kernel_slab = 8 * sinr._KERNEL_CHUNK
+        block_temporaries = 4 * 8 * sinr._CHUNK
+        bound = masks + zone_gains + kernel_slab + block_temporaries
+        assert peaks[0] < bound, (peaks[0], bound)
 
     def test_paper_run_peak_stays_below_the_old_count_maps(self, tmp_path, monkeypatch):
         # A run once held one uint8 count map per scheme from the first scan
@@ -807,6 +839,13 @@ class TestPgmEncoder:
         self.assert_matches_reference(tmp_path, image, 255)
         self.assert_matches_reference(tmp_path, image[::-1], 255)
         assert runner._token_table(255, " ").tobytes() == before
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+    # RFC 8259 has no Infinity or NaN: a run that made one fails loudly.
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            runner._write_json(str(tmp_path / "x.json"), {"xi": value})
 
 
 class TestNumberFormat:

@@ -299,19 +299,29 @@ class TestZoneEngine:
 
         monkeypatch.setattr(sinr, "gain", counted)
         default_chunk = sinr._KERNEL_CHUNK
+        n_default = []
         for area, expected in zip(areas, want):
-            # One slab of 3 residues mod the period: >= 3 slabs, the last
-            # one partial, since neither resolution is a multiple of 3.
+            # A slab takes as many residues mod the period as both the
+            # kernel bound and one key block of zone gains allow; with
+            # 3 residues' kernel rows it takes 3: >= 3 slabs, the last one
+            # partial, since neither resolution is a multiple of 3.
             nx = sample_shape(area, spec)[1]
             residue_rows = (2 * spec.rows - 1) * (nx + (spec.cols - 1) * resolution)
-            for chunk, n_slabs in ((default_chunk, 1), (3 * residue_rows, -(-resolution // 3))):
+            per_slab = min(default_chunk // residue_rows, sinr._CHUNK // (spec.rows * nx))
+            for chunk, n_slabs in ((default_chunk, -(-resolution // per_slab)),
+                                   (3 * residue_rows, -(-resolution // 3))):
                 monkeypatch.setattr(sinr, "_KERNEL_CHUNK", chunk)
                 slabs.clear()
                 # a fresh evaluator, so the gains are built, not cached
                 got = SinrEvaluator(grid, env).gains_for(area)
                 assert got.tobytes() == expected.tobytes(), (area, chunk)
                 assert len(slabs) == n_slabs, (area, chunk)
+                assert all(s[1] * spec.rows * nx <= sinr._CHUNK for s in slabs), slabs
+                if chunk == default_chunk:
+                    n_default.append(n_slabs)
             assert n_slabs >= 3 and slabs[-1][1] < slabs[0][1] == 3
+        # Paper A2 at r20: 10 of the 22 residues the kernel bound allows.
+        assert n_default == {20: [2, 1], 8: [1, 1]}[resolution]
 
     @pytest.mark.parametrize("spec,area,split", [
         (GridSpec(rows=3, cols=7, isd=1234.567, lsa1_cols=3),
