@@ -15,7 +15,8 @@ every SINR has the bits of a fresh loop.
 ``run_oracle_suite`` checks the engine as a run drives it: one
 ``SinrEvaluator.scan`` per suite group over every distinct ``field_key``
 of the group's schemes and contents, then one brute-force call per
-(scheme, content) against that content's key.
+(scheme, content) against that content's key.  The scan folds lattice axes
+as a run's; the suite's random axes take disjoint kernel windows.
 """
 
 from __future__ import annotations
@@ -178,12 +179,11 @@ def run_oracle_suite(n_points: int = 50, seed: int = 20260814) -> list[OracleCas
     ``n_points`` not above its square root, from ``random.Random(seed)``.
     The nine schemes' plans are allocated once per (grid, M) and serve both
     models.  Each group builds one ``SinrEvaluator`` and makes one ``scan``
-    on its axes, with no fold period, over every distinct ``field_key`` of
-    its schemes and contents, as a run scans a lattice.  Every (scheme,
-    content) then makes one ``oracle_sinr`` call and compares all
-    ``n_points`` points with the dB block of its key: in linear units,
-    ``10 ** (dB / 10)``, and exactly ``SINR_FLOOR_DB`` where the brute
-    force is 0.
+    on its axes over every distinct ``field_key`` of its schemes and
+    contents, as a run scans a lattice.  Every (scheme, content) then makes
+    one ``oracle_sinr`` call and compares all ``n_points`` points with the
+    dB block of its key: in linear units, ``10 ** (dB / 10)``, and exactly
+    ``SINR_FLOOR_DB`` where the brute force is 0.
     """
     models = (
         PathLossModel(kind=PathLossKind.POWER_LAW, eta=3.5),

@@ -209,7 +209,7 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
     masks = [np.empty((map_shape[0], -(-nx_map // 8)), dtype=np.uint8) for _ in keys]
 
     xs, ys = lattice_axes(full, spec)
-    for rows, i, values in evaluator.scan(xs, ys, keys, full.resolution):
+    for rows, i, values in evaluator.scan(xs, ys, keys):
         # Threshold compares on a column slice cost more than one copy of
         # it and compares on the copy.
         cov = np.ascontiguousarray(values[:, :nx_cov])

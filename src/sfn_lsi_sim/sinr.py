@@ -4,10 +4,10 @@ For a receiver point and content m, every cell of the point's own LSA that
 transmits content m contributes signal, and every cell of the other LSA that
 transmits the same subcarriers contributes interference.  The global content
 is carried synchronously by all cells, so it sees no cross-LSA interference,
-only noise.  Every SINR, of an evaluation area's lattice (``field`` and the
-run's reduction) or of any other pair of 1-D axes (``sinr_at``), is a dB
-block made by ``SinrEvaluator.scan``: zone gains from one lattice kernel,
-one own/other/noise expression, one dB conversion and one finite check.
+only noise.  Every SINR, of an area's lattice (``field``, a run) or of any
+other 1-D axes (``sinr_at``), is a dB block of ``SinrEvaluator.scan``: zone
+gains from one lattice kernel, folded wherever the axes allow, one
+own/other/noise expression, one dB conversion and one finite check.
 """
 
 from __future__ import annotations
@@ -99,15 +99,17 @@ def _db(linear: np.ndarray, out: np.ndarray) -> None:
     out[~pos] = SINR_FLOOR_DB
 
 
-def _fold(towers: np.ndarray, samples: np.ndarray,
-          period: int | None = None) -> tuple[int, np.ndarray]:
+def _fold(towers: np.ndarray, samples: np.ndarray, spacing: float) -> tuple[int, np.ndarray]:
     """A fold period ``p`` and the offsets ``towers[c] - samples[k]`` at
-    index ``k - c*p + (n_towers-1)*p``.
+    index ``k - c*p + (n_towers-1)*p``, for towers ``spacing`` apart.
 
-    ``p`` is ``period`` if offsets that share an index are equal, else
-    ``samples.size``: then no two offsets share an index and the layout is
-    tower by tower, last tower first."""
-    if period is not None:
+    ``p`` is ``spacing`` over the samples' first step, rounded, if that step
+    is positive, ``p`` divides the sample count and offsets that share an
+    index are equal; else ``samples.size``: then no two offsets share an
+    index and the layout is tower by tower, last tower first."""
+    step = samples[1].item() - samples[0].item() if samples.size > 1 else 0.0
+    period = round(spacing / step) if step > 0.0 and spacing / step < samples.size + 1 else 0
+    if period and samples.size % period == 0:
         table = towers[:, None] - samples
         index = (np.arange(samples.size) - period * np.arange(towers.size)[:, None]
                  + period * (towers.size - 1))
@@ -168,7 +170,7 @@ class SinrEvaluator:
                   for c in np.flatnonzero(self._bands == z).tolist())
             for z in range(len(ZONES)))
 
-    def _slabs(self, xs: np.ndarray, ys: np.ndarray, period: int | None = None):
+    def _slabs(self, xs: np.ndarray, ys: np.ndarray):
         """Zone gains at every point of the axes ``xs`` and ``ys``, one
         kernel slab at a time: yields ``(rows, g)``, the indices into ``ys``
         of the slab's lattice rows and their (4, len(rows), nx) zone gains.
@@ -179,12 +181,11 @@ class SinrEvaluator:
         A tower's x depends only on its column and its y only on its row.
         ``_fold`` lays each axis's tower-to-sample offsets out so that tower
         column ``c`` reads the window at ``(cols-1-c) * px`` of ``kx``, and
-        likewise for rows.  Where the offsets repeat with the tower
-        ``period`` in samples (a lattice at ``resolution`` when
-        ``isd / resolution`` is exact), windows overlap and the kernel ``K``
-        holds each distinct offset once; otherwise, or with no period,
-        ``px`` is the axis's sample count, windows are disjoint and ``K``
-        holds every tower-to-sample offset.  Either way every distance is
+        likewise for rows.  Where an axis's offsets repeat with the tower
+        spacing (a lattice at ``resolution`` when ``isd / resolution`` is
+        exact), windows overlap and the kernel ``K`` holds each distinct
+        offset once; otherwise ``px`` is the axis's sample count, windows are
+        disjoint and ``K`` holds every offset.  Either way every distance is
         one of ``K``'s, evaluated once, and each G_z adds its cells' ``K``
         windows in cell-index order.
 
@@ -197,10 +198,10 @@ class SinrEvaluator:
         residues as both ``_KERNEL_CHUNK`` elements of kernel and
         ``_CHUNK`` points of fed rows allow, and at least one.
         """
-        rows = self.grid.spec.rows
+        rows, isd = self.grid.spec.rows, self.grid.spec.isd
         tx, ty = self._tower_axes
-        px, kx = _fold(tx, xs, period)
-        py, ky = _fold(ty, ys, period)
+        px, kx = _fold(tx, xs, isd)
+        py, ky = _fold(ty, ys, isd)
         nx, q = xs.size, ys.size // py
         ky = ky.reshape(q + rows - 1, py)
         block = max(1, min(_KERNEL_CHUNK // (ky.shape[0] * kx.size), _CHUNK // (q * nx)))
@@ -231,7 +232,7 @@ class SinrEvaluator:
         traced layer entry points, until that list names stages."""
         xs, ys = lattice_axes(area, self.grid.spec)
         g = np.empty((len(ZONES), ys.size, xs.size))
-        for rows, slab in self._slabs(xs, ys, area.resolution):
+        for rows, slab in self._slabs(xs, ys):
             g[:, rows] = slab
         g.flags.writeable = False
         return g.reshape(len(ZONES), -1)
@@ -269,12 +270,11 @@ class SinrEvaluator:
         return (tuple(self.zone_powers(tp, content_id)), plan.bandwidth_of(content_id),
                 content_id == 1)
 
-    def scan(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple],
-             period: int | None = None):
+    def scan(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple]):
         """SINR in dB at every point of the 1-D axes ``xs`` and ``ys`` for
         every ``field_key`` in ``keys``, in one pass over the gain kernel of
-        ``_slabs`` with fold ``period``.  This is the one place zone gains
-        become SINR values.
+        ``_slabs``, folded wherever the axes allow.  This is the one place
+        zone gains become SINR values.
 
         Yields ``(rows, i, values)``: the (len(rows), nx) dB values of
         ``keys[i]`` at the rows ``rows`` of ``ys``.  Per kernel slab, the
@@ -287,7 +287,7 @@ class SinrEvaluator:
         """
         in_lsa1 = lsa1_of_x(xs, self.grid.spec)
         step = max(1, _CHUNK // xs.size)
-        for rows, g in self._slabs(xs, ys, period):
+        for rows, g in self._slabs(xs, ys):
             for lo in range(0, rows.size, step):
                 block = g[:, lo:lo + step]
                 for i, key in enumerate(keys):
@@ -300,12 +300,11 @@ class SinrEvaluator:
                         raise ValueError("SINR field contains non-finite values")
                     yield rows[lo:lo + step], i, values
 
-    def _whole(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple],
-               period: int | None = None) -> list[np.ndarray]:
+    def _whole(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple]) -> list[np.ndarray]:
         """(ny, nx) dB values of each of ``keys``, in order: the blocks of
         one ``scan`` over all of them, assembled."""
         values = [np.empty((ys.size, xs.size)) for _ in keys]
-        for rows, i, block in self.scan(xs, ys, keys, period):
+        for rows, i, block in self.scan(xs, ys, keys):
             values[i][rows] = block
         return values
 
@@ -314,9 +313,9 @@ class SinrEvaluator:
     ) -> SinrField:
         """SINR in dB of content ``content_id`` under ``tp`` at every lattice
         point of ``area``: ``scan`` of the content's ``field_key`` alone over
-        the lattice's axes, folded with the area's period, kept whole."""
+        the lattice's axes, kept whole."""
         key = self.field_key(content_id, tp, plan)
-        [values] = self._whole(*lattice_axes(area, self.grid.spec), [key], area.resolution)
+        [values] = self._whole(*lattice_axes(area, self.grid.spec), [key])
         return SinrField(area=area, values=values.ravel(), shape=values.shape)
 
 
@@ -331,8 +330,8 @@ def sinr_at(
     """(ny, nx) SINR in dB at every point (x, y) of the 1-D axes ``xs``
     and ``ys``, which need not be sorted, evenly spaced or inside the grid.
 
-    The blocks of ``SinrEvaluator.scan`` with no fold period, assembled as
-    ``field`` assembles them, so a lattice's axes get the field's bytes.
+    The blocks of ``SinrEvaluator.scan``, assembled as ``field`` assembles
+    them: a lattice's axes fold as the field's do and get its bytes.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

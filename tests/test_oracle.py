@@ -122,8 +122,8 @@ def test_suite_catches_a_broken_gain_kernel(monkeypatch):
     # window starts one sample late; only the lattice kernel reads them.
     fold = sinr._fold
 
-    def shifted(towers, samples, period=None):
-        p, offsets = fold(towers, samples, period)
+    def shifted(towers, samples, spacing):
+        p, offsets = fold(towers, samples, spacing)
         return p, np.roll(offsets, 1)
 
     monkeypatch.setattr(sinr, "_fold", shifted)
@@ -167,9 +167,9 @@ def test_suite_scans_each_group_once(monkeypatch):
     scan, allocate_plan = SinrEvaluator.scan, oracle.allocate
     scanned, allocated = [], []
 
-    def counted_scan(self, xs, ys, keys, period=None):
+    def counted_scan(self, xs, ys, keys):
         scanned.append(list(keys))
-        return scan(self, xs, ys, keys, period)
+        return scan(self, xs, ys, keys)
 
     def counted_allocate(*args):
         allocated.append(args)
@@ -199,8 +199,8 @@ def test_suite_catches_keys_crossed_in_one_scan(monkeypatch):
     # own values are right, only their assignment is wrong.
     scan = SinrEvaluator.scan
 
-    def crossed(self, xs, ys, keys, period=None):
-        for rows, i, values in scan(self, xs, ys, keys, period):
+    def crossed(self, xs, ys, keys):
+        for rows, i, values in scan(self, xs, ys, keys):
             yield rows, (i + 1) % len(keys), values
 
     monkeypatch.setattr(SinrEvaluator, "scan", crossed)

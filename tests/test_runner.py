@@ -455,10 +455,9 @@ class TestDistinctFields:
         scans, rows_per_key = [], {}
         scan = SinrEvaluator.scan
 
-        def counted(self, xs, ys, keys, *args, **kwargs):
-            period = args[0] if args else kwargs.get("period")
-            scans.append((xs.tobytes(), ys.tobytes(), period, len(keys), len(set(keys))))
-            for rows, i, values in scan(self, xs, ys, keys, *args, **kwargs):
+        def counted(self, xs, ys, keys):
+            scans.append((xs.tobytes(), ys.tobytes(), len(keys), len(set(keys))))
+            for rows, i, values in scan(self, xs, ys, keys):
                 rows_per_key.setdefault(i, []).extend(rows.tolist())
                 yield rows, i, values
 
@@ -467,7 +466,7 @@ class TestDistinctFields:
                               out_dir=str(tmp_path / "paper"), resolution=4)
         run_experiment(cfg)
         xs, ys = lattice_axes(EvalArea(kind=AreaKind.A2, resolution=4), cfg.grid)
-        assert scans == [(xs.tobytes(), ys.tobytes(), 4, 10, 10)]
+        assert scans == [(xs.tobytes(), ys.tobytes(), 10, 10)]
         assert sorted(rows_per_key) == list(range(10))
         assert all(sorted(rows) == list(range(32)) for rows in rows_per_key.values())
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,9 +138,10 @@ class TestSinrAt:
 
 class TestSinrField:
     def test_field_matches_point_evaluation(self):
-        # sinr_at folds no period, so on a periodic lattice it reads
-        # disjoint kernel windows where the field reads overlapping ones;
-        # both must give every lattice point the same bytes.
+        # Descending axes never fold, so sinr_at on the reversed lattice
+        # axes reads disjoint kernel windows where the field of a periodic
+        # lattice reads overlapping ones; both must give every lattice
+        # point the same bytes.
         schemes = [SchemeConfig(SchemeKind.OLSI),
                    SchemeConfig(SchemeKind.IMLSI_PS, beta=0.5),
                    SchemeConfig(SchemeKind.IMLSI_O, beta=0.25)]
@@ -157,7 +159,8 @@ class TestSinrField:
                     evaluator = SinrEvaluator(grid, env)
                     for area, m in itertools.product(areas, plan.content_ids):
                         field = evaluator.field(area, m, tp, plan).values
-                        point = sinr_at(*lattice_axes(area, spec), m, tp, env, plan)
+                        xs, ys = lattice_axes(area, spec)
+                        point = sinr_at(xs[::-1], ys[::-1], m, tp, env, plan)[::-1, ::-1]
                         where = f"{spec} {kind} {scheme.label} {area} content {m}"
                         assert point.tobytes() == field.tobytes(), where
 
@@ -216,8 +219,8 @@ class TestSinrField:
     def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch, kind):
         # A2 at resolution 40: 320 rows of 400 points, reduced in blocks of
         # 40 rows by default, then of 1 and of 3 rows (the last partial).
-        # sinr_at on the lattice's axes, unfolded, must give the same bytes
-        # under every block size.
+        # sinr_at on the reversed axes, which never fold, must give the
+        # same bytes under every block size.
         grid, plan, tp = make_setup()
         env = make_env(kind)
         evaluator = SinrEvaluator(grid, env)
@@ -238,7 +241,7 @@ class TestSinrField:
             fields[rows_per_block] = evaluator.field(area, 2, tp, plan).values.tobytes()
             assert len(blocks) >= 8 and blocks[0] == rows_per_block, chunk
             assert sum(blocks) == 320
-            point = sinr_at(xs, ys, 2, tp, env, plan)
+            point = sinr_at(xs[::-1], ys[::-1], 2, tp, env, plan)[::-1, ::-1]
             assert point.tobytes() == fields[rows_per_block], chunk
         assert fields[1] == fields[3] == fields[40]
 
@@ -367,7 +370,7 @@ class TestZoneEngine:
     ], ids=["smoke-1x2-r4", "paper-r20", "paper-r7"])
     def test_folded_scan_gives_every_row_once(
             self, monkeypatch, spec, resolution, residues, one_row_slabs, descending):
-        # A run scans its lattice with the resolution as fold period: on one
+        # A scan folds a lattice with the resolution as period: on one
         # tower row, on a periodic and on an aperiodic lattice, and across
         # one slab per kernel residue.  Each key must get every row exactly
         # once, with the bytes of its field.  The y axis folds with the
@@ -393,13 +396,59 @@ class TestZoneEngine:
         if one_row_slabs:
             monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
         got = [[] for _ in keys]
-        for rows, i, values in evaluator.scan(xs, ys[flip], keys, resolution):
+        for rows, i, values in evaluator.scan(xs, ys[flip], keys):
             got[i].extend(rows.tolist())
             assert values.tobytes() == np.ascontiguousarray(want[i][rows]).tobytes()
         assert [sorted(rows) for rows in got] == [list(range(ys.size))] * len(keys)
         assert sum(slabs) == residues[descending]
         if one_row_slabs:
             assert slabs == [1] * residues[descending]
+
+    @pytest.mark.parametrize("isd", [1700.0, 1200.0, 1234.567])
+    def test_fold_finds_the_resolution_of_every_lattice(self, isd):
+        # The fold a lattice at resolution r once took with r passed in as
+        # its period: r where every offset that shares an index is equal,
+        # else disjoint windows, one tower after another.
+        def fold_with_period(towers, samples, period):
+            table = towers[:, None] - samples
+            index = (np.arange(samples.size) - period * np.arange(towers.size)[:, None]
+                     + period * (towers.size - 1))
+            folded = np.zeros(samples.size + period * (towers.size - 1))
+            folded[index] = table
+            if np.array_equal(folded[index], table):
+                return period, folded
+            return samples.size, (towers[::-1, None] - samples).ravel()
+
+        spec = GridSpec(rows=2, cols=3, isd=isd, lsa1_cols=1)
+        towers = Grid.from_spec(spec).tower_axes()
+        found = set()
+        for r in range(1, 201):
+            for kind in (AreaKind.A2, AreaKind.A1):
+                for t, samples in zip(towers, lattice_axes(EvalArea(kind, r), spec)):
+                    p, folded = sinr._fold(t, samples, isd)
+                    want_p, want = fold_with_period(t, samples, r)
+                    assert (p, folded.tobytes()) == (want_p, want.tobytes()), (r, kind)
+                    found.add(p == r)
+        assert found == {True, False}
+
+    def test_fold_leaves_other_axes_unfolded(self):
+        towers = Grid.from_spec(GridSpec()).tower_axes()[0]
+        lattice = lattice_axes(EvalArea(AreaKind.A2, 4), GridSpec())[0]
+        axes = {
+            "random": np.random.default_rng(5).uniform(0.0, 17000.0, 40),
+            "descending": lattice[::-1],
+            "one sample": lattice[:1],
+            "repeated value": np.full(40, 850.0),
+            "repeated then periodic": np.concatenate([lattice[:1], lattice[:39]]),
+            "subnormal step": np.array([0.0, 5e-324, 1e-323, 1.5e-323]),
+            "step above twice the spacing": np.arange(4) * 5000.0,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, samples in axes.items():
+                p, folded = sinr._fold(towers, samples, 1700.0)
+                assert p == samples.size, name
+                assert folded.tobytes() == (towers[::-1, None] - samples).tobytes(), name
 
     def test_kernel_evaluates_each_offset_once(self, monkeypatch):
         # paper A2 at resolution 20: 160 x 200 points, 80 towers.  The
