@@ -7,7 +7,9 @@ Subcommands:
 * ``se``       print scheme spectral efficiencies and exact ratios
 * ``oracle``   compare the engine against brute-force SINR on small grids
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
+Exit codes: 0 success, 1 configuration/validation error, 2 runtime error,
+130 on SIGINT and 143 on SIGTERM.  Both signals unwind the same way, so a
+stopped run removes its staging directory and prints one line.
 
 Each handler imports the modules only it runs, so ``validate`` loads no
 engine and ``oracle`` no artifact writer.
@@ -16,6 +18,7 @@ engine and ``oracle`` no artifact writer.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from sfn_lsi_sim.config import apply_overrides, parse_config
@@ -108,6 +111,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where the main thread is, as SIGINT raises its
+    ``KeyboardInterrupt``."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -116,15 +128,22 @@ def main(argv: list[str] | None = None) -> int:
         "se": _cmd_se,
         "oracle": _cmd_oracle,
     }
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return handlers[args.command](args)
     except ConfigValidationError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        name, code = ("SIGTERM", 143) if isinstance(exc, _Terminated) else ("SIGINT", 130)
+        print(f"stopped by {name}", file=sys.stderr)
+        return code
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

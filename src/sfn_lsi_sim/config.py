@@ -183,7 +183,9 @@ _INTS = _list_of(int)
 _KEYS = (
     _Key("grid", "rows", int, "integer >= 1", _REQUIRED, lambda c: c.grid.rows),
     _Key("grid", "cols", int, "integer >= 2", _REQUIRED, lambda c: c.grid.cols),
-    _Key("grid", "isd_m", _finite, "positive meters", _REQUIRED, lambda c: c.grid.isd),
+    _Key("grid", "isd_m", _finite,
+         "positive meters, with hypot(cols, rows)*isd_m a finite float", _REQUIRED,
+         lambda c: c.grid.isd),
     _Key("grid", "lsa1_cols", int, "integer in [1, cols-1]", _REQUIRED,
          lambda c: c.grid.lsa1_cols),
     _Key("grid", "buffer_cols_per_side", int,
@@ -193,7 +195,8 @@ _KEYS = (
     _Key("contents", "bandwidth_hz", _FLOATS,
          "positive Hz, 1 or M values, with n0*B a normal float", _REQUIRED,
          lambda c: list(c.plan.bandwidth_hz)),
-    _Key("contents", "subcarriers", _INTS, "positive integers, 1 or M values",
+    _Key("contents", "subcarriers", _INTS,
+         "positive integers, 1 or M values, with sum(S*log2(mu)) a finite float",
          _REQUIRED, lambda c: list(c.plan.subcarriers)),
     _Key("contents", "mod_order", _INTS, "powers of two >= 2, 1 or M values",
          _REQUIRED, lambda c: list(c.plan.mod_order)),
@@ -245,8 +248,8 @@ def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossMode
     Per content the noise is n0*B and no point receives more than every
     cell's power budget at the gain of ``D_MIN_M``, so the bounds on the
     noise and on that power over it keep every SINR finite; every scheme
-    weights a content by at most 1, so the bound on the unweighted rate
-    keeps every spectral efficiency finite."""
+    weights a content by at most 1, so the bounds on the bits per symbol
+    and on the unweighted rate keep every spectral efficiency finite."""
     expect = {row.key: row.expect for row in _KEYS if row.section == "contents"}
     noise = [n0 * b for b in plan.bandwidth_hz]
     bad = [n for n in noise if not sys.float_info.min <= n <= sys.float_info.max]
@@ -265,8 +268,13 @@ def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossMode
                           f"the noise reaches {ratio!r}; expected {expect[key]}")
     bits = sum(s * (mu.bit_length() - 1) for s, mu in zip(plan.subcarriers, plan.mod_order))
     try:
+        bits = float(bits)
+    except OverflowError:
+        return errors + [f"contents.subcarriers: sum(S*log2(mu)) is too large for a float; "
+                         f"expected {expect['subcarriers']}"]
+    try:
         xi = bits / (plan.t_sym * sum(plan.bandwidth_hz))
-    except (OverflowError, ZeroDivisionError):
+    except ZeroDivisionError:
         xi = math.inf
     if not xi <= MAX_RATIO:
         errors.append(f"contents.t_sym_s: the spectral efficiency reaches {xi!r} "
@@ -367,6 +375,13 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
                                  buffer_cols_per_side=grid["buffer_cols_per_side"])
         except ConfigurationError as exc:
             errors.append(f"grid: {exc}")
+        else:
+            # No lattice offset or distance exceeds the grid's diagonal.
+            diagonal = math.hypot(grid_spec.cols, grid_spec.rows) * grid_spec.isd
+            if not diagonal <= sys.float_info.max:
+                [expect] = [row.expect for row in _KEYS if row.key == "isd_m"]
+                errors.append(f"grid.isd_m: the grid's diagonal reaches {diagonal!r} m; "
+                              f"expected {expect}")
 
     contents = values["contents"]
     m_count = contents["count"]

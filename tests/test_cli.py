@@ -5,8 +5,10 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,27 +88,36 @@ class TestRun:
                 "expected positive W/Hz") in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,value,fragment", [
-        ("power_w", "1e308", "the received power at 20 m over the noise reaches inf"),
-        ("bandwidth_hz", "1e-320", "n0*B = 0.0 W is not a normal float"),
-        ("t_sym_s", "1e-320", "the spectral efficiency reaches inf bits/s/Hz"),
-    ], ids=["power", "bandwidth", "t_sym"])
-    def test_value_that_breaks_the_run_exits_one(self, tmp_path, capsys, key, value,
-                                                 fragment):
+    @pytest.mark.parametrize("config,name,value,fragment", [
+        (SMOKE, "contents.power_w", "1e308",
+         "the received power at 20 m over the noise reaches inf"),
+        (SMOKE, "contents.bandwidth_hz", "1e-320", "n0*B = 0.0 W is not a normal float"),
+        (SMOKE, "contents.t_sym_s", "1e-320", "the spectral efficiency reaches inf bits/s/Hz"),
+        (SMOKE, "contents.subcarriers", "1" + "0" * 309,
+         "sum(S*log2(mu)) is too large for a float"),
+        (TABLE, "grid.isd_m", "1e308", "the grid's diagonal reaches inf m"),
+        (TABLE, "grid.isd_m", "3e307", "the grid's diagonal reaches inf m"),
+    ], ids=["power", "bandwidth", "t_sym", "subcarriers", "isd-1e308", "isd-3e307"])
+    def test_value_that_breaks_the_run_exits_one(self, tmp_path, capsys, config, name,
+                                                 value, fragment):
         # Each value once passed validate and broke the run at resolution 4:
         # a huge power and a tiny bandwidth made the SINR non-finite (exit 2),
-        # and a tiny symbol time wrote Infinity into the JSON artifacts.
-        text = Path(SMOKE).read_text()
-        config = tmp_path / "bound.cfg"
-        config.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
-                                  else line for line in text.splitlines(keepends=True)))
+        # and a tiny symbol time wrote Infinity into the JSON artifacts.  A
+        # subcarrier count too large for a float named t_sym_s, and on the
+        # 8 x 10 paper grid both spacings ran to exit 0 with 0 % coverage
+        # everywhere, as tower offsets or their hypot overflowed to inf.
+        key = name.split(".")[1]
+        text = Path(config).read_text()
+        bound = tmp_path / "bound.cfg"
+        bound.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
+                                 else line for line in text.splitlines(keepends=True)))
         [expect] = [row.expect for row in _KEYS if row.key == key]
         out = tmp_path / "run"
         for args in (["validate"], ["run", "--out", str(out), "--resolution", "4"]):
-            code = main([args[0], "--config", str(config), *args[1:]])
+            code = main([args[0], "--config", str(bound), *args[1:]])
             captured = capsys.readouterr()
             assert code == 1
-            assert captured.err == f"config error: contents.{key}: {fragment}; expected {expect}\n"
+            assert captured.err == f"config error: {name}: {fragment}; expected {expect}\n"
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):
@@ -238,6 +249,40 @@ def test_validate_loads_no_engine():
     result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("signum,code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)],
+                         ids=["SIGINT", "SIGTERM"])
+def test_signal_during_a_run_keeps_the_previous_output(tmp_path, capsys, signum, code):
+    # Stop a run once its staging directory appears: the previous output
+    # must stay as it was, no staging directory may be left, and the child
+    # must exit with 128 + the signal's number after one line on stderr.
+    out = tmp_path / "run"
+    assert main(["run", "--config", TABLE, "--resolution", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    previous = {p.name: p.read_bytes() for p in out.iterdir()}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sfn_lsi_sim.cli", "run", "--config", TABLE,
+         "--resolution", "200", "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        while not list(tmp_path.glob(".run.*.partial")):
+            assert child.poll() is None, "the run ended before it was signalled"
+            time.sleep(0.002)
+        # Into the scan, past the staging directory's creation.
+        time.sleep(0.1)
+        child.send_signal(signum)
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, err) == (code, f"stopped by {signal.Signals(signum).name}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
 
 
 class TestParser:

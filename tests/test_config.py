@@ -76,6 +76,15 @@ MESSAGE_CASES = [
                   "reaches inf; expected non-negative watts, 1 or M values, with "
                   "cells*sum(power_prime_w)*g(20 m) / (n0*min(B)) <= 1e+300"],
                  id="lsa2-power-bound"),
+    pytest.param({"grid.isd_m": "1e308"}, {},
+                 ["grid.isd_m: the grid's diagonal reaches inf m; expected positive "
+                  "meters, with hypot(cols, rows)*isd_m a finite float"],
+                 id="isd-bound"),
+    pytest.param({"contents.subcarriers": "1" + "0" * 309}, {},
+                 ["contents.subcarriers: sum(S*log2(mu)) is too large for a float; "
+                  "expected positive integers, 1 or M values, with sum(S*log2(mu)) "
+                  "a finite float"],
+                 id="subcarriers-bound"),
     pytest.param({"contents.mod_order": "12"}, {},
                  ["contents.mod_order: entries must be powers of two >= 2 (got 12)"],
                  id="mod-order-power-of-two"),
@@ -139,7 +148,7 @@ def test_exact_error_messages(edits, overrides, expected):
 
 
 FLOAT_KEYS = {
-    "grid.isd_m": "positive meters",
+    "grid.isd_m": "positive meters, with hypot(cols, rows)*isd_m a finite float",
     "contents.bandwidth_hz": "positive Hz, 1 or M values, with n0*B a normal float",
     "contents.t_sym_s": "positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= 1e+300",
     "contents.power_w": "non-negative watts, 1 or M values, with "
