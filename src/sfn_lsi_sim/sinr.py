@@ -32,12 +32,12 @@ SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
 
 _CHUNK = 16384
-"""Most points in the block of whole lattice rows ``SinrEvaluator.scan``
-reduces to dB at once, per key (one row if a row is longer).  Bounds a
-key's per-block SINR temporaries and, with ``_KERNEL_CHUNK``, the residues
-of a kernel slab: a slab feeds at most one block of points (one residue's
-rows if they are more), so its zone gains hold at most 4 * ``_CHUNK``
-elements."""
+"""Most points in a block of whole lattice rows that
+``SinrEvaluator._slabs`` yields and ``SinrEvaluator.scan`` reduces to dB
+at once, per key (one row if a row is longer).  Bounds a key's per-block
+SINR temporaries and, with ``_KERNEL_CHUNK``, the residues of a kernel
+slab: a slab feeds at most one block of points (one residue's rows if they
+are more), so its zone gains hold at most 4 * ``_CHUNK`` elements."""
 
 _KERNEL_CHUNK = 1 << 17
 """Elements per slab of the lattice gain kernel: the kernel rows of one
@@ -101,23 +101,21 @@ def _db(linear: np.ndarray, out: np.ndarray) -> None:
 
 def _fold(towers: np.ndarray, samples: np.ndarray, spacing: float) -> tuple[int, np.ndarray]:
     """A fold period ``p`` and the offsets ``towers[c] - samples[k]`` at
-    index ``k - c*p + (n_towers-1)*p``, for towers ``spacing`` apart.
+    index ``k - c*p + (n_towers-1)*p``, for towers ``spacing`` apart: the
+    last tower's offsets, then each earlier tower's last ``p``.
 
     ``p`` is ``spacing`` over the samples' first step, rounded, if that step
     is positive, ``p`` divides the sample count and offsets that share an
-    index are equal; else ``samples.size``: then no two offsets share an
-    index and the layout is tower by tower, last tower first."""
-    step = samples[1].item() - samples[0].item() if samples.size > 1 else 0.0
-    period = round(spacing / step) if step > 0.0 and spacing / step < samples.size + 1 else 0
-    if period and samples.size % period == 0:
-        table = towers[:, None] - samples
-        index = (np.arange(samples.size) - period * np.arange(towers.size)[:, None]
-                 + period * (towers.size - 1))
-        folded = np.zeros(samples.size + period * (towers.size - 1))
-        folded[index] = table
-        if np.array_equal(folded[index], table):
-            return period, folded
-    return samples.size, (towers[::-1, None] - samples).ravel()
+    index are equal (tower ``c+1`` at ``k+p`` with tower ``c`` at ``k``);
+    else ``samples.size``, and no two offsets share an index."""
+    n = samples.size
+    step = samples[1].item() - samples[0].item() if n > 1 else 0.0
+    period = round(spacing / step) if step > 0.0 and spacing / step < n + 1 else 0
+    table = towers[:, None] - samples
+    if not (period and n % period == 0
+            and np.array_equal(table[1:, period:], table[:-1, :n - period])):
+        period = n
+    return period, np.concatenate([table[-1], table[-2::-1, n - period:].ravel()])
 
 
 def _terms(g: np.ndarray, in_lsa1: np.ndarray, key: tuple) -> tuple:
@@ -172,11 +170,12 @@ class SinrEvaluator:
 
     def _slabs(self, xs: np.ndarray, ys: np.ndarray):
         """Zone gains at every point of the axes ``xs`` and ``ys``, one
-        kernel slab at a time: yields ``(rows, g)``, the indices into ``ys``
-        of the slab's lattice rows and their (4, len(rows), nx) zone gains.
-        Every row comes from exactly one slab.  ``g`` is a view of one
+        kernel slab at a time, in blocks: yields ``(rows, g)``, the indices
+        into ``ys`` of a block's lattice rows and their (4, len(rows), nx)
+        zone gains.  A block holds at most ``_CHUNK`` points, or one row;
+        every row comes in exactly one block.  ``g`` is a view of one
         buffer that every slab of the call refills, so it is valid only
-        until the next slab is requested.
+        until the next block is requested.
 
         A tower's x depends only on its column and its y only on its row.
         ``_fold`` lays each axis's tower-to-sample offsets out so that tower
@@ -184,19 +183,19 @@ class SinrEvaluator:
         likewise for rows.  Where an axis's offsets repeat with the tower
         spacing (a lattice at ``resolution`` when ``isd / resolution`` is
         exact), windows overlap and the kernel ``K`` holds each distinct
-        offset once; otherwise ``px`` is the axis's sample count, windows are
-        disjoint and ``K`` holds every offset.  Either way every distance is
-        one of ``K``'s, evaluated once, and each G_z adds its cells' ``K``
-        windows in cell-index order.
+        offset once; otherwise ``px`` is the axis's sample count and the
+        same layout makes the windows disjoint.  Every distance is one of
+        ``K``'s, evaluated once, and each G_z adds its cells' ``K`` windows
+        in cell-index order.
 
         With ``q = ny // py`` window rows, output row ``k*py + r`` reads
         only kernel rows congruent to ``r`` mod ``py``.  ``K`` is evaluated
         one slab at a time, the kernel rows of a block of residues ``r``,
         with the gains computed in place in the slab's fresh distance
         buffer; the slab feeds rows ``k*py + r`` for every ``k`` and every
-        ``r`` of its block, listed ``k``-major.  A block takes as many
-        residues as both ``_KERNEL_CHUNK`` elements of kernel and
-        ``_CHUNK`` points of fed rows allow, and at least one.
+        ``r`` of its block, listed ``k``-major, yielded in blocks.  A slab
+        takes as many residues as both ``_KERNEL_CHUNK`` elements of kernel
+        and one block of fed rows allow, and at least one.
         """
         rows, isd = self.grid.spec.rows, self.grid.spec.isd
         tx, ty = self._tower_axes
@@ -204,7 +203,8 @@ class SinrEvaluator:
         py, ky = _fold(ty, ys, isd)
         nx, q = xs.size, ys.size // py
         ky = ky.reshape(q + rows - 1, py)
-        block = max(1, min(_KERNEL_CHUNK // (ky.shape[0] * kx.size), _CHUNK // (q * nx)))
+        step = max(1, _CHUNK // nx)
+        block = max(1, min(_KERNEL_CHUNK // (ky.shape[0] * kx.size), step // q))
         buffer = np.empty(len(ZONES) * q * min(block, py) * nx)
         for lo in range(0, py, block):
             d = np.hypot(kx, ky[:, lo:lo + block, None])
@@ -220,7 +220,9 @@ class SinrEvaluator:
             # Free the kernel slab before the caller reduces its rows.
             del d, slab
             rows_fed = (py * np.arange(q)[:, None] + residues).ravel()
-            yield rows_fed, g.reshape(len(ZONES), rows_fed.size, nx)
+            g = g.reshape(len(ZONES), rows_fed.size, nx)
+            for lo in range(0, rows_fed.size, step):
+                yield rows_fed[lo:lo + step], g[:, lo:lo + step]
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
         """(4, n_points) read-only zone gains G_z of ``area``'s lattice, one
@@ -277,28 +279,24 @@ class SinrEvaluator:
         zone gains become SINR values.
 
         Yields ``(rows, i, values)``: the (len(rows), nx) dB values of
-        ``keys[i]`` at the rows ``rows`` of ``ys``.  Per kernel slab, the
-        slab's rows are taken in blocks of at most ``_CHUNK`` points (one
-        block, unless one residue's rows alone are more), and each block
-        yields every key in turn.  Across the scan each key gets every row
-        exactly once, in no fixed order: a block's rows need not be
-        consecutive.  Values are checked finite as they are made; each block
-        is a fresh array, while the slab's zone gains are reused by the next.
+        ``keys[i]`` at the rows ``rows`` of ``ys``.  Each block of zone
+        gains that ``_slabs`` yields is reduced for every key in turn.
+        Across the scan each key gets every row exactly once, in no fixed
+        order: a block's rows need not be consecutive.  Values are checked
+        finite as they are made; each block of values is a fresh array,
+        while the slab's zone gains are reused by the next.
         """
         in_lsa1 = lsa1_of_x(xs, self.grid.spec)
-        step = max(1, _CHUNK // xs.size)
         for rows, g in self._slabs(xs, ys):
-            for lo in range(0, rows.size, step):
-                block = g[:, lo:lo + step]
-                for i, key in enumerate(keys):
-                    values = np.empty(block.shape[1:])
-                    own, other = _terms(block, in_lsa1, key)
-                    _db(own / (other + self.env.n0 * key[1]), values)
-                    # Free the terms before the caller reduces the block.
-                    del own, other
-                    if not np.isfinite(values).all():
-                        raise ValueError("SINR field contains non-finite values")
-                    yield rows[lo:lo + step], i, values
+            for i, key in enumerate(keys):
+                values = np.empty(g.shape[1:])
+                own, other = _terms(g, in_lsa1, key)
+                _db(own / (other + self.env.n0 * key[1]), values)
+                # Free the terms before the caller reduces the block.
+                del own, other
+                if not np.isfinite(values).all():
+                    raise ValueError("SINR field contains non-finite values")
+                yield rows, i, values
 
     def _whole(self, xs: np.ndarray, ys: np.ndarray, keys: list[tuple]) -> list[np.ndarray]:
         """(ny, nx) dB values of each of ``keys``, in order: the blocks of
