@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import platform
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan
 from sfn_lsi_sim.grid import D_MIN_M, ZONES, Grid, GridSpec
 from sfn_lsi_sim.propagation import gain
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def equal_split(
@@ -80,3 +85,52 @@ def zone_gains(grid: Grid, env, points: np.ndarray) -> np.ndarray:
             for c in np.flatnonzero(bands == z):
                 g[z, lo:hi] += cell_gains[c]
     return g
+
+
+def final_mismatches(out: Path) -> list[str]:
+    """The files in which the run written to ``out`` differs from
+    ``out/final``, the byte-level reference of the paper config at
+    resolution 20: every file byte for byte, the manifest's output.dir
+    excepted."""
+    reference = ROOT / "out" / "final"
+    names = sorted(p.name for p in reference.iterdir())
+    if sorted(p.name for p in out.iterdir()) != names:
+        return ["the file list"]
+    differing = []
+    for name in names:
+        got = (out / name).read_bytes()
+        if name == "manifest.json":
+            document = json.loads(got)
+            if document["config"]["output"]["dir"] != str(out):
+                differing.append("manifest.json's output.dir")
+            document["config"]["output"]["dir"] = "out/final"
+            got = (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+        if got != (reference / name).read_bytes():
+            differing.append(name)
+    return differing
+
+
+def simd_targets() -> tuple[list[str], dict[str, bool]]:
+    """numpy's dispatch targets, lowest first, and which CPU features this
+    process may use (``NPY_DISABLE_CPU_FEATURES`` switches some off)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return list(umath.__cpu_dispatch__), dict(umath.__cpu_features__)
+
+
+def oracle_golden(features: dict[str, bool]) -> Path:
+    """The recorded ``cli oracle`` output of the paper config on the SIMD
+    target ``features`` describe.  numpy's ``power`` and ``log10`` loops
+    round the last bits differently with and without AVX-512 (``X86_V4``,
+    which numpy 1.x names ``AVX512_SKX``), and the output prints the
+    suite's worst relative error, noise near 1e-15.  AVX2 and the x86
+    baseline print the same.  Another platform has no golden yet: the
+    path names the file to record."""
+    avx512 = features.get("X86_V4", features.get("AVX512_SKX"))
+    if avx512 is None:
+        name = f"oracle_paper_{platform.machine().lower()}.txt"
+    else:
+        name = "oracle_paper.txt" if avx512 else "oracle_paper_no_avx512.txt"
+    return ROOT / "tests" / "data" / name

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import equal_split
+from helpers import equal_split, oracle_golden, simd_targets
 from sfn_lsi_sim.allocation import SchemeConfig, SchemeKind, allocate
 from sfn_lsi_sim.grid import Grid, GridSpec
 from sfn_lsi_sim.oracle import (
@@ -312,6 +312,9 @@ def test_suite_computes_each_points_gains_once(monkeypatch):
 
 
 def test_oracle_cli_output_unchanged():
+    # The golden of the SIMD target this process and its child run on.
+    golden = oracle_golden(simd_targets()[1])
+    assert golden.exists(), f"no oracle golden is recorded for this SIMD target: {golden}"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -321,4 +324,4 @@ def test_oracle_cli_output_unchanged():
          "configs/paper_table1.cfg"],
         cwd=ROOT, env=env, capture_output=True, timeout=120, check=True,
     )
-    assert result.stdout == (ROOT / "tests" / "data" / "oracle_paper.txt").read_bytes()
+    assert result.stdout == golden.read_bytes()

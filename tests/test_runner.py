@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import final_mismatches
 from sfn_lsi_sim import runner, sinr
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
@@ -107,21 +108,11 @@ class TestArtifacts:
     def test_paper_run_matches_committed_reference(self, tmp_path):
         # out/final is the byte-level reference: a fresh paper run at
         # resolution 20 reproduces it, except the manifest's output.dir
-        reference = ROOT / "out" / "final"
         out = tmp_path / "final"
         cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
                               out_dir=str(out), resolution=20)
         run_experiment(cfg)
-        names = sorted(p.name for p in reference.iterdir())
-        assert sorted(p.name for p in out.iterdir()) == names
-        for name in names:
-            got = (out / name).read_bytes()
-            if name == "manifest.json":
-                document = json.loads(got)
-                assert document["config"]["output"]["dir"] == str(out)
-                document["config"]["output"]["dir"] = "out/final"
-                got = (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
-            assert got == (reference / name).read_bytes(), f"{name} differs from out/final"
+        assert final_mismatches(out) == []
 
     def test_paper_count_maps_are_mirror_symmetric(self, tmp_path):
         # The paper's two LSAs are the same size, each with one buffer
