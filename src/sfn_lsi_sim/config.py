@@ -32,6 +32,12 @@ MANIFEST_FORMAT = "sfn-lsi-sim/manifest-v1"
 # Upper bound on eval.resolution and --resolution: samples per cell edge.
 MAX_RESOLUTION = 200
 
+# Upper bound on grid.rows and grid.cols: 125 times the paper's cells.  A
+# 100 x 100 grid ran --resolution 2 in 0.5 s on a 2-CPU x86 machine, and
+# every cell adds a window to every kernel slab, so larger grids only run
+# slower.  It also keeps hypot(cols, rows) a small float.
+MAX_GRID_SIDE = 100
+
 # Upper bound on the largest SINR and spectral efficiency a config can
 # give: far inside float64's range, so the engine's sums and divisions stay
 # finite.
@@ -105,6 +111,15 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise ValueError(f"must not be negative (got {value})")
     return value
+
+
+def _int_in(lo: int, hi: int) -> Callable[[str], int]:
+    def parse_int(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"out of range (got {value})")
+        return value
+    return parse_int
 
 
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
@@ -181,8 +196,10 @@ _INTS = _list_of(int)
 # read this table.  Tuple-valued [contents] keys hold one value per content
 # and broadcast from a single value.
 _KEYS = (
-    _Key("grid", "rows", int, "integer >= 1", _REQUIRED, lambda c: c.grid.rows),
-    _Key("grid", "cols", int, "integer >= 2", _REQUIRED, lambda c: c.grid.cols),
+    _Key("grid", "rows", _int_in(1, MAX_GRID_SIDE), f"integer in [1, {MAX_GRID_SIDE}]",
+         _REQUIRED, lambda c: c.grid.rows),
+    _Key("grid", "cols", _int_in(2, MAX_GRID_SIDE), f"integer in [2, {MAX_GRID_SIDE}]",
+         _REQUIRED, lambda c: c.grid.cols),
     _Key("grid", "isd_m", _finite,
          "positive meters, with hypot(cols, rows)*isd_m a finite float", _REQUIRED,
          lambda c: c.grid.isd),

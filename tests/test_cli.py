@@ -97,7 +97,10 @@ class TestRun:
          "sum(S*log2(mu)) is too large for a float"),
         (TABLE, "grid.isd_m", "1e308", "the grid's diagonal reaches inf m"),
         (TABLE, "grid.isd_m", "3e307", "the grid's diagonal reaches inf m"),
-    ], ids=["power", "bandwidth", "t_sym", "subcarriers", "isd-1e308", "isd-3e307"])
+        *[(TABLE, f"grid.{key}", value, f"out of range (got {value})")
+          for key in ("rows", "cols") for value in ("1" + "0" * 400, "100000", "1" + "0" * 30)],
+    ], ids=["power", "bandwidth", "t_sym", "subcarriers", "isd-1e308", "isd-3e307",
+            *[f"{key}-{value}" for key in ("rows", "cols") for value in ("1e400", "1e5", "1e30")]])
     def test_value_that_breaks_the_run_exits_one(self, tmp_path, capsys, config, name,
                                                  value, fragment):
         # Each value once passed validate and broke the run at resolution 4:
@@ -106,6 +109,8 @@ class TestRun:
         # subcarrier count too large for a float named t_sym_s, and on the
         # 8 x 10 paper grid both spacings ran to exit 0 with 0 % coverage
         # everywhere, as tower offsets or their hypot overflowed to inf.
+        # Grid sides once had no cap: 10**400 rows failed validate with exit
+        # 2 ("int too large to convert to float"), 100000 columns passed it.
         key = name.split(".")[1]
         text = Path(config).read_text()
         bound = tmp_path / "bound.cfg"

@@ -55,12 +55,15 @@ def edited(edits: dict[str, str | None]) -> dict[str, dict[str, str]]:
 # One case per kind of message, pinned byte for byte as the sorted list.
 MESSAGE_CASES = [
     pytest.param({"grid.rows": None}, {},
-                 ["grid.rows: required key is missing; expected integer >= 1"],
+                 ["grid.rows: required key is missing; expected integer in [1, 100]"],
                  id="missing-required"),
     pytest.param({"grid.rows": "two"}, {},
                  ["grid.rows: invalid literal for int() with base 10: 'two'; "
-                  "expected integer >= 1"],
+                  "expected integer in [1, 100]"],
                  id="parse-failure"),
+    pytest.param({"grid.cols": "101"}, {},
+                 ["grid.cols: out of range (got 101); expected integer in [2, 100]"],
+                 id="grid-side-cap"),
     pytest.param({"output.bogus": "1"}, {},
                  ["output.bogus: unknown key (known: dir, emit_sinr_maps, seed)"],
                  id="unknown-key"),
