@@ -308,27 +308,34 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run every configured scheme and write all artifacts to cfg.out_dir.
 
     The artifacts are written into a temporary sibling of cfg.out_dir,
-    which then takes the place of any previous run there.  An existing
-    directory holding anything a run does not write is refused with
-    ``ConfigValidationError`` before any work is done.
+    which then takes the place of any previous run there; a run stopped
+    before that swap completes leaves the previous run as it was.  An
+    existing directory holding anything a run does not write is refused
+    with ``ConfigValidationError`` before any work is done.  Floating-point
+    overflow and invalid operations raise ``FloatingPointError``, so a run
+    never writes numbers whose arithmetic failed.
     """
     target = os.path.realpath(cfg.out_dir)
     _check_replaceable(cfg.out_dir, target)
     parent, name = os.path.split(target)
     os.makedirs(parent, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=f".{name}.", suffix=".partial", dir=parent)
+    retired = staging + ".old"
     try:
-        files, summary = _write_run(cfg, staging)
+        with np.errstate(over="raise", invalid="raise"):
+            files, summary = _write_run(cfg, staging)
         os.chmod(staging, 0o777 & ~_umask())
         if os.path.isdir(target):
-            retired = staging + ".old"
             os.rename(target, retired)
-            os.rename(staging, target)
+        os.rename(staging, target)
+        if os.path.isdir(retired):
             shutil.rmtree(retired)
-        else:
-            os.rename(staging, target)
     except BaseException:
+        # Stopped between the two renames: the previous run goes back.
+        if os.path.isdir(retired) and os.path.isdir(staging):
+            os.rename(retired, target)
         shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(retired, ignore_errors=True)
         raise
     return RunResult(out_dir=cfg.out_dir, files=files, summary=summary)
 

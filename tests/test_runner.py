@@ -192,6 +192,65 @@ class TestOutputDirectory:
         # no temporary sibling is left behind
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError], ids=["interrupt", "oserror"])
+    def test_swap_stopped_between_renames_keeps_previous_output(self, tmp_path, monkeypatch,
+                                                                error):
+        # The previous run is moved aside, then the new one fails to take
+        # its place: the previous run must go back, byte for byte, and no
+        # staging directory may be left.
+        out = tmp_path / "out"
+        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out), resolution=2)
+        run_experiment(cfg)
+        before = digests(out)
+        rename = os.rename
+        calls = []
+
+        def second_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise error
+            rename(src, dst)
+
+        monkeypatch.setattr(runner.os, "rename", second_fails)
+        with pytest.raises(error):
+            run_experiment(cfg)
+        assert len(calls) == 3
+        assert digests(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_overflow_in_a_run_raises_and_exits_two(self, tmp_path):
+        # isd_m = 1e308 on the paper grid, past validation, overflows the
+        # tower and lattice multiplies.  In a child, since pytest turns
+        # RuntimeWarning into an error and a plain run would only warn: the
+        # run must raise FloatingPointError and the CLI exit 2 with one line.
+        child = """
+import sys
+from dataclasses import replace
+from sfn_lsi_sim import cli
+from sfn_lsi_sim.config import apply_overrides, parse_config
+from sfn_lsi_sim.runner import run_experiment
+cfg = apply_overrides(parse_config("configs/paper_table1.cfg"), out_dir=sys.argv[1],
+                      resolution=2)
+cfg = replace(cfg, grid=replace(cfg.grid, isd=1e308))
+try:
+    run_experiment(cfg)
+except FloatingPointError as exc:
+    print(f"raised: {exc}")
+cli.parse_config = lambda path: cfg
+print(f"exit {cli.main(['run', '--config', 'unused.cfg'])}")
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run([sys.executable, "-c", child, str(tmp_path / "out")],
+                                cwd=ROOT, env=env, capture_output=True, text=True,
+                                timeout=120, check=True)
+        message = "overflow encountered in multiply"
+        assert result.stdout == f"raised: {message}\nexit 2\n"
+        assert result.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_scan_failing_after_a_block_closes_every_raster(self, tmp_path, monkeypatch):
         # With SINR maps on, the level spill file is open while the scan runs
