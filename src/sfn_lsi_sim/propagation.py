@@ -1,4 +1,5 @@
-"""Distance-to-gain conversion: power-law exponent model and Hata model.
+"""Distance-to-gain conversion: power-law exponent model and Hata model,
+and ``RadioEnv``, which pairs a model with the receiver's noise PSD.
 
 Both models are exposed behind one ``gain`` function returning linear power
 gain, so analytic checks (power law) and calibrated coverage runs (Hata)
@@ -56,6 +57,18 @@ class PathLossModel:
                 raise ConfigurationError(
                     f"hm_m must satisfy 1 <= hm_m <= 10 (got {self.hm_m})"
                 )
+
+
+@dataclass(frozen=True)
+class RadioEnv:
+    """Receiver-side radio constants: noise PSD (W/Hz) and path-loss model."""
+
+    n0: float
+    pathloss: PathLossModel
+
+    def __post_init__(self):
+        if self.n0 <= 0:
+            raise ConfigurationError(f"n0 must be positive (got {self.n0})")
 
 
 @lru_cache(maxsize=16)

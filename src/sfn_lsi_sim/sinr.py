@@ -26,7 +26,7 @@ from sfn_lsi_sim.grid import (
     lattice_axes,
     lsa1_of_x,
 )
-from sfn_lsi_sim.propagation import PathLossModel, gain
+from sfn_lsi_sim.propagation import RadioEnv, gain
 
 SINR_FLOOR_DB = -400.0
 """dB value reported when the received signal power is exactly zero."""
@@ -47,18 +47,6 @@ which its gains are evaluated in place.  Neither the whole kernel nor an
 area's whole gains are ever held.  With fresh slab buffers, 2**17 measured
 as fast as 2**18 and kept the 6x12 maps-on sweep's peak RSS about 1.3 MiB
 lower."""
-
-
-@dataclass(frozen=True)
-class RadioEnv:
-    """Receiver-side radio constants: noise PSD (W/Hz) and path-loss model."""
-
-    n0: float
-    pathloss: PathLossModel
-
-    def __post_init__(self):
-        if self.n0 <= 0:
-            raise ConfigurationError(f"n0 must be positive (got {self.n0})")
 
 
 @dataclass(frozen=True)
