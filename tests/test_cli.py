@@ -270,10 +270,13 @@ def test_signal_during_a_run_keeps_the_previous_output(tmp_path, capsys, signum,
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # A shell's background job starts with SIGINT ignored, and Python then
+    # installs no SIGINT handler: give the child the default disposition.
     child = subprocess.Popen(
         [sys.executable, "-m", "sfn_lsi_sim.cli", "run", "--config", TABLE,
          "--resolution", "200", "--out", str(out)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         while not list(tmp_path.glob(".run.*.partial")):
             assert child.poll() is None, "the run ended before it was signalled"
