@@ -209,8 +209,8 @@ class SinrEvaluator:
             del d, slab
             rows_fed = (py * np.arange(q)[:, None] + residues).ravel()
             g = g.reshape(len(ZONES), rows_fed.size, nx)
-            for lo in range(0, rows_fed.size, step):
-                yield rows_fed[lo:lo + step], g[:, lo:lo + step]
+            for start in range(0, rows_fed.size, step):
+                yield rows_fed[start:start + step], g[:, start:start + step]
 
     def gains_for(self, area: EvalArea) -> np.ndarray:
         """(4, n_points) read-only zone gains G_z of ``area``'s lattice, one

