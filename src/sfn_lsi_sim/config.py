@@ -3,10 +3,12 @@
 A config file fully determines a run.  Parsing validates every field and
 reports all problems at once, each message naming the offending key and the
 accepted range; numbers must be finite.  One table of keys (``_KEYS``)
-drives the unknown-key checks, the parsing and the manifest: the JSON
-manifest written by a run contains the resolved configuration in the same
-schema and parses back to an identical ExperimentConfig, so a manifest alone
-reproduces its run.
+drives the unknown-key checks, the parsing and the manifest.  Each key's
+parser also rejects a value outside the key's own range, as "out of range
+(got ...)", so ``config_from_mapping`` checks only the rules that join keys.
+The JSON manifest written by a run contains the resolved configuration in
+the same schema and parses back to an identical ExperimentConfig, so a
+manifest alone reproduces its run.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ MAX_RESOLUTION = 200
 # every cell adds a window to every kernel slab, so larger grids only run
 # slower.  It also keeps hypot(cols, rows) a small float.
 MAX_GRID_SIDE = 100
+
+# Upper bound on contents.count: every content-count map then fits uint8
+# and every count PGM's maxval stays <= 255.  It also bounds the lists that
+# a single value broadcasts to.
+MAX_CONTENTS = 255
 
 # Upper bound on the largest SINR and spectral efficiency a config can
 # give: far inside float64's range, so the engine's sums and divisions stay
@@ -99,20 +106,25 @@ def _finite(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must not be negative (got {value})")
-    return value
+def _shown(value: Any) -> str:
+    """``value`` for an error line, by its length where it is longer than
+    any float's repr (24 characters): a long integer or text."""
+    text = repr(value)
+    if len(text) <= 24:
+        return text
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
+    return f"a text of {len(value)} characters"
 
 
-def _int_in(lo: int, hi: int) -> Callable[[str], int]:
-    def parse_int(text: str) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
-            raise ValueError(f"out of range (got {value})")
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool]) -> Callable[[str], Any]:
+    """``parse``, rejecting a parsed value outside the key's own range."""
+    def parse_checked(text: str) -> Any:
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"out of range (got {_shown(value)})")
         return value
-    return parse_int
+    return parse_checked
 
 
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
@@ -154,25 +166,13 @@ def _scheme_entry(scheme: SchemeConfig) -> str:
     return f"{scheme.kind.value}:{scheme.beta!r}"
 
 
-def _area_kind(text: str) -> AreaKind:
-    upper = text.upper()
-    if upper in ("A1", "A2"):
-        return AreaKind(upper)
-    raise ValueError(f"unknown area {text!r} (use a1 or a2)")
-
-
-def _resolution_errors(name: str, resolution: int | None) -> list[str]:
-    if resolution is None or 1 <= resolution <= MAX_RESOLUTION:
-        return []
-    return [f"{name}: must satisfy 1 <= resolution <= {MAX_RESOLUTION} (got {resolution})"]
-
-
 _REQUIRED = object()
 
 
 class _Key(NamedTuple):
-    """One config key: how to parse it, what it accepts, its default (or
-    ``_REQUIRED``) and its manifest value read back from a config."""
+    """One config key: its parser, which also rejects values outside the
+    key's own range, what it accepts, its default (or ``_REQUIRED``) and its
+    manifest value read back from a config."""
 
     section: str
     key: str
@@ -182,113 +182,126 @@ class _Key(NamedTuple):
     manifest: Callable[[ExperimentConfig], Any]
 
 
-_FLOATS = _list_of(_finite)
-_INTS = _list_of(int)
+_POSITIVE = _checked(_finite, lambda v: v > 0)
+_POWERS = _list_of(_checked(_finite, lambda p: p >= 0))
 
 # Every config key, once.  Unknown-key checks, parsing and the manifest all
 # read this table.  Tuple-valued [contents] keys hold one value per content
 # and broadcast from a single value.
 _KEYS = (
-    _Key("grid", "rows", _int_in(1, MAX_GRID_SIDE), f"integer in [1, {MAX_GRID_SIDE}]",
-         _REQUIRED, lambda c: c.grid.rows),
-    _Key("grid", "cols", _int_in(2, MAX_GRID_SIDE), f"integer in [2, {MAX_GRID_SIDE}]",
-         _REQUIRED, lambda c: c.grid.cols),
-    _Key("grid", "isd_m", _finite,
+    _Key("grid", "rows", _checked(int, lambda n: 1 <= n <= MAX_GRID_SIDE),
+         f"integer in [1, {MAX_GRID_SIDE}]", _REQUIRED, lambda c: c.grid.rows),
+    _Key("grid", "cols", _checked(int, lambda n: 2 <= n <= MAX_GRID_SIDE),
+         f"integer in [2, {MAX_GRID_SIDE}]", _REQUIRED, lambda c: c.grid.cols),
+    _Key("grid", "isd_m", _POSITIVE,
          "positive meters, with hypot(cols, rows)*isd_m a finite float", _REQUIRED,
          lambda c: c.grid.isd),
-    _Key("grid", "lsa1_cols", int, "integer in [1, cols-1]", _REQUIRED,
-         lambda c: c.grid.lsa1_cols),
-    _Key("grid", "buffer_cols_per_side", int,
+    # The side cap bounds both splits, so GridSpec only relates them to cols.
+    _Key("grid", "lsa1_cols", _checked(int, lambda n: 1 <= n < MAX_GRID_SIDE),
+         "integer in [1, cols-1]", _REQUIRED, lambda c: c.grid.lsa1_cols),
+    _Key("grid", "buffer_cols_per_side", _checked(int, lambda n: 1 <= n <= MAX_GRID_SIDE // 2),
          "integer in [1, min(lsa1_cols, cols-lsa1_cols)]", 1,
          lambda c: c.grid.buffer_cols_per_side),
-    _Key("contents", "count", int, "integer >= 2", _REQUIRED, lambda c: c.plan.m_count),
-    _Key("contents", "bandwidth_hz", _FLOATS,
+    _Key("contents", "count", _checked(int, lambda m: 2 <= m <= MAX_CONTENTS),
+         f"integer in [2, {MAX_CONTENTS}], so that count maps fit 8 bits", _REQUIRED,
+         lambda c: c.plan.m_count),
+    _Key("contents", "bandwidth_hz", _list_of(_POSITIVE),
          "positive Hz, 1 or M values, with n0*B a normal float", _REQUIRED,
          lambda c: list(c.plan.bandwidth_hz)),
-    _Key("contents", "subcarriers", _INTS,
+    _Key("contents", "subcarriers", _list_of(_checked(int, lambda s: s >= 1)),
          "positive integers, 1 or M values, with sum(S*log2(mu)) a finite float",
          _REQUIRED, lambda c: list(c.plan.subcarriers)),
-    _Key("contents", "mod_order", _INTS, "powers of two >= 2, 1 or M values",
-         _REQUIRED, lambda c: list(c.plan.mod_order)),
-    _Key("contents", "t_sym_s", _finite,
+    _Key("contents", "mod_order",
+         _list_of(_checked(int, lambda mu: mu >= 2 and not mu & (mu - 1))),
+         "powers of two >= 2, 1 or M values", _REQUIRED, lambda c: list(c.plan.mod_order)),
+    _Key("contents", "t_sym_s", _POSITIVE,
          f"positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= {MAX_RATIO:g}",
          _REQUIRED, lambda c: c.plan.t_sym),
-    _Key("contents", "power_w", _FLOATS,
+    _Key("contents", "power_w", _POWERS,
          "non-negative watts, 1 or M values, with cells*sum(power_w)"
          f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
          _REQUIRED, lambda c: list(c.plan.base_power)),
-    _Key("contents", "power_prime_w", _FLOATS,
+    _Key("contents", "power_prime_w", _POWERS,
          "non-negative watts, 1 or M values, with cells*sum(power_prime_w)"
          f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
          None, lambda c: list(c.plan.base_power_prime)),
-    _Key("propagation", "model", str.lower, "power_law or hata", _REQUIRED,
-         lambda c: c.pathloss.kind.value),
+    _Key("propagation", "model", lambda text: PathLossKind(text.lower()), "power_law or hata",
+         _REQUIRED, lambda c: c.pathloss.kind.value),
+    # Each range below binds under one model only, so PathLossModel checks it.
     _Key("propagation", "eta", _finite, "2 <= eta <= 6", 3.5, lambda c: c.pathloss.eta),
     _Key("propagation", "f_mhz", _finite, "150 <= f_mhz <= 1500", 700.0,
          lambda c: c.pathloss.f_mhz),
     _Key("propagation", "hb_m", _finite, "30 <= hb_m <= 200", 30.0, lambda c: c.pathloss.hb_m),
     _Key("propagation", "hm_m", _finite, "1 <= hm_m <= 10", 1.5, lambda c: c.pathloss.hm_m),
-    _Key("radio", "n0_w_per_hz", _finite, "positive W/Hz", _REQUIRED, lambda c: c.n0),
+    _Key("radio", "n0_w_per_hz", _POSITIVE, "positive W/Hz, with n0*B a normal float",
+         _REQUIRED, lambda c: c.n0),
     _Key("schemes", "list", str, "comma list of olsi|reuse1|ps:<beta>|imo:<beta>",
          _REQUIRED, lambda c: ", ".join(_scheme_entry(s) for s in c.schemes)),
-    _Key("schemes", "imo_buffer_reallocation", str.lower, "global or none", "global",
+    _Key("schemes", "imo_buffer_reallocation",
+         _checked(str.lower, lambda r: r in ("global", "none")), "global or none", "global",
          ExperimentConfig.imo_reallocation),
-    _Key("eval", "resolution", int, f"integer in [1, {MAX_RESOLUTION}]", _REQUIRED,
-         lambda c: c.resolution),
-    _Key("eval", "thresholds_db", _FLOATS, "one or more dB values", _REQUIRED,
+    _Key("eval", "resolution", _checked(int, lambda r: 1 <= r <= MAX_RESOLUTION),
+         f"integer in [1, {MAX_RESOLUTION}]", _REQUIRED, lambda c: c.resolution),
+    _Key("eval", "thresholds_db", _list_of(_finite), "one or more dB values", _REQUIRED,
          lambda c: list(c.thresholds_db)),
-    _Key("eval", "coverage_area", _area_kind, "a1 or a2", AreaKind.A1,
+    _Key("eval", "coverage_area", lambda text: AreaKind(text.upper()), "a1 or a2", AreaKind.A1,
          lambda c: c.coverage_area_kind.value),
-    _Key("eval", "map_area", _area_kind, "a1 or a2", AreaKind.A2,
+    _Key("eval", "map_area", lambda text: AreaKind(text.upper()), "a1 or a2", AreaKind.A2,
          lambda c: c.map_area_kind.value),
     _Key("eval", "content_map_threshold_db", _finite, "dB value", 15.0,
          lambda c: c.content_map_threshold_db),
     _Key("output", "dir", str, "directory path", _REQUIRED, lambda c: c.out_dir),
     _Key("output", "emit_sinr_maps", _parse_bool, "true or false", False,
          lambda c: c.emit_sinr_maps),
-    _Key("output", "seed", _non_negative_int, "integer >= 0", 0, lambda c: c.seed),
+    _Key("output", "seed", _checked(int, lambda s: s >= 0), "integer >= 0", 0,
+         lambda c: c.seed),
 )
+_ROWS = {f"{row.section}.{row.key}": row for row in _KEYS}
+
+
+def _error(name: str, problem: str) -> str:
+    """The error line for key ``name`` ("section.key"), with what it expects."""
+    return f"{name}: {problem}; expected {_ROWS[name].expect}"
 
 
 def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossModel,
                        n0: float) -> list[str]:
     """Where a plan would make a run's numbers non-finite, one message per
-    [contents] key at fault, giving its bound.
+    key at fault, giving its bound.
 
     Per content the noise is n0*B and no point receives more than every
     cell's power budget at the gain of ``D_MIN_M``, so the bounds on the
     noise and on that power over it keep every SINR finite; every scheme
     weights a content by at most 1, so the bounds on the bits per symbol
     and on the unweighted rate keep every spectral efficiency finite."""
-    expect = {row.key: row.expect for row in _KEYS if row.section == "contents"}
     noise = [n0 * b for b in plan.bandwidth_hz]
     bad = [n for n in noise if not sys.float_info.min <= n <= sys.float_info.max]
     if bad:
-        return [f"contents.bandwidth_hz: n0*B = {bad[0]!r} W is not a normal float; "
-                f"expected {expect['bandwidth_hz']}"]
+        problem = f"n0*B = {bad[0]!r} W is not a normal float"
+        return [_error("contents.bandwidth_hz", problem), _error("radio.n0_w_per_hz", problem)]
     errors = []
-    budgets = [("power_w", plan.base_power)]
+    budgets = [("contents.power_w", plan.base_power)]
     if plan.base_power_prime != plan.base_power:
-        budgets.append(("power_prime_w", plan.base_power_prime))
+        budgets.append(("contents.power_prime_w", plan.base_power_prime))
     g_max = gain(pathloss, D_MIN_M)
-    for key, powers in budgets:
+    for name, powers in budgets:
         ratio = spec.rows * spec.cols * sum(powers) * g_max / min(noise)
         if not ratio <= MAX_RATIO:
-            errors.append(f"contents.{key}: the received power at {D_MIN_M:g} m over "
-                          f"the noise reaches {ratio!r}; expected {expect[key]}")
+            errors.append(_error(name, f"the received power at {D_MIN_M:g} m over "
+                                       f"the noise reaches {ratio!r}"))
     bits = sum(s * (mu.bit_length() - 1) for s, mu in zip(plan.subcarriers, plan.mod_order))
     try:
         bits = float(bits)
     except OverflowError:
-        return errors + [f"contents.subcarriers: sum(S*log2(mu)) is too large for a float; "
-                         f"expected {expect['subcarriers']}"]
+        return errors + [_error("contents.subcarriers",
+                                "sum(S*log2(mu)) is too large for a float")]
     try:
         xi = bits / (plan.t_sym * sum(plan.bandwidth_hz))
     except ZeroDivisionError:
         xi = math.inf
     if not xi <= MAX_RATIO:
-        errors.append(f"contents.t_sym_s: the spectral efficiency reaches {xi!r} "
-                      f"bits/s/Hz; expected {expect['t_sym_s']}")
+        errors.append(_error("contents.t_sym_s",
+                             f"the spectral efficiency reaches {xi!r} bits/s/Hz"))
     return errors
 
 
@@ -363,17 +376,16 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
 
     # section -> key -> parsed value; None where a required key is missing or bad
     values: dict[str, dict[str, Any]] = {section: {} for section in known}
-    for row in _KEYS:
-        name = f"{row.section}.{row.key}"
+    for name, row in _ROWS.items():
         text = mapping.get(row.section, {}).get(row.key, "").strip()
         value = None if row.default is _REQUIRED else row.default
         if text:
             try:
                 value = row.parse(text)
             except (ValueError, ConfigurationError) as exc:
-                errors.append(f"{name}: {exc}; expected {row.expect}")
+                errors.append(_error(name, str(exc)))
         elif row.default is _REQUIRED:
-            errors.append(f"{name}: required key is missing; expected {row.expect}")
+            errors.append(_error(name, "required key is missing"))
         values[row.section][row.key] = value
 
     grid = values["grid"]
@@ -389,9 +401,7 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
             # No lattice offset or distance exceeds the grid's diagonal.
             diagonal = math.hypot(grid_spec.cols, grid_spec.rows) * grid_spec.isd
             if not diagonal <= sys.float_info.max:
-                [expect] = [row.expect for row in _KEYS if row.key == "isd_m"]
-                errors.append(f"grid.isd_m: the grid's diagonal reaches {diagonal!r} m; "
-                              f"expected {expect}")
+                errors.append(_error("grid.isd_m", f"the grid's diagonal reaches {diagonal!r} m"))
 
     contents = values["contents"]
     m_count = contents["count"]
@@ -405,11 +415,6 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
                     f"contents.{key}: expected 1 or {m_count} values (got {len(seq)})"
                 )
                 contents[key] = None
-        bad = [mu for mu in contents["mod_order"] or () if mu < 2 or mu & (mu - 1)]
-        if bad:
-            errors.append(
-                f"contents.mod_order: entries must be powers of two >= 2 (got {bad[0]})"
-            )
         per_content = ("bandwidth_hz", "subcarriers", "mod_order", "t_sym_s", "power_w")
         if None not in (contents[key] for key in per_content):
             try:
@@ -424,36 +429,19 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
 
     prop = values["propagation"]
     pathloss = None
-    if prop["model"] is not None:
+    if None not in prop.values():
         try:
-            kind = PathLossKind(prop["model"])
-        except ValueError:
-            errors.append(
-                f"propagation.model: unknown model {prop['model']!r} "
-                "(use power_law or hata)"
-            )
-            kind = None
-        if kind is not None and None not in prop.values():
-            try:
-                pathloss = PathLossModel(kind=kind, eta=prop["eta"], f_mhz=prop["f_mhz"],
-                                         hb_m=prop["hb_m"], hm_m=prop["hm_m"])
-            except ConfigurationError as exc:
-                errors.append(f"propagation: {exc}")
+            pathloss = PathLossModel(kind=prop["model"], eta=prop["eta"], f_mhz=prop["f_mhz"],
+                                     hb_m=prop["hb_m"], hm_m=prop["hm_m"])
+        except ConfigurationError as exc:
+            errors.append(f"propagation: {exc}")
 
     n0 = values["radio"]["n0_w_per_hz"]
-    if n0 is not None and n0 <= 0:
-        errors.append(f"radio.n0_w_per_hz: must be positive (got {n0})")
-    elif None not in (grid_spec, plan, pathloss, n0):
+    if None not in (grid_spec, plan, pathloss, n0):
         errors += _finite_run_errors(grid_spec, plan, pathloss, n0)
 
     schemes: list[SchemeConfig] = []
-    imo_realloc = values["schemes"]["imo_buffer_reallocation"]
-    if imo_realloc not in ("global", "none"):
-        errors.append(
-            f"schemes.imo_buffer_reallocation: must be 'global' or 'none' "
-            f"(got {imo_realloc!r})"
-        )
-        imo_realloc = "global"
+    imo_realloc = values["schemes"]["imo_buffer_reallocation"] or "global"
     if values["schemes"]["list"] is not None:
         entries = [e.strip() for e in values["schemes"]["list"].split(",") if e.strip()]
         if not entries:
@@ -468,7 +456,6 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
             errors.append(f"schemes.list: duplicate scheme labels in {labels}")
 
     evals, output = values["eval"], values["output"]
-    errors += _resolution_errors("eval.resolution", evals["resolution"])
     thresholds = evals["thresholds_db"] or ()
     # Floats compare equal across spellings (15, 15.0); name each once.
     errors += [f"eval.thresholds_db: {t!r} dB is listed more than once"
@@ -516,9 +503,11 @@ def apply_overrides(
         except (ValueError, ConfigurationError) as exc:
             raise ConfigValidationError([f"--scheme: {exc}"]) from exc
     if resolution is not None:
-        errors = _resolution_errors("--resolution", resolution)
-        if errors:
-            raise ConfigValidationError(errors)
+        row = _ROWS["eval.resolution"]
+        try:
+            row.parse(str(resolution))
+        except ValueError as exc:
+            raise ConfigValidationError([f"--resolution: {exc}; expected {row.expect}"]) from exc
         cfg = replace(cfg, resolution=resolution)
     if out_dir is not None:
         cfg = replace(cfg, out_dir=out_dir)

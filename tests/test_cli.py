@@ -15,7 +15,7 @@ import pytest
 
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.cli import main
-from sfn_lsi_sim.config import _KEYS, parse_config
+from sfn_lsi_sim.config import _ROWS, parse_config
 from sfn_lsi_sim.grid import Grid
 from sfn_lsi_sim.sinr import SinrEvaluator
 
@@ -97,10 +97,21 @@ class TestRun:
          "sum(S*log2(mu)) is too large for a float"),
         (TABLE, "grid.isd_m", "1e308", "the grid's diagonal reaches inf m"),
         (TABLE, "grid.isd_m", "3e307", "the grid's diagonal reaches inf m"),
-        *[(TABLE, f"grid.{key}", value, f"out of range (got {value})")
-          for key in ("rows", "cols") for value in ("1" + "0" * 400, "100000", "1" + "0" * 30)],
+        *[(TABLE, f"grid.{key}", value, f"out of range (got {shown})")
+          for key in ("rows", "cols")
+          for value, shown in (("1" + "0" * 400, "an integer of 401 digits"),
+                               ("100000", "100000"),
+                               ("1" + "0" * 30, "an integer of 31 digits"))],
+        (TABLE, "radio.n0_w_per_hz", "1e308", "n0*B = inf W is not a normal float"),
+        (TABLE, "radio.n0_w_per_hz", "1e-320", "n0*B = 2.399973281e-314 W is not a normal float"),
+        (TABLE, "radio.n0_w_per_hz", "5e-324", "n0*B = 1.1857576e-317 W is not a normal float"),
+        *[(SMOKE, "contents.count", value, f"out of range (got {shown})")
+          for value, shown in (("1" + "0" * 12, "1000000000000"),
+                               ("1" + "0" * 20, "100000000000000000000"),
+                               ("1" + "0" * 400, "an integer of 401 digits"))],
     ], ids=["power", "bandwidth", "t_sym", "subcarriers", "isd-1e308", "isd-3e307",
-            *[f"{key}-{value}" for key in ("rows", "cols") for value in ("1e400", "1e5", "1e30")]])
+            *[f"{key}-{value}" for key in ("rows", "cols") for value in ("1e400", "1e5", "1e30")],
+            "n0-1e308", "n0-1e-320", "n0-5e-324", "count-1e12", "count-1e20", "count-1e400"])
     def test_value_that_breaks_the_run_exits_one(self, tmp_path, capsys, config, name,
                                                  value, fragment):
         # Each value once passed validate and broke the run at resolution 4:
@@ -111,18 +122,23 @@ class TestRun:
         # everywhere, as tower offsets or their hypot overflowed to inf.
         # Grid sides once had no cap: 10**400 rows failed validate with exit
         # 2 ("int too large to convert to float"), 100000 columns passed it.
+        # A count of 10**12 or 10**20 broadcast the one-value lists into a
+        # MemoryError or an OverflowError (exit 2).  The n0*B rule joins two
+        # keys and names both, whichever of them was set.
         key = name.split(".")[1]
         text = Path(config).read_text()
         bound = tmp_path / "bound.cfg"
         bound.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
                                  else line for line in text.splitlines(keepends=True)))
-        [expect] = [row.expect for row in _KEYS if row.key == key]
+        names = ["contents.bandwidth_hz", "radio.n0_w_per_hz"] if "n0*B" in fragment else [name]
+        expected = "".join(f"config error: {n}: {fragment}; expected {_ROWS[n].expect}\n"
+                           for n in names)
         out = tmp_path / "run"
         for args in (["validate"], ["run", "--out", str(out), "--resolution", "4"]):
             code = main([args[0], "--config", str(bound), *args[1:]])
             captured = capsys.readouterr()
             assert code == 1
-            assert captured.err == f"config error: {name}: {fragment}; expected {expect}\n"
+            assert captured.err == expected
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):
@@ -185,7 +201,7 @@ class TestValidate:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == ("config error: output.seed: must not be negative "
+        assert captured.err == ("config error: output.seed: out of range "
                                 "(got -1); expected integer >= 0\n")
 
     def test_every_error_printed_on_own_line(self, tmp_path, capsys):

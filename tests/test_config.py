@@ -89,26 +89,32 @@ MESSAGE_CASES = [
                   "a finite float"],
                  id="subcarriers-bound"),
     pytest.param({"contents.mod_order": "12"}, {},
-                 ["contents.mod_order: entries must be powers of two >= 2 (got 12)"],
+                 ["contents.mod_order: out of range (got 12); "
+                  "expected powers of two >= 2, 1 or M values"],
                  id="mod-order-power-of-two"),
     pytest.param({"contents.mod_order": "12", "contents.count": None}, {},
-                 ["contents.count: required key is missing; expected integer >= 2"],
+                 ["contents.count: required key is missing; "
+                  "expected integer in [2, 255], so that count maps fit 8 bits",
+                  "contents.mod_order: out of range (got 12); "
+                  "expected powers of two >= 2, 1 or M values"],
                  id="mod-order-without-count"),
     pytest.param({"grid.lsa1_cols": "4"}, {},
                  ["grid: lsa1_cols must satisfy 1 <= lsa1_cols < cols (got 4, cols=4)"],
                  id="grid-cross-check"),
     pytest.param({"propagation.model": "free_space"}, {},
-                 ["propagation.model: unknown model 'free_space' (use power_law or hata)"],
+                 ["propagation.model: 'free_space' is not a valid PathLossKind; "
+                  "expected power_law or hata"],
                  id="unknown-model"),
     pytest.param({"propagation.eta": "9"}, {},
                  ["propagation: eta must satisfy 2 <= eta <= 6 (got 9.0)"],
                  id="propagation-range"),
     pytest.param({"radio.n0_w_per_hz": "-1"}, {},
-                 ["radio.n0_w_per_hz: must be positive (got -1.0)"],
+                 ["radio.n0_w_per_hz: out of range (got -1.0); "
+                  "expected positive W/Hz, with n0*B a normal float"],
                  id="n0-positive"),
     pytest.param({"schemes.imo_buffer_reallocation": "elsewhere"}, {},
-                 ["schemes.imo_buffer_reallocation: must be 'global' or 'none' "
-                  "(got 'elsewhere')"],
+                 ["schemes.imo_buffer_reallocation: out of range (got 'elsewhere'); "
+                  "expected global or none"],
                  id="imo-reallocation"),
     pytest.param({"schemes.list": ","}, {},
                  ["schemes.list: must name at least one scheme"],
@@ -128,13 +134,13 @@ MESSAGE_CASES = [
                  ["schemes.list: duplicate scheme labels in ['ps_beta0.5', 'ps_beta0.5']"],
                  id="duplicate-schemes"),
     pytest.param({"eval.resolution": "500"}, {},
-                 ["eval.resolution: must satisfy 1 <= resolution <= 200 (got 500)"],
+                 ["eval.resolution: out of range (got 500); expected integer in [1, 200]"],
                  id="resolution-range"),
     pytest.param({}, {"resolution": 0},
-                 ["--resolution: must satisfy 1 <= resolution <= 200 (got 0)"],
+                 ["--resolution: out of range (got 0); expected integer in [1, 200]"],
                  id="resolution-override-range"),
     pytest.param({"output.seed": "-1"}, {},
-                 ["output.seed: must not be negative (got -1); expected integer >= 0"],
+                 ["output.seed: out of range (got -1); expected integer >= 0"],
                  id="negative-seed"),
     pytest.param({"eval.thresholds_db": "10 15 15.0 20 10 15"}, {},
                  ["eval.thresholds_db: 10.0 dB is listed more than once",
@@ -162,7 +168,7 @@ FLOAT_KEYS = {
     "propagation.f_mhz": "150 <= f_mhz <= 1500",
     "propagation.hb_m": "30 <= hb_m <= 200",
     "propagation.hm_m": "1 <= hm_m <= 10",
-    "radio.n0_w_per_hz": "positive W/Hz",
+    "radio.n0_w_per_hz": "positive W/Hz, with n0*B a normal float",
     "eval.thresholds_db": "one or more dB values",
     "eval.content_map_threshold_db": "dB value",
 }
@@ -251,8 +257,8 @@ class TestMappingParsing:
         text = str(exc_info.value)
         assert "grid.rows" in text
         assert "0 <= beta <= 1" in text
-        assert "1 <= resolution <= 200" in text
-        assert "powers of two" in text
+        assert "eval.resolution: out of range (got 500)" in text
+        assert "contents.mod_order: out of range (got 12)" in text
 
     def test_wrong_list_length(self):
         mapping = base_mapping()
@@ -285,7 +291,7 @@ class TestMappingParsing:
         imo = next(s for s in cfg.schemes if s.kind is SchemeKind.IMLSI_O)
         assert imo.buffer_reallocation == "none"
         mapping["schemes"]["imo_buffer_reallocation"] = "elsewhere"
-        with pytest.raises(ConfigValidationError, match="'global' or 'none'"):
+        with pytest.raises(ConfigValidationError, match="expected global or none"):
             config_from_mapping(mapping)
 
 
