@@ -80,10 +80,11 @@ class ContentPlan:
         if self.base_power[0] != self.base_power_prime[0]:
             raise ConfigurationError(
                 "global content power must be common to both LSAs "
-                f"(got {self.base_power[0]} and {self.base_power_prime[0]})"
+                f"(got {self.base_power[0]} and {self.base_power_prime[0]})",
+                "base_power_prime",
             )
         if self.total_power <= 0:
-            raise ConfigurationError("total power P_t must be positive")
+            raise ConfigurationError("total power P_t must be positive", "base_power")
 
     @property
     def total_power(self) -> float:

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Any, Callable, NamedTuple
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind
@@ -127,6 +128,13 @@ def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool]) -> Callable
     return parse_checked
 
 
+def _choice(kind: type[Enum], case: Callable[[str], str]) -> Callable[[str], Enum]:
+    """Parser of an enum key whose values are spelled in ``case``; a value
+    out of range is shown as typed."""
+    in_range = _checked(str, lambda text: case(text) in {k.value for k in kind})
+    return lambda text: kind(case(in_range(text)))
+
+
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
     def parse_list(text: str) -> tuple:
         parts = text.replace(",", " ").split()
@@ -218,14 +226,15 @@ _KEYS = (
          f"positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= {MAX_RATIO:g}",
          _REQUIRED, lambda c: c.plan.t_sym),
     _Key("contents", "power_w", _POWERS,
-         "non-negative watts, 1 or M values, with cells*sum(power_w)"
+         "non-negative watts, 1 or M values, with sum(power_w) > 0 and cells*sum(power_w)"
          f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
          _REQUIRED, lambda c: list(c.plan.base_power)),
     _Key("contents", "power_prime_w", _POWERS,
-         "non-negative watts, 1 or M values, with cells*sum(power_prime_w)"
+         "non-negative watts, 1 or M values, the first equal to power_w's, "
+         "with cells*sum(power_prime_w)"
          f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
          None, lambda c: list(c.plan.base_power_prime)),
-    _Key("propagation", "model", lambda text: PathLossKind(text.lower()), "power_law or hata",
+    _Key("propagation", "model", _choice(PathLossKind, str.lower), "power_law or hata",
          _REQUIRED, lambda c: c.pathloss.kind.value),
     # Each range below binds under one model only, so PathLossModel checks it.
     _Key("propagation", "eta", _finite, "2 <= eta <= 6", 3.5, lambda c: c.pathloss.eta),
@@ -244,9 +253,9 @@ _KEYS = (
          f"integer in [1, {MAX_RESOLUTION}]", _REQUIRED, lambda c: c.resolution),
     _Key("eval", "thresholds_db", _list_of(_finite), "one or more dB values", _REQUIRED,
          lambda c: list(c.thresholds_db)),
-    _Key("eval", "coverage_area", lambda text: AreaKind(text.upper()), "a1 or a2", AreaKind.A1,
+    _Key("eval", "coverage_area", _choice(AreaKind, str.upper), "a1 or a2", AreaKind.A1,
          lambda c: c.coverage_area_kind.value),
-    _Key("eval", "map_area", lambda text: AreaKind(text.upper()), "a1 or a2", AreaKind.A2,
+    _Key("eval", "map_area", _choice(AreaKind, str.upper), "a1 or a2", AreaKind.A2,
          lambda c: c.map_area_kind.value),
     _Key("eval", "content_map_threshold_db", _finite, "dB value", 15.0,
          lambda c: c.content_map_threshold_db),
@@ -257,11 +266,25 @@ _KEYS = (
          lambda c: c.seed),
 )
 _ROWS = {f"{row.section}.{row.key}": row for row in _KEYS}
+# The keys that hold a list, one value per content or per threshold.
+_LIST_KEYS = {name for name, row in _ROWS.items() if row.parse.__name__ == "parse_list"}
 
 
 def _error(name: str, problem: str) -> str:
     """The error line for key ``name`` ("section.key"), with what it expects."""
     return f"{name}: {problem}; expected {_ROWS[name].expect}"
+
+
+# The key of each dataclass field whose rule joins keys, or binds under one
+# model only; the dataclass checks the rule and names the field.
+_FIELD_KEYS = {"base_power": "contents.power_w", "base_power_prime": "contents.power_prime_w",
+               **{field: f"propagation.{field}" for field in ("eta", "f_mhz", "hb_m", "hm_m")}}
+
+
+def _rule_error(section: str, exc: ConfigurationError) -> str:
+    """A dataclass rule's message, under the key of the field it names."""
+    name = _FIELD_KEYS.get(exc.field)
+    return _error(name, str(exc)) if name else f"{section}: {exc}"
 
 
 def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossModel,
@@ -322,8 +345,6 @@ def _load_ini(path: str) -> dict[str, dict[str, str]]:
 def _stringify(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return " ".join(_stringify(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -347,10 +368,21 @@ def _load_manifest(path: str) -> dict[str, dict[str, str]]:
               if value is None or isinstance(value, list) and None in value]
     if errors:
         raise ConfigValidationError(errors)
-    return {
-        section: {key: _stringify(value) for key, value in entries.items()}
-        for section, entries in config.items()
-    }
+    # A key holds one JSON scalar, or a list of them where it holds a list.
+    mapping: dict[str, dict[str, str]] = {section: {} for section in config}
+    for section, entries in config.items():
+        for key, value in entries.items():
+            name = f"{section}.{key}"
+            values = value if isinstance(value, list) and name in _LIST_KEYS else [value]
+            nested = [v for v in values if isinstance(v, (list, dict))]
+            if nested and name in _ROWS:
+                shape = "list" if isinstance(nested[0], list) else "object"
+                within = " in a list" if values is value else ""
+                errors.append(_error(name, f"a JSON {shape}{within} is not a single value"))
+            mapping[section][key] = " ".join(map(_stringify, values))
+    if errors:
+        raise ConfigValidationError(errors)
+    return mapping
 
 
 def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
@@ -396,7 +428,7 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
                                  lsa1_cols=grid["lsa1_cols"],
                                  buffer_cols_per_side=grid["buffer_cols_per_side"])
         except ConfigurationError as exc:
-            errors.append(f"grid: {exc}")
+            errors.append(_rule_error("grid", exc))
         else:
             # No lattice offset or distance exceeds the grid's diagonal.
             diagonal = math.hypot(grid_spec.cols, grid_spec.rows) * grid_spec.isd
@@ -425,7 +457,7 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
                     base_power_prime=contents["power_prime_w"],
                 )
             except ConfigurationError as exc:
-                errors.append(f"contents: {exc}")
+                errors.append(_rule_error("contents", exc))
 
     prop = values["propagation"]
     pathloss = None
@@ -434,7 +466,7 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
             pathloss = PathLossModel(kind=prop["model"], eta=prop["eta"], f_mhz=prop["f_mhz"],
                                      hb_m=prop["hb_m"], hm_m=prop["hm_m"])
         except ConfigurationError as exc:
-            errors.append(f"propagation: {exc}")
+            errors.append(_rule_error("propagation", exc))
 
     n0 = values["radio"]["n0_w_per_hz"]
     if None not in (grid_spec, plan, pathloss, n0):

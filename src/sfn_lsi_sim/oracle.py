@@ -8,9 +8,10 @@ numerics with the engine on purpose; keep it dumb.
 ``oracle_sinr`` takes the 1-D axes ``sinr_at`` takes.  A point's per-cell
 gains depend only on the grid, the path-loss model and the point, not on
 the scheme or content, so ``_axes_gains`` computes them once per point of
-an axes pair and holds only the last pair, which every scheme and content
-of one suite group reads.  A held gain is the float the loop computed, so
-every SINR has the bits of a fresh loop.
+an axes pair, keyed on the spec, the model and the axes, and holds only
+the last key, which every scheme and content of one suite group reads.  A
+held gain is the float the loop computed, so every SINR has the bits of a
+fresh loop.
 
 ``run_oracle_suite`` checks the engine as a run drives it: one
 ``SinrEvaluator.scan`` per suite group over every distinct ``field_key``
@@ -37,32 +38,29 @@ from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
 from sfn_lsi_sim.sinr import SINR_FLOOR_DB, RadioEnv, SinrEvaluator
 
 
-def _cell_gains(
-    rows: int, cols: int, isd: float,
-    power_law: bool, eta: float, f_mhz: float, hb_m: float, hm_m: float,
-    px: float, py: float,
-) -> tuple[float, ...]:
+def _cell_gains(spec: GridSpec, model: PathLossModel, px: float, py: float) -> tuple[float, ...]:
     """The gain of every cell at point (px, py), in cell-index order."""
+    power_law = model.kind is PathLossKind.POWER_LAW
     if not power_law:
-        log_f = math.log10(f_mhz)
-        a_hm = (1.1 * log_f - 0.7) * hm_m - (1.56 * log_f - 0.8)
+        log_f = math.log10(model.f_mhz)
+        a_hm = (1.1 * log_f - 0.7) * model.hm_m - (1.56 * log_f - 0.8)
     gains: list[float] = []
-    for row in range(rows):
-        for col in range(cols):
-            tx = (col + 0.5) * isd
-            ty = (row + 0.5) * isd
+    for row in range(spec.rows):
+        for col in range(spec.cols):
+            tx = (col + 0.5) * spec.isd
+            ty = (row + 0.5) * spec.isd
             d = math.hypot(tx - px, ty - py)
             if d < 20.0:
                 d = 20.0
             if power_law:
-                g = d ** (-eta)
+                g = d ** (-model.eta)
             else:
                 loss_db = (
                     69.55
                     + 26.16 * log_f
-                    - 13.82 * math.log10(hb_m)
+                    - 13.82 * math.log10(model.hb_m)
                     - a_hm
-                    + (44.9 - 6.55 * math.log10(hb_m)) * math.log10(d / 1000.0)
+                    + (44.9 - 6.55 * math.log10(model.hb_m)) * math.log10(d / 1000.0)
                 )
                 g = 10.0 ** (-loss_db / 10.0)
             gains.append(g)
@@ -71,20 +69,13 @@ def _cell_gains(
 
 @lru_cache(maxsize=1)
 def _axes_gains(
-    rows: int, cols: int, isd: float,
-    power_law: bool, eta: float, f_mhz: float, hb_m: float, hm_m: float,
-    xs: tuple[float, ...], ys: tuple[float, ...],
+    spec: GridSpec, model: PathLossModel, xs: tuple[float, ...], ys: tuple[float, ...],
 ) -> tuple[tuple[tuple[float, ...], ...], ...]:
-    """``_cell_gains`` at every point of the axes, rows by y.  Keyed on
-    plain numbers and tuples of floats, not on the spec and model
-    dataclasses, whose field-by-field hashing would cost more than it
-    saves; holds the last axes pair only, which is all one suite group
+    """``_cell_gains`` at every point of the axes, rows by y.  Keyed on the
+    spec, the model and the axes, so every field of either dataclass is part
+    of the key; holds the last key only, which is all one suite group
     reads."""
-    return tuple(
-        tuple(_cell_gains(rows, cols, isd, power_law, eta, f_mhz, hb_m, hm_m, px, py)
-              for px in xs)
-        for py in ys
-    )
+    return tuple(tuple(_cell_gains(spec, model, px, py) for px in xs) for py in ys)
 
 
 def oracle_sinr(
@@ -99,14 +90,9 @@ def oracle_sinr(
     as (ny, nx) nested lists of floats, rows by y like ``sinr_at``'s.  Each
     point is summed cell by cell with math.fsum."""
     spec = tp.grid.spec
-    model = env.pathloss
     xs = tuple(map(float, xs))
     ys = tuple(map(float, ys))
-    gains = _axes_gains(
-        spec.rows, spec.cols, spec.isd,
-        model.kind is PathLossKind.POWER_LAW, model.eta, model.f_mhz, model.hb_m,
-        model.hm_m, xs, ys,
-    )
+    gains = _axes_gains(spec, env.pathloss, xs, ys)
     power = tp.power[:, content_id - 1].tolist()
     noise = env.n0 * plan.bandwidth_hz[content_id - 1]
     cell_in_lsa1 = [col < spec.lsa1_cols for _ in range(spec.rows) for col in range(spec.cols)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,20 +41,20 @@ class PathLossModel:
         if self.kind is PathLossKind.POWER_LAW:
             if not 2.0 <= self.eta <= 6.0:
                 raise ConfigurationError(
-                    f"eta must satisfy 2 <= eta <= 6 (got {self.eta})"
+                    f"eta must satisfy 2 <= eta <= 6 (got {self.eta})", "eta"
                 )
         else:
             if not 150.0 <= self.f_mhz <= 1500.0:
                 raise ConfigurationError(
-                    f"f_mhz must satisfy 150 <= f_mhz <= 1500 (got {self.f_mhz})"
+                    f"f_mhz must satisfy 150 <= f_mhz <= 1500 (got {self.f_mhz})", "f_mhz"
                 )
             if not 30.0 <= self.hb_m <= 200.0:
                 raise ConfigurationError(
-                    f"hb_m must satisfy 30 <= hb_m <= 200 (got {self.hb_m})"
+                    f"hb_m must satisfy 30 <= hb_m <= 200 (got {self.hb_m})", "hb_m"
                 )
             if not 1.0 <= self.hm_m <= 10.0:
                 raise ConfigurationError(
-                    f"hm_m must satisfy 1 <= hm_m <= 10 (got {self.hm_m})"
+                    f"hm_m must satisfy 1 <= hm_m <= 10 (got {self.hm_m})", "hm_m"
                 )
 
 
@@ -71,10 +70,8 @@ class RadioEnv:
             raise ConfigurationError(f"n0 must be positive (got {self.n0})")
 
 
-@lru_cache(maxsize=16)
 def hata_coefficients(model: PathLossModel) -> tuple[float, float]:
-    """(fixed_db, slope_db) such that L(d) = fixed_db + slope_db*log10(d_km).
-    Computed once per model: every gain evaluation reads them."""
+    """(fixed_db, slope_db) such that L(d) = fixed_db + slope_db*log10(d_km)."""
     lf = np.log10(model.f_mhz)
     a_hm = (1.1 * lf - 0.7) * model.hm_m - (1.56 * lf - 0.8)
     fixed = 69.55 + 26.16 * lf - 13.82 * np.log10(model.hb_m) - a_hm

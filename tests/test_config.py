@@ -76,9 +76,21 @@ MESSAGE_CASES = [
                  id="list-length"),
     pytest.param({"contents.power_prime_w": "1 1e308 1"}, {},
                  ["contents.power_prime_w: the received power at 20 m over the noise "
-                  "reaches inf; expected non-negative watts, 1 or M values, with "
-                  "cells*sum(power_prime_w)*g(20 m) / (n0*min(B)) <= 1e+300"],
+                  "reaches inf; expected non-negative watts, 1 or M values, the first "
+                  "equal to power_w's, with cells*sum(power_prime_w)*g(20 m) / "
+                  "(n0*min(B)) <= 1e+300"],
                  id="lsa2-power-bound"),
+    pytest.param({"contents.power_w": "0"}, {},
+                 ["contents.power_w: total power P_t must be positive; expected "
+                  "non-negative watts, 1 or M values, with sum(power_w) > 0 and "
+                  "cells*sum(power_w)*g(20 m) / (n0*min(B)) <= 1e+300"],
+                 id="total-power-positive"),
+    pytest.param({"contents.power_prime_w": "2 1 1"}, {},
+                 ["contents.power_prime_w: global content power must be common to both "
+                  "LSAs (got 1.0 and 2.0); expected non-negative watts, 1 or M values, "
+                  "the first equal to power_w's, with cells*sum(power_prime_w)*g(20 m) / "
+                  "(n0*min(B)) <= 1e+300"],
+                 id="global-power-shared"),
     pytest.param({"grid.isd_m": "1e308"}, {},
                  ["grid.isd_m: the grid's diagonal reaches inf m; expected positive "
                   "meters, with hypot(cols, rows)*isd_m a finite float"],
@@ -102,11 +114,18 @@ MESSAGE_CASES = [
                  ["grid: lsa1_cols must satisfy 1 <= lsa1_cols < cols (got 4, cols=4)"],
                  id="grid-cross-check"),
     pytest.param({"propagation.model": "free_space"}, {},
-                 ["propagation.model: 'free_space' is not a valid PathLossKind; "
+                 ["propagation.model: out of range (got 'free_space'); "
                   "expected power_law or hata"],
                  id="unknown-model"),
+    pytest.param({"eval.coverage_area": "a3"}, {},
+                 ["eval.coverage_area: out of range (got 'a3'); expected a1 or a2"],
+                 id="unknown-coverage-area"),
+    pytest.param({"eval.map_area": "Whole"}, {},
+                 ["eval.map_area: out of range (got 'Whole'); expected a1 or a2"],
+                 id="unknown-map-area"),
     pytest.param({"propagation.eta": "9"}, {},
-                 ["propagation: eta must satisfy 2 <= eta <= 6 (got 9.0)"],
+                 ["propagation.eta: eta must satisfy 2 <= eta <= 6 (got 9.0); "
+                  "expected 2 <= eta <= 6"],
                  id="propagation-range"),
     pytest.param({"radio.n0_w_per_hz": "-1"}, {},
                  ["radio.n0_w_per_hz: out of range (got -1.0); "
@@ -160,10 +179,11 @@ FLOAT_KEYS = {
     "grid.isd_m": "positive meters, with hypot(cols, rows)*isd_m a finite float",
     "contents.bandwidth_hz": "positive Hz, 1 or M values, with n0*B a normal float",
     "contents.t_sym_s": "positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= 1e+300",
-    "contents.power_w": "non-negative watts, 1 or M values, with "
+    "contents.power_w": "non-negative watts, 1 or M values, with sum(power_w) > 0 and "
                         "cells*sum(power_w)*g(20 m) / (n0*min(B)) <= 1e+300",
-    "contents.power_prime_w": "non-negative watts, 1 or M values, with "
-                              "cells*sum(power_prime_w)*g(20 m) / (n0*min(B)) <= 1e+300",
+    "contents.power_prime_w": "non-negative watts, 1 or M values, the first equal to "
+                              "power_w's, with cells*sum(power_prime_w)*g(20 m) / "
+                              "(n0*min(B)) <= 1e+300",
     "propagation.eta": "2 <= eta <= 6",
     "propagation.f_mhz": "150 <= f_mhz <= 1500",
     "propagation.hb_m": "30 <= hb_m <= 200",
