@@ -36,6 +36,12 @@ class SchemeKind(Enum):
     IMLSI_O = "imo"
 
 
+def is_mod_order(mu: int) -> bool:
+    """A modulation order is a power of two >= 2, so that log2(mu) bits per
+    symbol is a whole number."""
+    return mu >= 2 and not mu & (mu - 1)
+
+
 @dataclass(frozen=True)
 class ContentPlan:
     """Bandwidths, subcarrier counts, modulation and powers for M contents.
@@ -73,8 +79,11 @@ class ContentPlan:
             raise ConfigurationError("bandwidth_hz entries must be positive")
         if any(s < 1 for s in self.subcarriers):
             raise ConfigurationError("subcarriers entries must be >= 1")
-        if any(mu < 2 for mu in self.mod_order):
-            raise ConfigurationError("mod_order entries must be >= 2")
+        if not all(map(is_mod_order, self.mod_order)):
+            raise ConfigurationError(
+                f"mod_order entries must be powers of two >= 2 (got {self.mod_order})",
+                "mod_order",
+            )
         if any(p < 0 for p in self.base_power) or any(p < 0 for p in self.base_power_prime):
             raise ConfigurationError("base powers must be non-negative")
         if self.base_power[0] != self.base_power_prime[0]:
@@ -90,6 +99,11 @@ class ContentPlan:
     def total_power(self) -> float:
         """P_t for LSA1 cells."""
         return float(sum(self.base_power))
+
+    @property
+    def bits_per_symbol(self) -> tuple[int, ...]:
+        """log2(mu) of each content's modulation order, exact."""
+        return tuple(mu.bit_length() - 1 for mu in self.mod_order)
 
     @property
     def content_ids(self) -> range:

@@ -3,12 +3,16 @@
 A config file fully determines a run.  Parsing validates every field and
 reports all problems at once, each message naming the offending key and the
 accepted range; numbers must be finite.  One table of keys (``_KEYS``)
-drives the unknown-key checks, the parsing and the manifest.  Each key's
+drives the unknown-key checks, the parsing, the assembly and the manifest:
+each row names the ExperimentConfig attribute it fills, such as
+``"grid.isd"``, and the manifest reads that attribute back.  Each key's
 parser also rejects a value outside the key's own range, as "out of range
-(got ...)", so ``config_from_mapping`` checks only the rules that join keys.
+(got ...)", so ``config_from_mapping`` checks only the rules that join keys;
+a dataclass rule that names its field is reported under that field's key.
 The JSON manifest written by a run contains the resolved configuration in
 the same schema and parses back to an identical ExperimentConfig, so a
-manifest alone reproduces its run.
+manifest alone reproduces its run.  A manifest key takes only the JSON type
+that the manifest writes for it.
 """
 
 from __future__ import annotations
@@ -18,11 +22,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+import types
+import typing
+from dataclasses import dataclass, is_dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
-from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind
+from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, is_mod_order
 from sfn_lsi_sim.errors import ConfigurationError, ConfigValidationError
 from sfn_lsi_sim.grid import D_MIN_M, AreaKind, EvalArea, GridSpec
 from sfn_lsi_sim.propagation import PathLossKind, PathLossModel, RadioEnv, gain
@@ -56,6 +63,7 @@ class ExperimentConfig:
     grid: GridSpec
     plan: ContentPlan
     schemes: tuple[SchemeConfig, ...]
+    imo_buffer_reallocation: str
     pathloss: PathLossModel
     n0: float
     resolution: int
@@ -76,18 +84,20 @@ class ExperimentConfig:
     def map_area(self) -> EvalArea:
         return EvalArea(kind=self.map_area_kind, resolution=self.resolution)
 
-    def imo_reallocation(self) -> str:
-        """Buffer reallocation of the IMO schemes ("global" when there are none)."""
-        return next(
-            (s.buffer_reallocation for s in self.schemes if s.kind is SchemeKind.IMLSI_O),
-            "global",
-        )
-
     def to_mapping(self) -> dict[str, dict[str, Any]]:
-        """Schema-shaped mapping of the resolved config (manifest payload)."""
+        """Schema-shaped mapping of the resolved config (manifest payload):
+        each row's attribute, an enum as its value, the schemes as their
+        config text and any other tuple as a list."""
         mapping: dict[str, dict[str, Any]] = {}
         for row in _KEYS:
-            mapping.setdefault(row.section, {})[row.key] = row.manifest(self)
+            value = attrgetter(row.field)(self)
+            if row.field == "schemes":
+                value = ", ".join(map(_scheme_entry, value))
+            elif isinstance(value, Enum):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            mapping.setdefault(row.section, {})[row.key] = value
         return mapping
 
 
@@ -175,116 +185,120 @@ def _scheme_entry(scheme: SchemeConfig) -> str:
 
 
 _REQUIRED = object()
+# A required value that is missing or bad, or a part that failed its rules:
+# not None, which is power_prime_w's default.
+_BAD = object()
 
 
 class _Key(NamedTuple):
-    """One config key: its parser, which also rejects values outside the
-    key's own range, what it accepts, its default (or ``_REQUIRED``) and its
-    manifest value read back from a config."""
+    """One config key: the dotted ExperimentConfig attribute it fills, its
+    parser, which also rejects values outside the key's own range, what it
+    accepts and its default (or ``_REQUIRED``)."""
 
     section: str
     key: str
+    field: str
     parse: Callable[[str], Any]
     expect: str
     default: Any
-    manifest: Callable[[ExperimentConfig], Any]
 
 
 _POSITIVE = _checked(_finite, lambda v: v > 0)
 _POWERS = _list_of(_checked(_finite, lambda p: p >= 0))
 
-# Every config key, once.  Unknown-key checks, parsing and the manifest all
-# read this table.  Tuple-valued [contents] keys hold one value per content
-# and broadcast from a single value.
+# Every config key, once.  Unknown-key checks, parsing, assembly and the
+# manifest all read this table.  Tuple-valued [contents] keys hold one value
+# per content and broadcast from a single value.
 _KEYS = (
-    _Key("grid", "rows", _checked(int, lambda n: 1 <= n <= MAX_GRID_SIDE),
-         f"integer in [1, {MAX_GRID_SIDE}]", _REQUIRED, lambda c: c.grid.rows),
-    _Key("grid", "cols", _checked(int, lambda n: 2 <= n <= MAX_GRID_SIDE),
-         f"integer in [2, {MAX_GRID_SIDE}]", _REQUIRED, lambda c: c.grid.cols),
-    _Key("grid", "isd_m", _POSITIVE,
-         "positive meters, with hypot(cols, rows)*isd_m a finite float", _REQUIRED,
-         lambda c: c.grid.isd),
+    _Key("grid", "rows", "grid.rows", _checked(int, lambda n: 1 <= n <= MAX_GRID_SIDE),
+         f"integer in [1, {MAX_GRID_SIDE}]", _REQUIRED),
+    _Key("grid", "cols", "grid.cols", _checked(int, lambda n: 2 <= n <= MAX_GRID_SIDE),
+         f"integer in [2, {MAX_GRID_SIDE}]", _REQUIRED),
+    _Key("grid", "isd_m", "grid.isd", _POSITIVE,
+         "positive meters, with hypot(cols, rows)*isd_m a finite float", _REQUIRED),
     # The side cap bounds both splits, so GridSpec only relates them to cols.
-    _Key("grid", "lsa1_cols", _checked(int, lambda n: 1 <= n < MAX_GRID_SIDE),
-         "integer in [1, cols-1]", _REQUIRED, lambda c: c.grid.lsa1_cols),
-    _Key("grid", "buffer_cols_per_side", _checked(int, lambda n: 1 <= n <= MAX_GRID_SIDE // 2),
-         "integer in [1, min(lsa1_cols, cols-lsa1_cols)]", 1,
-         lambda c: c.grid.buffer_cols_per_side),
-    _Key("contents", "count", _checked(int, lambda m: 2 <= m <= MAX_CONTENTS),
-         f"integer in [2, {MAX_CONTENTS}], so that count maps fit 8 bits", _REQUIRED,
-         lambda c: c.plan.m_count),
-    _Key("contents", "bandwidth_hz", _list_of(_POSITIVE),
-         "positive Hz, 1 or M values, with n0*B a normal float", _REQUIRED,
-         lambda c: list(c.plan.bandwidth_hz)),
-    _Key("contents", "subcarriers", _list_of(_checked(int, lambda s: s >= 1)),
-         "positive integers, 1 or M values, with sum(S*log2(mu)) a finite float",
-         _REQUIRED, lambda c: list(c.plan.subcarriers)),
-    _Key("contents", "mod_order",
-         _list_of(_checked(int, lambda mu: mu >= 2 and not mu & (mu - 1))),
-         "powers of two >= 2, 1 or M values", _REQUIRED, lambda c: list(c.plan.mod_order)),
-    _Key("contents", "t_sym_s", _POSITIVE,
-         f"positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= {MAX_RATIO:g}",
-         _REQUIRED, lambda c: c.plan.t_sym),
-    _Key("contents", "power_w", _POWERS,
+    _Key("grid", "lsa1_cols", "grid.lsa1_cols", _checked(int, lambda n: 1 <= n < MAX_GRID_SIDE),
+         "integer in [1, cols-1]", _REQUIRED),
+    _Key("grid", "buffer_cols_per_side", "grid.buffer_cols_per_side",
+         _checked(int, lambda n: 1 <= n <= MAX_GRID_SIDE // 2),
+         "integer in [1, min(lsa1_cols, cols-lsa1_cols)]", 1),
+    _Key("contents", "count", "plan.m_count", _checked(int, lambda m: 2 <= m <= MAX_CONTENTS),
+         f"integer in [2, {MAX_CONTENTS}], so that count maps fit 8 bits", _REQUIRED),
+    _Key("contents", "bandwidth_hz", "plan.bandwidth_hz", _list_of(_POSITIVE),
+         "positive Hz, 1 or M values, with n0*B a normal float", _REQUIRED),
+    _Key("contents", "subcarriers", "plan.subcarriers", _list_of(_checked(int, lambda s: s >= 1)),
+         "positive integers, 1 or M values, with sum(S*log2(mu)) a finite float", _REQUIRED),
+    _Key("contents", "mod_order", "plan.mod_order", _list_of(_checked(int, is_mod_order)),
+         "powers of two >= 2, 1 or M values", _REQUIRED),
+    _Key("contents", "t_sym_s", "plan.t_sym", _POSITIVE,
+         f"positive seconds, with sum(S*log2(mu)) / (t_sym*sum(B)) <= {MAX_RATIO:g}", _REQUIRED),
+    _Key("contents", "power_w", "plan.base_power", _POWERS,
          "non-negative watts, 1 or M values, with sum(power_w) > 0 and cells*sum(power_w)"
-         f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
-         _REQUIRED, lambda c: list(c.plan.base_power)),
-    _Key("contents", "power_prime_w", _POWERS,
+         f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}", _REQUIRED),
+    _Key("contents", "power_prime_w", "plan.base_power_prime", _POWERS,
          "non-negative watts, 1 or M values, the first equal to power_w's, "
-         "with cells*sum(power_prime_w)"
-         f"*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
-         None, lambda c: list(c.plan.base_power_prime)),
-    _Key("propagation", "model", _choice(PathLossKind, str.lower), "power_law or hata",
-         _REQUIRED, lambda c: c.pathloss.kind.value),
+         f"with cells*sum(power_prime_w)*g({D_MIN_M:g} m) / (n0*min(B)) <= {MAX_RATIO:g}",
+         None),
+    _Key("propagation", "model", "pathloss.kind", _choice(PathLossKind, str.lower),
+         "power_law or hata", _REQUIRED),
     # Each range below binds under one model only, so PathLossModel checks it.
-    _Key("propagation", "eta", _finite, "2 <= eta <= 6", 3.5, lambda c: c.pathloss.eta),
-    _Key("propagation", "f_mhz", _finite, "150 <= f_mhz <= 1500", 700.0,
-         lambda c: c.pathloss.f_mhz),
-    _Key("propagation", "hb_m", _finite, "30 <= hb_m <= 200", 30.0, lambda c: c.pathloss.hb_m),
-    _Key("propagation", "hm_m", _finite, "1 <= hm_m <= 10", 1.5, lambda c: c.pathloss.hm_m),
-    _Key("radio", "n0_w_per_hz", _POSITIVE, "positive W/Hz, with n0*B a normal float",
-         _REQUIRED, lambda c: c.n0),
-    _Key("schemes", "list", str, "comma list of olsi|reuse1|ps:<beta>|imo:<beta>",
-         _REQUIRED, lambda c: ", ".join(_scheme_entry(s) for s in c.schemes)),
-    _Key("schemes", "imo_buffer_reallocation",
-         _checked(str.lower, lambda r: r in ("global", "none")), "global or none", "global",
-         ExperimentConfig.imo_reallocation),
-    _Key("eval", "resolution", _checked(int, lambda r: 1 <= r <= MAX_RESOLUTION),
-         f"integer in [1, {MAX_RESOLUTION}]", _REQUIRED, lambda c: c.resolution),
-    _Key("eval", "thresholds_db", _list_of(_finite), "one or more dB values", _REQUIRED,
-         lambda c: list(c.thresholds_db)),
-    _Key("eval", "coverage_area", _choice(AreaKind, str.upper), "a1 or a2", AreaKind.A1,
-         lambda c: c.coverage_area_kind.value),
-    _Key("eval", "map_area", _choice(AreaKind, str.upper), "a1 or a2", AreaKind.A2,
-         lambda c: c.map_area_kind.value),
-    _Key("eval", "content_map_threshold_db", _finite, "dB value", 15.0,
-         lambda c: c.content_map_threshold_db),
-    _Key("output", "dir", str, "directory path", _REQUIRED, lambda c: c.out_dir),
-    _Key("output", "emit_sinr_maps", _parse_bool, "true or false", False,
-         lambda c: c.emit_sinr_maps),
-    _Key("output", "seed", _checked(int, lambda s: s >= 0), "integer >= 0", 0,
-         lambda c: c.seed),
+    _Key("propagation", "eta", "pathloss.eta", _finite, "2 <= eta <= 6", 3.5),
+    _Key("propagation", "f_mhz", "pathloss.f_mhz", _finite, "150 <= f_mhz <= 1500", 700.0),
+    _Key("propagation", "hb_m", "pathloss.hb_m", _finite, "30 <= hb_m <= 200", 30.0),
+    _Key("propagation", "hm_m", "pathloss.hm_m", _finite, "1 <= hm_m <= 10", 1.5),
+    _Key("radio", "n0_w_per_hz", "n0", _POSITIVE, "positive W/Hz, with n0*B a normal float",
+         _REQUIRED),
+    # config_from_mapping splits it into SchemeConfigs, naming each bad entry.
+    _Key("schemes", "list", "schemes", str, "comma list of olsi|reuse1|ps:<beta>|imo:<beta>",
+         _REQUIRED),
+    _Key("schemes", "imo_buffer_reallocation", "imo_buffer_reallocation",
+         _checked(str.lower, lambda r: r in ("global", "none")), "global or none", "global"),
+    _Key("eval", "resolution", "resolution", _checked(int, lambda r: 1 <= r <= MAX_RESOLUTION),
+         f"integer in [1, {MAX_RESOLUTION}]", _REQUIRED),
+    _Key("eval", "thresholds_db", "thresholds_db", _list_of(_finite), "one or more dB values",
+         _REQUIRED),
+    _Key("eval", "coverage_area", "coverage_area_kind", _choice(AreaKind, str.upper),
+         "a1 or a2", AreaKind.A1),
+    _Key("eval", "map_area", "map_area_kind", _choice(AreaKind, str.upper), "a1 or a2",
+         AreaKind.A2),
+    _Key("eval", "content_map_threshold_db", "content_map_threshold_db", _finite, "dB value",
+         15.0),
+    _Key("output", "dir", "out_dir", str, "directory path", _REQUIRED),
+    _Key("output", "emit_sinr_maps", "emit_sinr_maps", _parse_bool, "true or false", False),
+    _Key("output", "seed", "seed", _checked(int, lambda s: s >= 0), "integer >= 0", 0),
 )
 _ROWS = {f"{row.section}.{row.key}": row for row in _KEYS}
-# The keys that hold a list, one value per content or per threshold.
-_LIST_KEYS = {name for name, row in _ROWS.items() if row.parse.__name__ == "parse_list"}
+# The key of each attribute a row fills.
+_NAMES = {row.field: name for name, row in _ROWS.items()}
+
+# The declared type of every ExperimentConfig attribute and of every field
+# of its dataclass parts, by dotted name: "grid" is GridSpec, "grid.isd" float.
+_TYPES = typing.get_type_hints(ExperimentConfig)
+_TYPES.update({f"{part}.{field}": hint for part, cls in tuple(_TYPES.items())
+               if is_dataclass(cls) for field, hint in typing.get_type_hints(cls).items()})
+# The section of each dataclass part's keys, for a rule that names no field.
+_SECTIONS = {row.field.partition(".")[0]: row.section for row in _KEYS}
+
+# The JSON type of each Python type that json.loads gives, null aside.
+_JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", list: "list",
+               dict: "object"}
+
+
+def _written_type(field: str) -> tuple[str, bool]:
+    """The JSON type ``to_mapping`` writes for attribute ``field``, of each
+    entry where it writes a list, and whether it writes one.  An enum and
+    the schemes are written as text."""
+    hint = _TYPES[field]
+    if isinstance(hint, types.UnionType):  # tuple[float, ...] | None
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple and field != "schemes":
+        return _JSON_TYPES[typing.get_args(hint)[0]], True
+    return _JSON_TYPES.get(hint, "string"), False
 
 
 def _error(name: str, problem: str) -> str:
     """The error line for key ``name`` ("section.key"), with what it expects."""
     return f"{name}: {problem}; expected {_ROWS[name].expect}"
-
-
-# The key of each dataclass field whose rule joins keys, or binds under one
-# model only; the dataclass checks the rule and names the field.
-_FIELD_KEYS = {"base_power": "contents.power_w", "base_power_prime": "contents.power_prime_w",
-               **{field: f"propagation.{field}" for field in ("eta", "f_mhz", "hb_m", "hm_m")}}
-
-
-def _rule_error(section: str, exc: ConfigurationError) -> str:
-    """A dataclass rule's message, under the key of the field it names."""
-    name = _FIELD_KEYS.get(exc.field)
-    return _error(name, str(exc)) if name else f"{section}: {exc}"
 
 
 def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossModel,
@@ -312,7 +326,7 @@ def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossMode
         if not ratio <= MAX_RATIO:
             errors.append(_error(name, f"the received power at {D_MIN_M:g} m over "
                                        f"the noise reaches {ratio!r}"))
-    bits = sum(s * (mu.bit_length() - 1) for s, mu in zip(plan.subcarriers, plan.mod_order))
+    bits = sum(s * b for s, b in zip(plan.subcarriers, plan.bits_per_symbol))
     try:
         bits = float(bits)
     except OverflowError:
@@ -348,6 +362,23 @@ def _stringify(value: Any) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _manifest_problem(name: str, value: Any) -> str | None:
+    """Why key ``name`` cannot take the manifest's JSON ``value``: a type
+    other than the one ``to_mapping`` writes for it.  A list is taken only
+    where the key holds one, and only of scalars."""
+    want, holds_list = _written_type(_ROWS[name].field)
+    values = value if isinstance(value, list) and holds_list else [value]
+    within = " in a list" if values is value else ""
+    found = [_JSON_TYPES[type(v)] for v in values]
+    nested = [t for t in found if t in ("list", "object")]
+    if nested:
+        return f"a JSON {nested[0]}{within} is not a single value"
+    if holds_list and not within:
+        return f"a JSON {found[0]} is not a list"
+    other = [t for t in found if t != want]
+    return f"a JSON {other[0]}{within} is not a {want}" if other else None
+
+
 def _load_manifest(path: str) -> dict[str, dict[str, str]]:
     try:
         document = json.loads(_read_text(path))
@@ -358,31 +389,39 @@ def _load_manifest(path: str) -> dict[str, dict[str, str]]:
     config = document["config"]
     if not isinstance(config, dict):
         raise ConfigValidationError([f"{path}: manifest 'config' must be an object of sections"])
-    errors = [f"{path}: manifest section {section!r} must be an object"
-              for section, entries in config.items() if not isinstance(entries, dict)]
-    if errors:
-        raise ConfigValidationError(errors)
-    # JSON null has no config text; str() would read it as the word 'None'.
-    errors = [f"{path}: manifest key '{section}.{key}' is null"
-              for section, entries in config.items() for key, value in entries.items()
-              if value is None or isinstance(value, list) and None in value]
-    if errors:
-        raise ConfigValidationError(errors)
-    # A key holds one JSON scalar, or a list of them where it holds a list.
-    mapping: dict[str, dict[str, str]] = {section: {} for section in config}
+    errors: list[str] = []
+    mapping: dict[str, dict[str, str]] = {}
     for section, entries in config.items():
+        if not isinstance(entries, dict):
+            errors.append(f"{path}: manifest section {section!r} must be an object")
+            continue
+        mapping[section] = {}
         for key, value in entries.items():
             name = f"{section}.{key}"
-            values = value if isinstance(value, list) and name in _LIST_KEYS else [value]
-            nested = [v for v in values if isinstance(v, (list, dict))]
-            if nested and name in _ROWS:
-                shape = "list" if isinstance(nested[0], list) else "object"
-                within = " in a list" if values is value else ""
-                errors.append(_error(name, f"a JSON {shape}{within} is not a single value"))
-            mapping[section][key] = " ".join(map(_stringify, values))
+            # JSON null has no config text; str() would read it as the word 'None'.
+            if value is None or isinstance(value, list) and None in value:
+                errors.append(f"{path}: manifest key '{name}' is null")
+            elif name in _ROWS and (problem := _manifest_problem(name, value)):
+                errors.append(_error(name, problem))
+            else:
+                values = value if isinstance(value, list) else [value]
+                mapping[section][key] = " ".join(map(_stringify, values))
     if errors:
         raise ConfigValidationError(errors)
     return mapping
+
+
+def _assemble(part: str, values: dict[str, Any], errors: list[str]) -> Any:
+    """ExperimentConfig's dataclass ``part`` of the fields ``values``, or
+    ``_BAD``; a failed rule goes to ``errors`` under the key of its field."""
+    if any(v is _BAD for v in values.values()):
+        return _BAD
+    try:
+        return _TYPES[part](**values)
+    except ConfigurationError as exc:
+        name = _NAMES.get(f"{part}.{exc.field}")
+        errors.append(_error(name, str(exc)) if name else f"{_SECTIONS[part]}: {exc}")
+        return _BAD
 
 
 def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
@@ -406,11 +445,12 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
                     f"(known: {', '.join(sorted(known[section]))})"
                 )
 
-    # section -> key -> parsed value; None where a required key is missing or bad
-    values: dict[str, dict[str, Any]] = {section: {} for section in known}
+    # ExperimentConfig attribute -> value, the fields of its dataclass parts
+    # grouped under the part: {"grid": {"isd": ...}, ..., "n0": ...}.
+    values: dict[str, Any] = {}
     for name, row in _ROWS.items():
         text = mapping.get(row.section, {}).get(row.key, "").strip()
-        value = None if row.default is _REQUIRED else row.default
+        value = _BAD if row.default is _REQUIRED else row.default
         if text:
             try:
                 value = row.parse(text)
@@ -418,90 +458,52 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
                 errors.append(_error(name, str(exc)))
         elif row.default is _REQUIRED:
             errors.append(_error(name, "required key is missing"))
-        values[row.section][row.key] = value
+        part, _, field = row.field.rpartition(".")
+        (values.setdefault(part, {}) if part else values)[field] = value
 
-    grid = values["grid"]
-    grid_spec = None
-    if None not in grid.values():
-        try:
-            grid_spec = GridSpec(rows=grid["rows"], cols=grid["cols"], isd=grid["isd_m"],
-                                 lsa1_cols=grid["lsa1_cols"],
-                                 buffer_cols_per_side=grid["buffer_cols_per_side"])
-        except ConfigurationError as exc:
-            errors.append(_rule_error("grid", exc))
-        else:
-            # No lattice offset or distance exceeds the grid's diagonal.
-            diagonal = math.hypot(grid_spec.cols, grid_spec.rows) * grid_spec.isd
-            if not diagonal <= sys.float_info.max:
-                errors.append(_error("grid.isd_m", f"the grid's diagonal reaches {diagonal!r} m"))
-
-    contents = values["contents"]
-    m_count = contents["count"]
-    plan = None
-    if m_count is not None:
-        for key, seq in contents.items():
+    contents, m_count = values["plan"], values["plan"]["m_count"]
+    if m_count is not _BAD:
+        for field, seq in contents.items():
             if isinstance(seq, tuple) and len(seq) == 1:
-                contents[key] = seq * m_count
+                contents[field] = seq * m_count
             elif isinstance(seq, tuple) and len(seq) != m_count:
-                errors.append(
-                    f"contents.{key}: expected 1 or {m_count} values (got {len(seq)})"
-                )
-                contents[key] = None
-        per_content = ("bandwidth_hz", "subcarriers", "mod_order", "t_sym_s", "power_w")
-        if None not in (contents[key] for key in per_content):
-            try:
-                plan = ContentPlan(
-                    m_count=m_count, bandwidth_hz=contents["bandwidth_hz"],
-                    subcarriers=contents["subcarriers"], mod_order=contents["mod_order"],
-                    t_sym=contents["t_sym_s"], base_power=contents["power_w"],
-                    base_power_prime=contents["power_prime_w"],
-                )
-            except ConfigurationError as exc:
-                errors.append(_rule_error("contents", exc))
+                errors.append(f"{_NAMES['plan.' + field]}: expected 1 or {m_count} values "
+                              f"(got {len(seq)})")
+                contents[field] = _BAD
+    for part in ("grid", "plan", "pathloss"):
+        values[part] = _assemble(part, values[part], errors)
 
-    prop = values["propagation"]
-    pathloss = None
-    if None not in prop.values():
-        try:
-            pathloss = PathLossModel(kind=prop["model"], eta=prop["eta"], f_mhz=prop["f_mhz"],
-                                     hb_m=prop["hb_m"], hm_m=prop["hm_m"])
-        except ConfigurationError as exc:
-            errors.append(_rule_error("propagation", exc))
-
-    n0 = values["radio"]["n0_w_per_hz"]
-    if None not in (grid_spec, plan, pathloss, n0):
-        errors += _finite_run_errors(grid_spec, plan, pathloss, n0)
+    grid, plan, pathloss, n0 = (values[k] for k in ("grid", "plan", "pathloss", "n0"))
+    if grid is not _BAD:
+        # No lattice offset or distance exceeds the grid's diagonal.
+        diagonal = math.hypot(grid.cols, grid.rows) * grid.isd
+        if not diagonal <= sys.float_info.max:
+            errors.append(_error("grid.isd_m", f"the grid's diagonal reaches {diagonal!r} m"))
+    if _BAD not in (grid, plan, pathloss, n0):
+        errors += _finite_run_errors(grid, plan, pathloss, n0)
 
     schemes: list[SchemeConfig] = []
-    imo_realloc = values["schemes"]["imo_buffer_reallocation"] or "global"
-    if values["schemes"]["list"] is not None:
-        entries = [e.strip() for e in values["schemes"]["list"].split(",") if e.strip()]
+    if values["schemes"] is not _BAD:
+        entries = [e.strip() for e in values["schemes"].split(",") if e.strip()]
         if not entries:
             errors.append("schemes.list: must name at least one scheme")
         for entry in entries:
             try:
-                schemes.append(_parse_scheme_entry(entry, imo_realloc))
+                schemes.append(_parse_scheme_entry(entry, values["imo_buffer_reallocation"]))
             except (ValueError, ConfigurationError) as exc:
                 errors.append(f"schemes.list: {exc}")
         labels = [s.label for s in schemes]
         if len(set(labels)) != len(labels):
             errors.append(f"schemes.list: duplicate scheme labels in {labels}")
+    values["schemes"] = tuple(schemes)
 
-    evals, output = values["eval"], values["output"]
-    thresholds = evals["thresholds_db"] or ()
+    thresholds = () if values["thresholds_db"] is _BAD else values["thresholds_db"]
     # Floats compare equal across spellings (15, 15.0); name each once.
     errors += [f"eval.thresholds_db: {t!r} dB is listed more than once"
                for i, t in enumerate(thresholds) if thresholds[:i].count(t) == 1]
     if errors:
         raise ConfigValidationError(sorted(errors))
-
-    return ExperimentConfig(
-        grid=grid_spec, plan=plan, schemes=tuple(schemes), pathloss=pathloss, n0=n0,
-        resolution=evals["resolution"], thresholds_db=evals["thresholds_db"],
-        coverage_area_kind=evals["coverage_area"], map_area_kind=evals["map_area"],
-        content_map_threshold_db=evals["content_map_threshold_db"],
-        out_dir=output["dir"], emit_sinr_maps=output["emit_sinr_maps"], seed=output["seed"],
-    )
+    return ExperimentConfig(**values)
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -531,7 +533,7 @@ def apply_overrides(
     if scheme is not None:
         entry = scheme if beta is None else f"{scheme}:{beta!r}"
         try:
-            cfg = replace(cfg, schemes=(_parse_scheme_entry(entry, cfg.imo_reallocation()),))
+            cfg = replace(cfg, schemes=(_parse_scheme_entry(entry, cfg.imo_buffer_reallocation),))
         except (ValueError, ConfigurationError) as exc:
             raise ConfigValidationError([f"--scheme: {exc}"]) from exc
     if resolution is not None:

@@ -22,7 +22,6 @@ from sfn_lsi_sim.allocation import (
     TransmitPlan,
     allocate,
 )
-from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import Grid, GridSpec
 from sfn_lsi_sim.sinr import SinrField
 
@@ -100,15 +99,6 @@ def content_count_map(fields: list[SinrField], threshold_db: float) -> ContentCo
     return ContentCountMap(m_count=len(fields), counts=counts, shape=first.shape)
 
 
-def bits_per_symbol(mod_order: int) -> int:
-    """Exact log2 of the modulation order; orders must be powers of two."""
-    if mod_order < 2 or mod_order & (mod_order - 1):
-        raise ConfigurationError(
-            f"mod_order must be a power of two >= 2 (got {mod_order})"
-        )
-    return mod_order.bit_length() - 1
-
-
 def plan_weights(tp: TransmitPlan) -> tuple[Fraction, ...]:
     """Per-content transmitting-cell fractions, over all cells of both LSAs.
 
@@ -122,11 +112,8 @@ def plan_weights(tp: TransmitPlan) -> tuple[Fraction, ...]:
 
 
 def _se_numerator(weights: tuple[Fraction, ...], plan: ContentPlan) -> Fraction:
-    return sum(
-        (w * plan.subcarriers[j] * bits_per_symbol(plan.mod_order[j])
-         for j, w in enumerate(weights)),
-        Fraction(0),
-    )
+    return sum((w * s * b for w, s, b in zip(weights, plan.subcarriers, plan.bits_per_symbol)),
+               Fraction(0))
 
 
 def _xi(numerator: Fraction, plan: ContentPlan) -> float:

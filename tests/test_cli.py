@@ -36,6 +36,23 @@ class TestRun:
         assert f"files to {out}" in captured.out
         assert (out / "summary.json").is_file()
 
+    def test_reallocation_survives_a_run_of_another_scheme(self, tmp_path, capsys):
+        # The IMO reallocation is part of the config, not of the schemes run:
+        # a PS-only run's manifest keeps it for a later IMO run.
+        config = tmp_path / "none.cfg"
+        config.write_text(Path(SMOKE).read_text().replace(
+            "imo_buffer_reallocation = global", "imo_buffer_reallocation = none"))
+        first, second = tmp_path / "ps", tmp_path / "imo"
+        assert main(["run", "--config", str(config), "--out", str(first),
+                     "--scheme", "ps:0.5", "--resolution", "1"]) == 0
+        manifest = first / "manifest.json"
+        written = json.loads(manifest.read_text())["config"]["schemes"]
+        assert written == {"list": "ps:0.5", "imo_buffer_reallocation": "none"}
+        assert main(["run", "--config", str(manifest), "--out", str(second),
+                     "--scheme", "imo:0.5"]) == 0
+        [scheme] = parse_config(str(second / "manifest.json")).schemes
+        assert (scheme.kind.value, scheme.beta, scheme.buffer_reallocation) == ("imo", 0.5, "none")
+
     def test_run_single_scheme_override(self, tmp_path, capsys):
         out = tmp_path / "one"
         code = main([

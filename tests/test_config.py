@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from sfn_lsi_sim.allocation import SchemeKind
 from sfn_lsi_sim.config import (
+    _KEYS,
     MANIFEST_FORMAT,
     apply_overrides,
     config_from_mapping,
@@ -332,6 +335,27 @@ class TestShippedConfigs:
         assert 15.0 in cfg.thresholds_db and 20.0 in cfg.thresholds_db
 
 
+class TestKeyTable:
+    def test_rows_fill_every_attribute_once(self):
+        fields = [row.field for row in _KEYS]
+        assert len(set(fields)) == len(fields)
+        cfg = parse_config(str(CONFIG_DIR / "paper_table1.cfg"))
+        attributes = set()
+        for field in dataclasses.fields(cfg):
+            value = getattr(cfg, field.name)
+            if dataclasses.is_dataclass(value):
+                attributes |= {f"{field.name}.{f.name}" for f in dataclasses.fields(value)}
+            else:
+                attributes.add(field.name)
+        assert set(fields) == attributes
+
+    @pytest.mark.parametrize("name", ["paper_table1.cfg", "smoke_1x2.cfg"])
+    def test_every_row_names_an_attribute_of_the_config(self, name):
+        cfg = parse_config(str(CONFIG_DIR / name))
+        for row in _KEYS:
+            assert attrgetter(row.field)(cfg) is not None, row.field
+
+
 class TestReadme:
     def test_readme_example_is_the_table_config(self, tmp_path):
         readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
@@ -386,7 +410,7 @@ class TestManifestRoundTrip:
             "output.emit_sinr_maps": "true", "output.seed": "7",
         })
         cfg = config_from_mapping(mapping)
-        assert cfg.pathloss.kind.value == "hata" and cfg.imo_reallocation() == "none"
+        assert cfg.pathloss.kind.value == "hata" and cfg.imo_buffer_reallocation == "none"
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"format": MANIFEST_FORMAT, "config": cfg.to_mapping()}))
         assert parse_config(str(path)) == cfg
@@ -404,6 +428,21 @@ class TestManifestRoundTrip:
         with pytest.raises(ConfigValidationError) as exc_info:
             parse_config(str(path))
         assert exc_info.value.errors == [f"{path}: manifest key '{section}.{key}' is null"]
+
+    def test_every_fault_of_a_manifest_is_named_at_once(self, tmp_path):
+        mapping = parse_config(str(CONFIG_DIR / "paper_table1.cfg")).to_mapping()
+        mapping["eval"]["thresholds_db"] = [[5.0, 7.5]]
+        mapping["output"]["dir"] = None
+        mapping["extras"] = [1]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"format": MANIFEST_FORMAT, "config": mapping}))
+        with pytest.raises(ConfigValidationError) as exc_info:
+            parse_config(str(path))
+        assert exc_info.value.errors == [
+            "eval.thresholds_db: a JSON list in a list is not a single value; "
+            "expected one or more dB values",
+            f"{path}: manifest key 'output.dir' is null",
+            f"{path}: manifest section 'extras' must be an object"]
 
     def test_manifest_without_config_key(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -8,10 +8,10 @@ rejects is reported under that key's name; and every config that validates
 runs at resolution 1 without a RuntimeWarning, writing JSON that holds no
 NaN or Infinity.
 
-A run manifest gives each key a JSON value of the shape the key holds: a
-list of scalars for a key that holds one value per content or threshold,
-one scalar for any other.  A value of another shape fails with one line
-under the key's name.
+A run manifest gives each key a JSON value of the type that the manifest
+writes for it: a list of numbers for a key that holds one value per content
+or threshold, and one number, boolean or string for any other.  A value of
+another shape or type fails with one line under the key's name.
 """
 
 from __future__ import annotations
@@ -87,26 +87,39 @@ def test_edge_values_validate_or_name_their_key(tmp_path, monkeypatch, ran, conf
                 json.loads(Path("run", file).read_text(), parse_constant=_no_constant)
 
 
+# One JSON value of each scalar type, and the type of each value json.loads gives.
+SCALARS = {"boolean": True, "number": 3, "string": "3"}
+JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string"}
+
+
 @pytest.mark.parametrize("row", _KEYS, ids=[f"{row.section}.{row.key}" for row in _KEYS])
 def test_manifest_value_of_another_shape_names_its_key(tmp_path, row):
     name = f"{row.section}.{row.key}"
     manifest = config_from_mapping(_load_ini(str(CONFIG_DIR / "smoke_1x2.cfg"))).to_mapping()
     value = manifest[row.section][row.key]
     if isinstance(value, list):
-        shapes = [("list in a list", [value]),
-                  ("object in a list", [*value, {"value": value[0]}]),
-                  ("object", {"value": value})]
+        want = JSON_TYPES[type(value[0])]
+        cases = [("a JSON list in a list is not a single value", [value]),
+                 ("a JSON object in a list is not a single value", [*value, {"value": value[0]}]),
+                 ("a JSON object is not a single value", {"value": value}),
+                 (f"a JSON {want} is not a list", value[0])]
+        cases += [(f"a JSON {kind} in a list is not a {want}", [*value, bad])
+                  for kind, bad in SCALARS.items() if kind != want]
     else:
-        shapes = [("list", [value]), ("list", [value, value]), ("object", {"value": value})]
+        want = JSON_TYPES[type(value)]
+        cases = [("a JSON list is not a single value", [value]),
+                 ("a JSON list is not a single value", [value, value]),
+                 ("a JSON object is not a single value", {"value": value})]
+        cases += [(f"a JSON {kind} is not a {want}", bad)
+                  for kind, bad in SCALARS.items() if kind != want]
     path = tmp_path / "manifest.json"
-    # The shape to_mapping writes validates.
+    # The type to_mapping writes validates.
     path.write_text(json.dumps({"config": manifest}))
     parse_config(str(path))
-    for shape, bad in shapes:
+    for problem, bad in cases:
         edited = {section: dict(entries) for section, entries in manifest.items()}
         edited[row.section][row.key] = bad
         path.write_text(json.dumps({"config": edited}))
         with pytest.raises(ConfigValidationError) as exc_info:
             parse_config(str(path))
-        assert exc_info.value.errors == [
-            f"{name}: a JSON {shape} is not a single value; expected {row.expect}"], bad
+        assert exc_info.value.errors == [f"{name}: {problem}; expected {row.expect}"], bad

@@ -18,7 +18,6 @@ from sfn_lsi_sim.allocation import (
 from sfn_lsi_sim.errors import ConfigurationError
 from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, GridSpec
 from sfn_lsi_sim.metrics import (
-    bits_per_symbol,
     content_count_map,
     coverage,
     plan_weights,
@@ -66,7 +65,7 @@ def scheme_weights(scheme, spec: GridSpec, m_count: int) -> tuple[Fraction, ...]
 def spectral_efficiency(kind: SchemeKind, spec: GridSpec, plan: ContentPlan) -> float:
     """Closed-form xi = sum_m w_m |S_m| log2(mu_m) / (T_sym sum_m B_m)."""
     weights = scheme_weights(kind, spec, plan.m_count)
-    rate = sum(w * s * bits_per_symbol(mu)
+    rate = sum(w * s * (mu.bit_length() - 1)
                for w, s, mu in zip(weights, plan.subcarriers, plan.mod_order))
     return float(rate) / (plan.t_sym * sum(plan.bandwidth_hz))
 
@@ -175,14 +174,24 @@ class TestContentCountMap:
 
 
 class TestBitsPerSymbol:
+    """``ContentPlan.bits_per_symbol``, which the SE weights and the config's
+    finite-run bound both read, and the plan's rule on modulation orders."""
+
+    @staticmethod
+    def plan(*orders: int) -> ContentPlan:
+        n = len(orders)
+        return ContentPlan(m_count=n, bandwidth_hz=(1e6,) * n, subcarriers=(100,) * n,
+                           mod_order=orders, t_sym=1e-3, base_power=(1.0,) * n)
+
     @pytest.mark.parametrize("order,bits", [(2, 1), (4, 2), (16, 4), (64, 6), (1024, 10)])
     def test_powers_of_two(self, order, bits):
-        assert bits_per_symbol(order) == bits
+        assert self.plan(order, 4).bits_per_symbol == (bits, 2)
 
     @pytest.mark.parametrize("order", [0, 1, 3, 12, -4])
     def test_rejects_other_orders(self, order):
-        with pytest.raises(ConfigurationError, match="power of two"):
-            bits_per_symbol(order)
+        with pytest.raises(ConfigurationError, match="powers of two") as exc_info:
+            self.plan(4, order)
+        assert exc_info.value.field == "mod_order"
 
 
 class TestSchemeWeights:
@@ -266,16 +275,13 @@ class TestSpectralEfficiency:
         assert report.xi_olsi == pytest.approx(2.375, abs=1e-12)
 
     def test_non_power_of_two_modulation_rejected(self):
-        plan = ContentPlan(
-            m_count=2,
-            bandwidth_hz=(1e6, 1e6),
-            subcarriers=(100, 100),
-            mod_order=(64, 12),
-            t_sym=1e-3,
-            base_power=(1.0, 1.0),
-        )
-        with pytest.raises(ConfigurationError, match="power of two"):
-            se_report(GridSpec(), plan)
+        # The plan refuses an order whose log2 is no whole number of bits,
+        # so se_report never weighs one.
+        with pytest.raises(ConfigurationError,
+                           match=r"powers of two >= 2 \(got \(64, 12\)\)") as exc_info:
+            ContentPlan(m_count=2, bandwidth_hz=(1e6, 1e6), subcarriers=(100, 100),
+                        mod_order=(64, 12), t_sym=1e-3, base_power=(1.0, 1.0))
+        assert exc_info.value.field == "mod_order"
 
     @pytest.mark.parametrize("spec", [
         GridSpec(),

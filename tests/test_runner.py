@@ -684,6 +684,31 @@ class TestDistinctFields:
         assert peak < levels_bytes, (peak, levels_bytes)
 
 
+@pytest.mark.parametrize("k", [1, -3])
+def test_bandwidth_and_noise_scaled_by_inverse_powers_of_two_keep_maps(tmp_path, k):
+    # Scaling every bandwidth by 2**k and n0 by 2**-k keeps every n0*B bit
+    # for bit, so coverage, count maps and rasters keep their bytes; only
+    # the spectral efficiencies change, and their ratios do not.  The scaled
+    # config is built in code, as the power-scaling test in test_sinr.py
+    # explains.
+    cfg = apply_overrides(parse_config(SMOKE), out_dir=str(tmp_path / "base"), resolution=8)
+    assert cfg.emit_sinr_maps
+    plan = replace(cfg.plan, bandwidth_hz=tuple(b * 2.0**k for b in cfg.plan.bandwidth_hz))
+    scaled = replace(cfg, plan=plan, n0=cfg.n0 * 2.0**-k, out_dir=str(tmp_path / "scaled"))
+    base, result = run_experiment(cfg), run_experiment(scaled)
+    assert base.files == result.files
+    changed = {"manifest.json", "spectral_efficiency.json", "summary.json"}
+    kept = [name for name in base.files if name not in changed]
+    assert len(kept) == 1 + 4 * 2 + 4 * 2 * 2
+    for name in kept:
+        want = (tmp_path / "base" / name).read_bytes()
+        assert (tmp_path / "scaled" / name).read_bytes() == want, name
+    ratios = [{key: value for key, value in json.loads(
+        (tmp_path / run / "spectral_efficiency.json").read_text()).items()
+        if key.startswith("ratio")} for run in ("base", "scaled")]
+    assert ratios[0] == ratios[1]
+
+
 def assert_run_holds_no_field(cfg, monkeypatch) -> None:
     """Run ``cfg`` and check, after every block the scan yields, that no
     live numpy buffer is as large as one float64 field of the scanned A2

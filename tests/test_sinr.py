@@ -564,6 +564,31 @@ def test_power_of_two_scaling_of_powers_and_noise_keeps_field_bytes(k):
             assert got.tobytes() == want.tobytes(), (scheme.label, m)
 
 
+def test_paper_r20_lattice_is_the_r60_lattice_at_every_third_point():
+    # Midpoint lattices nest under x3: sample i of r20 is sample 3i+1 of
+    # r60.  The axes are asserted equal first, so every key's dB block must
+    # then be equal bit for bit, although r20 takes the periodic kernel and
+    # r60 the unfolded one.
+    cfg = parse_config(str(CONFIG_DIR / "paper_table1.cfg"))
+    grid = Grid.from_spec(cfg.grid)
+    evaluator = SinrEvaluator(grid, cfg.env())
+    keys = []
+    for scheme in cfg.schemes:
+        tp = allocate(grid, cfg.plan, scheme)
+        for m in cfg.plan.content_ids:
+            key = evaluator.field_key(m, tp, cfg.plan)
+            if key not in keys:
+                keys.append(key)
+    assert len(keys) == 10
+    coarse = lattice_axes(EvalArea(kind=AreaKind.A2, resolution=20), cfg.grid)
+    fine = lattice_axes(EvalArea(kind=AreaKind.A2, resolution=60), cfg.grid)
+    for c, f in zip(coarse, fine, strict=True):
+        assert c.tobytes() == f[1::3].tobytes()
+    for key, c, f in zip(keys, evaluator._whole(*coarse, keys), evaluator._whole(*fine, keys),
+                         strict=True):
+        assert c.tobytes() == f[1::3, 1::3].tobytes(), key
+
+
 class TestSchemeEffects:
     def test_power_scaling_improves_local_sinr_inside_lsa1(self):
         grid, plan, _ = make_setup()
