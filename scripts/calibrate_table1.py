@@ -26,9 +26,9 @@ import numpy as np
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.grid import Grid
-from sfn_lsi_sim.propagation import PathLossKind, gain
+from sfn_lsi_sim.propagation import PathLossKind, RadioEnv, gain
 from sfn_lsi_sim.runner import scan_totals
-from sfn_lsi_sim.sinr import RadioEnv, SinrEvaluator
+from sfn_lsi_sim.sinr import SinrEvaluator
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "paper_table1.cfg"
 SCHEMES = {"reuse1": "reuse1", "ps025": "ps_beta0.25", "imo1": "imo_beta1"}

@@ -7,8 +7,10 @@ drives the unknown-key checks, the parsing, the assembly and the manifest:
 each row names the ExperimentConfig attribute it fills, such as
 ``"grid.isd"``, and the manifest reads that attribute back.  Each key's
 parser also rejects a value outside the key's own range, as "out of range
-(got ...)", so ``config_from_mapping`` checks only the rules that join keys;
-a dataclass rule that names its field is reported under that field's key.
+(got ...)"; every other rule is checked by the dataclass it constrains, and
+ExperimentConfig checks the rules that join its fields, so a config built in
+code or by ``dataclasses.replace`` is checked as a config file is.  A rule
+that names its field is reported under that field's key.
 The JSON manifest written by a run contains the resolved configuration in
 the same schema and parses back to an identical ExperimentConfig, so a
 manifest alone reproduces its run.  A manifest key takes only the JSON type
@@ -58,7 +60,7 @@ MAX_RATIO = 1e300
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated run description."""
+    """Fully validated run description; it checks the rules joining its fields."""
 
     grid: GridSpec
     plan: ContentPlan
@@ -74,6 +76,10 @@ class ExperimentConfig:
     out_dir: str
     emit_sinr_maps: bool
     seed: int
+
+    def __post_init__(self):
+        if errors := _joined_errors(self):
+            raise ConfigValidationError(sorted(errors))
 
     def env(self) -> RadioEnv:
         return RadioEnv(n0=self.n0, pathloss=self.pathloss)
@@ -301,28 +307,34 @@ def _error(name: str, problem: str) -> str:
     return f"{name}: {problem}; expected {_ROWS[name].expect}"
 
 
-def _finite_run_errors(spec: GridSpec, plan: ContentPlan, pathloss: PathLossModel,
-                       n0: float) -> list[str]:
-    """Where a plan would make a run's numbers non-finite, one message per
-    key at fault, giving its bound.
-
-    Per content the noise is n0*B and no point receives more than every
-    cell's power budget at the gain of ``D_MIN_M``, so the bounds on the
-    noise and on that power over it keep every SINR finite; every scheme
-    weights a content by at most 1, so the bounds on the bits per symbol
-    and on the unweighted rate keep every spectral efficiency finite."""
-    noise = [n0 * b for b in plan.bandwidth_hz]
+def _joined_errors(cfg: ExperimentConfig) -> list[str]:
+    """Where ``cfg`` breaks a rule that joins its fields, one message per
+    key at fault, giving its bound: one scheme at least, distinct labels and
+    thresholds, and finite numbers.  Per content the noise is n0*B and no
+    point receives more than every cell's power budget at the gain of
+    ``D_MIN_M``, so the bounds on the noise and on that power over it keep
+    every SINR finite; every scheme weights a content by at most 1, so the
+    bounds on the bits per symbol and on the unweighted rate keep every
+    spectral efficiency finite."""
+    labels = [s.label for s in cfg.schemes]
+    errors = [] if labels else ["schemes.list: must name at least one scheme"]
+    if len(set(labels)) != len(labels):
+        errors.append(f"schemes.list: duplicate scheme labels in {labels}")
+    plan, thresholds = cfg.plan, cfg.thresholds_db
+    # Floats compare equal across spellings (15, 15.0); name each once.
+    errors += [f"eval.thresholds_db: {t!r} dB is listed more than once"
+               for i, t in enumerate(thresholds) if thresholds[:i].count(t) == 1]
+    noise = [cfg.n0 * b for b in plan.bandwidth_hz]
     bad = [n for n in noise if not sys.float_info.min <= n <= sys.float_info.max]
     if bad:
-        problem = f"n0*B = {bad[0]!r} W is not a normal float"
-        return [_error("contents.bandwidth_hz", problem), _error("radio.n0_w_per_hz", problem)]
-    errors = []
+        return errors + [_error(name, f"n0*B = {bad[0]!r} W is not a normal float")
+                         for name in ("contents.bandwidth_hz", "radio.n0_w_per_hz")]
     budgets = [("contents.power_w", plan.base_power)]
     if plan.base_power_prime != plan.base_power:
         budgets.append(("contents.power_prime_w", plan.base_power_prime))
-    g_max = gain(pathloss, D_MIN_M)
+    g_max = gain(cfg.pathloss, D_MIN_M)
     for name, powers in budgets:
-        ratio = spec.rows * spec.cols * sum(powers) * g_max / min(noise)
+        ratio = cfg.grid.rows * cfg.grid.cols * sum(powers) * g_max / min(noise)
         if not ratio <= MAX_RATIO:
             errors.append(_error(name, f"the received power at {D_MIN_M:g} m over "
                                        f"the noise reaches {ratio!r}"))
@@ -363,9 +375,11 @@ def _stringify(value: Any) -> str:
 
 
 def _manifest_problem(name: str, value: Any) -> str | None:
-    """Why key ``name`` cannot take the manifest's JSON ``value``: a type
-    other than the one ``to_mapping`` writes for it.  A list is taken only
-    where the key holds one, and only of scalars."""
+    """Why key ``name`` cannot take the manifest's JSON ``value``: an empty
+    one or a type other than the one ``to_mapping`` writes for it.  A list
+    is taken only where the key holds one, and only of scalars."""
+    if value == [] or isinstance(value, str) and not value.strip():
+        return f"an empty JSON {_JSON_TYPES[type(value)]} holds no value"
     want, holds_list = _written_type(_ROWS[name].field)
     values = value if isinstance(value, list) and holds_list else [value]
     within = " in a list" if values is value else ""
@@ -473,34 +487,14 @@ def config_from_mapping(mapping: dict[str, dict[str, str]]) -> ExperimentConfig:
     for part in ("grid", "plan", "pathloss"):
         values[part] = _assemble(part, values[part], errors)
 
-    grid, plan, pathloss, n0 = (values[k] for k in ("grid", "plan", "pathloss", "n0"))
-    if grid is not _BAD:
-        # No lattice offset or distance exceeds the grid's diagonal.
-        diagonal = math.hypot(grid.cols, grid.rows) * grid.isd
-        if not diagonal <= sys.float_info.max:
-            errors.append(_error("grid.isd_m", f"the grid's diagonal reaches {diagonal!r} m"))
-    if _BAD not in (grid, plan, pathloss, n0):
-        errors += _finite_run_errors(grid, plan, pathloss, n0)
-
     schemes: list[SchemeConfig] = []
     if values["schemes"] is not _BAD:
-        entries = [e.strip() for e in values["schemes"].split(",") if e.strip()]
-        if not entries:
-            errors.append("schemes.list: must name at least one scheme")
-        for entry in entries:
+        for entry in filter(None, map(str.strip, values["schemes"].split(","))):
             try:
                 schemes.append(_parse_scheme_entry(entry, values["imo_buffer_reallocation"]))
             except (ValueError, ConfigurationError) as exc:
                 errors.append(f"schemes.list: {exc}")
-        labels = [s.label for s in schemes]
-        if len(set(labels)) != len(labels):
-            errors.append(f"schemes.list: duplicate scheme labels in {labels}")
     values["schemes"] = tuple(schemes)
-
-    thresholds = () if values["thresholds_db"] is _BAD else values["thresholds_db"]
-    # Floats compare equal across spellings (15, 15.0); name each once.
-    errors += [f"eval.thresholds_db: {t!r} dB is listed more than once"
-               for i, t in enumerate(thresholds) if thresholds[:i].count(t) == 1]
     if errors:
         raise ConfigValidationError(sorted(errors))
     return ExperimentConfig(**values)

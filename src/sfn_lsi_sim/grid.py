@@ -11,6 +11,7 @@ safe for concurrent read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,7 +36,8 @@ class AreaKind(Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of the cell grid and its LSA / buffer split."""
+    """Geometry of the cell grid and its LSA / buffer split.  Built from a
+    config file, in code or by ``replace``, it checks every rule on its fields."""
 
     rows: int = 8
     cols: int = 10
@@ -62,6 +64,10 @@ class GridSpec:
                 f"min(lsa1_cols, cols - lsa1_cols) = {max_buffer} "
                 f"(got {self.buffer_cols_per_side})"
             )
+        # No lattice offset or distance exceeds the grid's diagonal.
+        diagonal = math.hypot(self.cols, self.rows) * self.isd
+        if not math.isfinite(diagonal):
+            raise ConfigurationError(f"the grid's diagonal reaches {diagonal!r} m", "isd")
 
 
 @dataclass(frozen=True)

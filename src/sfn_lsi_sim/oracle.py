@@ -34,8 +34,8 @@ import numpy as np
 
 from sfn_lsi_sim.allocation import ContentPlan, SchemeConfig, SchemeKind, TransmitPlan, allocate
 from sfn_lsi_sim.grid import Grid, GridSpec
-from sfn_lsi_sim.propagation import PathLossKind, PathLossModel
-from sfn_lsi_sim.sinr import SINR_FLOOR_DB, RadioEnv, SinrEvaluator
+from sfn_lsi_sim.propagation import PathLossKind, PathLossModel, RadioEnv
+from sfn_lsi_sim.sinr import SINR_FLOOR_DB, SinrEvaluator
 
 
 def _cell_gains(spec: GridSpec, model: PathLossModel, px: float, py: float) -> tuple[float, ...]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -12,12 +13,14 @@ import pytest
 from sfn_lsi_sim.allocation import SchemeKind
 from sfn_lsi_sim.config import (
     _KEYS,
+    _NAMES,
     MANIFEST_FORMAT,
+    _error,
     apply_overrides,
     config_from_mapping,
     parse_config,
 )
-from sfn_lsi_sim.errors import ConfigValidationError
+from sfn_lsi_sim.errors import ConfigurationError, ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -176,6 +179,39 @@ def test_exact_error_messages(edits, overrides, expected):
     with pytest.raises(ConfigValidationError) as exc_info:
         apply_overrides(config_from_mapping(edited(edits)), **overrides)
     assert exc_info.value.errors == expected
+
+
+SCHEMES = base_mapping()["schemes"]["list"]
+
+# A config file's edit and the library construction of the same config.
+LIBRARY_CASES = [
+    pytest.param({"grid.isd_m": "1e308"},
+                 lambda cfg: replace(cfg, grid=replace(cfg.grid, isd=1e308)), id="grid-diagonal"),
+    pytest.param({"radio.n0_w_per_hz": "1e308"}, lambda cfg: replace(cfg, n0=1e308),
+                 id="noise-names-bandwidth-and-n0"),
+    pytest.param({"contents.power_w": "1e300"},
+                 lambda cfg: replace(cfg, plan=replace(cfg.plan, base_power=(1e300,) * 3,
+                                                       base_power_prime=None)),
+                 id="received-power"),
+    pytest.param({"eval.thresholds_db": "15 15"},
+                 lambda cfg: replace(cfg, thresholds_db=(15.0, 15.0)), id="repeated-threshold"),
+    pytest.param({"schemes.list": f"{SCHEMES}, {SCHEMES}"},
+                 lambda cfg: replace(cfg, schemes=cfg.schemes * 2), id="duplicate-labels"),
+    pytest.param({"schemes.list": ","}, lambda cfg: replace(cfg, schemes=()), id="no-scheme"),
+]
+
+
+@pytest.mark.parametrize("edits,build", LIBRARY_CASES)
+def test_library_construction_refuses_what_a_config_file_does(edits, build):
+    with pytest.raises(ConfigValidationError) as from_file:
+        config_from_mapping(edited(edits))
+    with pytest.raises(ConfigurationError) as exc_info:
+        build(config_from_mapping(base_mapping()))
+    exc = exc_info.value
+    if isinstance(exc, ConfigValidationError):
+        assert exc.errors == from_file.value.errors
+    else:  # GridSpec's own rule, which a config file reports under its field's key
+        assert [_error(_NAMES[f"grid.{exc.field}"], str(exc))] == from_file.value.errors
 
 
 FLOAT_KEYS = {

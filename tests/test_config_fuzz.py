@@ -112,6 +112,9 @@ def test_manifest_value_of_another_shape_names_its_key(tmp_path, row):
                  ("a JSON object is not a single value", {"value": value})]
         cases += [(f"a JSON {kind} is not a {want}", bad)
                   for kind, bad in SCALARS.items() if kind != want]
+    # to_mapping never writes an empty list or an empty string.
+    cases += [("an empty JSON list holds no value", []),
+              ("an empty JSON string holds no value", "")]
     path = tmp_path / "manifest.json"
     # The type to_mapping writes validates.
     path.write_text(json.dumps({"config": manifest}))

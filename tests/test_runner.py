@@ -219,19 +219,19 @@ class TestOutputDirectory:
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_overflow_in_a_run_raises_and_exits_two(self, tmp_path):
-        # isd_m = 1e308 on the paper grid, past validation, overflows the
-        # tower and lattice multiplies.  In a child, since pytest turns
-        # RuntimeWarning into an error and a plain run would only warn: the
-        # run must raise FloatingPointError and the CLI exit 2 with one line.
+        # isd_m = 1e308 on the paper grid overflows the tower and lattice
+        # multiplies.  GridSpec refuses it, so the child sets it on the frozen
+        # spec past its checks.  In a child, since pytest turns RuntimeWarning
+        # into an error and a plain run would only warn: the run must raise
+        # FloatingPointError and the CLI exit 2 with one line.
         child = """
 import sys
-from dataclasses import replace
 from sfn_lsi_sim import cli
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.runner import run_experiment
 cfg = apply_overrides(parse_config("configs/paper_table1.cfg"), out_dir=sys.argv[1],
                       resolution=2)
-cfg = replace(cfg, grid=replace(cfg.grid, isd=1e308))
+object.__setattr__(cfg.grid, "isd", 1e308)
 try:
     run_experiment(cfg)
 except FloatingPointError as exc:
