@@ -9,8 +9,10 @@ ratio rho = S_m*g(1km)/(N0*B_m), so the sweep is two-dimensional.
 The scan evaluates the shipped config through the engine and the run's own
 reduction: per slope one ``SinrEvaluator`` and one ``runner.scan_totals``
 pass over every rho at once, with every content's power set to
-rho*N0*B/g(1km); rows come from its coverage reports and map stats from the
-count maps it sums on demand from its packed masks.
+rho*N0*B/g(1km); rows come from its coverage reports and map stats from
+the integer histogram of each count map, which ``ScanTotals.histograms``
+sums for every group in one read, a block of rows at a time, of the
+packed masks the scan spilled to a temporary file.
 
 Run:  python3 scripts/calibrate_table1.py [--resolution N] [--slopes S ...]
 """
@@ -18,6 +20,7 @@ Run:  python3 scripts/calibrate_table1.py [--resolution N] [--slopes S ...]
 from __future__ import annotations
 
 import argparse
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,36 +70,39 @@ def evaluate(cfg, evaluator: SinrEvaluator, rhos, g1km: float):
         for label in SCHEMES.values():
             tp = allocate(evaluator.grid, plan, schemes[label])
             groups.append([evaluator.field_key(m, tp, plan) for m in plan.content_ids])
-    totals = scan_totals(evaluator, groups, cfg.coverage_area(), cfg.map_area(),
-                         TABLE_THRESHOLDS_DB, cfg.content_map_threshold_db)
+    with tempfile.TemporaryFile() as spill:
+        totals = scan_totals(evaluator, groups, cfg.coverage_area(), cfg.map_area(),
+                             TABLE_THRESHOLDS_DB, cfg.content_map_threshold_db, spill)
+        histograms = totals.histograms(groups)
 
-    results = []
-    for r in range(len(rhos)):
-        group = dict(zip(SCHEMES, range(r * len(SCHEMES), (r + 1) * len(SCHEMES))))
+        results = []
+        for r in range(len(rhos)):
+            group = dict(zip(SCHEMES, range(r * len(SCHEMES), (r + 1) * len(SCHEMES))))
 
-        def pct(scheme, m):
-            key = groups[group[scheme]][m - 1]
-            return [100.0 * f for f in totals.reports[key].fractions]
+            def pct(scheme, m):
+                key = groups[group[scheme]][m - 1]
+                return [100.0 * f for f in totals.reports[key].fractions]
 
-        cov = {(scheme, m): pct(scheme, m) for scheme in SCHEMES for m in (2, 3)}
-        rows = {}
-        for t_i in range(len(TABLE_THRESHOLDS_DB)):
-            rows[t_i] = {
-                "imo_c2": cov["imo1", 2][t_i],
-                "imo_c3": cov["imo1", 3][t_i],
-                "ps025": 0.5 * (cov["ps025", 2][t_i] + cov["ps025", 3][t_i]),
-                "reuse1": 0.5 * (cov["reuse1", 2][t_i] + cov["reuse1", 3][t_i]),
-            }
-            rows[t_i]["imo_avg"] = 0.5 * (rows[t_i]["imo_c2"] + rows[t_i]["imo_c3"])
+            cov = {(scheme, m): pct(scheme, m) for scheme in SCHEMES for m in (2, 3)}
+            rows = {}
+            for t_i in range(len(TABLE_THRESHOLDS_DB)):
+                rows[t_i] = {
+                    "imo_c2": cov["imo1", 2][t_i],
+                    "imo_c3": cov["imo1", 3][t_i],
+                    "ps025": 0.5 * (cov["ps025", 2][t_i] + cov["ps025", 3][t_i]),
+                    "reuse1": 0.5 * (cov["reuse1", 2][t_i] + cov["reuse1", 3][t_i]),
+                }
+                rows[t_i]["imo_avg"] = 0.5 * (rows[t_i]["imo_c2"] + rows[t_i]["imo_c3"])
 
-        maps = {}
-        for scheme, key in (("imo1", "imo"), ("ps025", "ps")):
-            cmap = totals.count_map(groups[group[scheme]])
-            maps[f"{key}_count3"] = 100.0 * cmap.fraction_with_count(3)
-            maps[f"{key}_at_least2"] = 100.0 * cmap.fraction_at_least(2)
-            maps[f"{key}_global"] = 100.0 * totals.map_fractions[groups[group[scheme]][0]]
-            maps[f"{key}_count2"] = 100.0 * cmap.fraction_with_count(2)
-        results.append((rows, maps))
+            maps = {}
+            for scheme, key in (("imo1", "imo"), ("ps025", "ps")):
+                histogram = histograms[group[scheme]]
+                n = sum(histogram)
+                maps[f"{key}_count3"] = 100.0 * (histogram[3] / n)
+                maps[f"{key}_at_least2"] = 100.0 * (sum(histogram[2:]) / n)
+                maps[f"{key}_global"] = 100.0 * totals.map_fractions[groups[group[scheme]][0]]
+                maps[f"{key}_count2"] = 100.0 * (histogram[2] / n)
+            results.append((rows, maps))
     return results
 
 

@@ -310,16 +310,24 @@ def _error(name: str, problem: str) -> str:
 def _joined_errors(cfg: ExperimentConfig) -> list[str]:
     """Where ``cfg`` breaks a rule that joins its fields, one message per
     key at fault, giving its bound: one scheme at least, distinct labels and
-    thresholds, and finite numbers.  Per content the noise is n0*B and no
-    point receives more than every cell's power budget at the gain of
-    ``D_MIN_M``, so the bounds on the noise and on that power over it keep
-    every SINR finite; every scheme weights a content by at most 1, so the
-    bounds on the bits per symbol and on the unweighted rate keep every
-    spectral efficiency finite."""
+    thresholds, IMO schemes that reallocate as ``imo_buffer_reallocation``
+    says (the manifest writes only the field), and finite numbers.  Per
+    content the noise is n0*B and no point receives more than every cell's
+    power budget at the gain of ``D_MIN_M``, so the bounds on the noise and
+    on that power over it keep every SINR finite; every scheme weights a
+    content by at most 1, so the bounds on the bits per symbol and on the
+    unweighted rate keep every spectral efficiency finite."""
     labels = [s.label for s in cfg.schemes]
     errors = [] if labels else ["schemes.list: must name at least one scheme"]
     if len(set(labels)) != len(labels):
         errors.append(f"schemes.list: duplicate scheme labels in {labels}")
+    realloc = cfg.imo_buffer_reallocation
+    apart = [s for s in cfg.schemes
+             if s.kind is SchemeKind.IMLSI_O and s.buffer_reallocation != realloc]
+    if apart:
+        errors.append(_error("schemes.imo_buffer_reallocation",
+                             f"{realloc!r}, but scheme {apart[0].label} reallocates "
+                             f"{apart[0].buffer_reallocation!r}"))
     plan, thresholds = cfg.plan, cfg.thresholds_db
     # Floats compare equal across spellings (15, 15.0); name each once.
     errors += [f"eval.thresholds_db: {t!r} dB is listed more than once"

@@ -19,17 +19,18 @@ runs and a failed run leaves the previous output as it was.
 A run makes one ``SinrEvaluator.scan`` over the lattice of A2 if either
 area is A2, else A1, with every distinct SINR key (``field_key``) of every
 scheme; A1 results are the left columns of each block.  It reduces each
-block as it comes (``scan_totals``) and holds, per key, only counts and
-bits: its covered point count at each threshold over the coverage area, its
-map-area count at ``content_map_threshold_db`` and that map-area mask,
-packed eight points to a byte.  With SINR maps on, each block's uint8
-raster levels go to one unlinked spill file in the staging directory; after
-the scan each key's levels are read back and written as its first raster,
-which is copied to the key's other rasters, so a run holds at most the
-spill file, one raster file and one key's levels.  No float field and no
-full-area gain is held.  A scheme's count map is the sum of its contents'
-masks, built only while the scheme is written.  Results carry no scheme or
-content: the run names them where it writes them.
+block as it comes (``scan_totals``) and holds, per key, only counts: its
+covered point count at each threshold over the coverage area and its
+map-area count at ``content_map_threshold_db``.  Per-point results go to
+one unlinked spill file in the staging directory: each block's map-area
+masks, packed eight points to a byte, and with SINR maps on its uint8
+raster levels.  After the scan each scheme's count map is summed from the
+masks, counted and encoded one block of rows at a time, and each key's
+levels are read back the same way into its first raster, which is copied
+to the key's other rasters.  So what a run holds depends on its block
+sizes, not on the lattice: no float field, no full-area gain and no
+whole-map count map or raster.  Results carry no scheme or content: the
+run names them where it writes them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -50,12 +51,7 @@ from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import MANIFEST_FORMAT, ExperimentConfig
 from sfn_lsi_sim.errors import ConfigValidationError
 from sfn_lsi_sim.grid import AreaKind, EvalArea, Grid, lattice_axes, sample_shape
-from sfn_lsi_sim.metrics import (
-    ContentCountMap,
-    CoverageReport,
-    se_report,
-    spectral_efficiency_from_plan,
-)
+from sfn_lsi_sim.metrics import CoverageReport, se_report, spectral_efficiency_from_plan
 from sfn_lsi_sim.sinr import SinrEvaluator
 
 SUMMARY_FORMAT = "sfn-lsi-sim/summary-v1"
@@ -107,6 +103,8 @@ def _pgm_text(rows: np.ndarray, maxval: int):
     row ended by a newline, at most ``_PGM_BLOCK`` points at a time."""
     nx = rows.shape[1]
     spaced, ended = _token_table(maxval, " "), _token_table(maxval, "\n")
+    # Only a table of levels of more than one digit pads its tokens.
+    padded = maxval >= 10
     height, width = max(1, _PGM_BLOCK // nx), min(nx, _PGM_BLOCK)
     for r0 in range(0, rows.shape[0], height):
         for c0 in range(0, nx, width):
@@ -114,8 +112,9 @@ def _pgm_text(rows: np.ndarray, maxval: int):
             words = spaced[block]
             if c0 + width >= nx:
                 words[:, -1] = ended[block[:, -1]]
+            text = words.tobytes()
             # Tokens hold no NUL, so dropping the padding leaves the text.
-            yield words.tobytes().replace(b"\0", b"")
+            yield text.translate(None, b"\0") if padded else text
 
 
 def sinr_levels(values_db: np.ndarray) -> np.ndarray:
@@ -131,56 +130,121 @@ _SINR_SIDECAR = (f"kind sinr_db\ndb_min {fmt9(SINR_DB_RANGE[0])}\n"
 """The window lines that open every SINR raster's sidecar."""
 
 
-def emit_heatmap(image: np.ndarray, maxval: int, path: str) -> None:
-    """Write ``image`` (row index increasing with y) to ``path`` as a plain
-    P2 raster of levels 0..``maxval``."""
-    ny, nx = image.shape
+def emit_heatmap(blocks: Iterable[np.ndarray], shape: tuple[int, int], maxval: int,
+                 path: str) -> None:
+    """Write a plain P2 raster of ``shape`` (ny, nx), levels 0..``maxval``,
+    to ``path``.  ``blocks`` yields its rows top to bottom (the lattice's
+    last row, the largest y, first), as (rows, nx) arrays."""
+    ny, nx = shape
     with open(path, "wb") as handle:
         handle.write(f"P2\n{nx} {ny}\n{maxval}\n".encode("ascii"))
-        # PNM rows run top to bottom; the lattice's first row is the smallest y.
-        handle.writelines(_pgm_text(image[::-1], maxval))
+        for block in blocks:
+            handle.writelines(_pgm_text(block, maxval))
 
 
 _UNPACK_BLOCK = 1 << 16
-"""Map points one ``ScanTotals.count_map`` step unpacks: whole rows when a
-row fits, else one row."""
+"""Map points one read of the spill file covers, for every key's masks or
+one key's levels: whole rows when a row fits, else one row."""
+
+
+def _pwrite(spill: IO[bytes], data: np.ndarray, offset: int) -> None:
+    # A short write would leave a hole that reads back as zeros.
+    if os.pwrite(spill.fileno(), data, offset) != data.nbytes:
+        raise OSError("short write to the SINR spill file")
+
+
+def _pread(spill: IO[bytes], size: int, offset: int) -> np.ndarray:
+    data = os.pread(spill.fileno(), size, offset)
+    if len(data) != size:
+        raise OSError("short read from the SINR spill file")
+    return np.frombuffer(data, np.uint8)
 
 
 @dataclass(frozen=True)
 class ScanTotals:
     """What one ``scan_totals`` pass yields.  Per distinct key: its
-    ``CoverageReport`` over the coverage area, the fraction of map-area
-    points at or above the map threshold and the mask of those points
-    packed along rows (``np.packbits``, eight points to a byte).
-    ``count_map`` sums a group's masks into its count map on demand.  SINR
-    raster levels are not kept: ``scan_totals`` spills them to a file.  The
-    keys of ``masks`` run in scan order, the order of the spill file."""
+    ``CoverageReport`` over the coverage area and the fraction of map-area
+    points at or above the map threshold.  Per-point results stay in
+    ``spill``, the file the scan wrote, and are read back a block of rows
+    at a time, top row first: ``count_blocks`` sums a group's masks into
+    its count map, ``histograms`` counts the maps of many groups in one
+    read of the masks, and ``level_blocks`` reads a key's SINR raster
+    levels.  ``keys`` are the distinct keys in scan order, the order of the
+    spill file."""
 
     reports: dict[tuple, CoverageReport]
     map_fractions: dict[tuple, float]
-    masks: dict[tuple, np.ndarray]
+    keys: tuple[tuple, ...]
     map_shape: tuple[int, int]
+    spill: IO[bytes]
 
-    def count_map(self, keys: list[tuple]) -> ContentCountMap:
+    def _row_blocks(self) -> Iterator[tuple[int, int]]:
+        """Row ranges [r0, r1) from the top row down, each of at most
+        ``_UNPACK_BLOCK`` map points."""
+        ny, nx = self.map_shape
+        step = max(1, _UNPACK_BLOCK // nx)
+        for r1 in range(ny, 0, -step):
+            yield max(0, r1 - step), r1
+
+    def _mask_blocks(self) -> Iterator[np.ndarray]:
+        """The packed masks of every key, (rows, keys, ceil(nx/8)) blocks
+        from the top row down, one read each."""
+        n_bytes = -(-self.map_shape[1] // 8)
+        row_bytes = len(self.keys) * n_bytes
+        for r0, r1 in self._row_blocks():
+            packed = _pread(self.spill, (r1 - r0) * row_bytes, r0 * row_bytes)
+            yield packed.reshape(r1 - r0, len(self.keys), n_bytes)
+
+    def _counts(self, packed: np.ndarray, columns: list[int],
+                histogram: list[int]) -> np.ndarray:
+        """Per point of one ``_mask_blocks`` block, how many of the masks
+        at ``columns`` hold it, rows top to bottom; adds the block's number
+        of points with count k to ``histogram[k]``."""
+        nx = self.map_shape[1]
+        # The narrowest unsigned type that holds M: uint8 up to 255 contents.
+        counts = np.zeros((len(packed), nx), dtype=np.min_scalar_type(len(columns)))
+        for column in columns:
+            counts += np.unpackbits(packed[:, column], axis=1, count=nx)
+        for k in range(len(histogram)):
+            histogram[k] += int(np.count_nonzero(counts == k))
+        return counts[::-1]
+
+    def count_blocks(self, keys: list[tuple], histogram: list[int]) -> Iterator[np.ndarray]:
         """Count map of one group of keys, one per content: per map-area
         point, how many of the keys' masks hold it.  A key listed twice
-        counts twice.  Unpacked a block of rows at a time, so the map is the
-        only full-size array it makes."""
+        counts twice.  Yields (rows, nx) blocks whose rows run top to
+        bottom, from the top row, and adds each block's number of points
+        with count k to ``histogram[k]``."""
+        columns = [self.keys.index(key) for key in keys]
+        for packed in self._mask_blocks():
+            yield self._counts(packed, columns, histogram)
+
+    def histograms(self, groups: list[list[tuple]]) -> list[list[int]]:
+        """Per group of keys, the number of map-area points with count k,
+        for k = 0..len(group), of the count map ``count_blocks`` sums for
+        it: every group from one read of the masks."""
+        index = {key: i for i, key in enumerate(self.keys)}
+        columns = [[index[key] for key in keys] for keys in groups]
+        histograms = [[0] * (len(keys) + 1) for keys in groups]
+        for packed in self._mask_blocks():
+            for group_columns, histogram in zip(columns, histograms):
+                self._counts(packed, group_columns, histogram)
+        return histograms
+
+    def level_blocks(self, key: tuple) -> Iterator[np.ndarray]:
+        """SINR raster levels of ``key``, as ``count_blocks`` yields counts.
+        Only a scan that spilled levels wrote them."""
         ny, nx = self.map_shape
-        # The narrowest unsigned type that holds M: uint8 up to 255 contents.
-        counts = np.zeros(self.map_shape, dtype=np.min_scalar_type(len(keys)))
-        step = max(1, _UNPACK_BLOCK // nx)
-        for r0 in range(0, ny, step):
-            block = counts[r0:r0 + step]
-            for key in keys:
-                block += np.unpackbits(self.masks[key][r0:r0 + step], axis=1, count=nx)
-        return ContentCountMap(m_count=len(keys), counts=counts.ravel(), shape=self.map_shape)
+        start = ny * len(self.keys) * -(-nx // 8) + self.keys.index(key) * ny * nx
+        for r0, r1 in self._row_blocks():
+            levels = _pread(self.spill, (r1 - r0) * nx, start + r0 * nx)
+            yield levels.reshape(r1 - r0, nx)[::-1]
 
 
 def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
                 coverage_area: EvalArea, map_area: EvalArea,
                 thresholds_db, map_threshold_db: float,
-                spill: IO[bytes] | None = None) -> ScanTotals:
+                spill: IO[bytes], levels: bool = False) -> ScanTotals:
     """Reduce one ``evaluator.scan`` of every distinct key in ``groups``
     (one list of ``field_key``s per count map, in content order).
 
@@ -188,28 +252,36 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
     by isd/resolution from x = 0, so an A1 point's value is the value at
     the same column of the A2 lattice, and each area reads the left columns
     of every block.  Counts are sums, so the scan's block order does not
-    change them.  Each key's map-area mask is packed as its blocks arrive:
-    a (ny, ceil(nx / 8)) uint8 array per distinct key.
+    change them.
 
-    ``spill``, an open binary file, takes every key's SINR raster levels
-    (``sinr_levels`` of its map-area values), key-major: key ``i`` of the
-    distinct keys in order of first appearance, row ``r`` (row index
-    increasing with y) at byte ``(i*ny + r) * nx_map``, with one write per
-    run of consecutive rows of a block.
+    ``spill``, an open binary file, takes the per-point results.  Each
+    key's map-area mask, packed along rows (``np.packbits``), row-major
+    with the keys inner: key ``i`` of the n distinct keys in order of first
+    appearance, row ``r`` (row index increasing with y) at byte
+    ``(r*n + i) * ceil(nx_map/8)``.  The scan reduces a block for every key
+    in turn, so each run of consecutive rows of a block is written once,
+    after its last key.  With ``levels``, after the masks, every key's
+    SINR raster levels (``sinr_levels`` of its map-area values), key-major:
+    key ``i``, row ``r`` at byte ``(i*ny + r) * nx_map`` past the masks,
+    one write per run of each key's block.
     """
     spec = evaluator.grid.spec
     full = map_area if map_area.kind is AreaKind.A2 else coverage_area
     keys = list(dict.fromkeys(key for group in groups for key in group))
     ny_cov, nx_cov = sample_shape(coverage_area, spec)
     map_shape = sample_shape(map_area, spec)
-    nx_map = map_shape[1]
+    ny, nx_map = map_shape
+    n_bytes = -(-nx_map // 8)
+    row_bytes = len(keys) * n_bytes
     covered = [[0] * len(thresholds_db) for _ in keys]
     map_covered = [0] * len(keys)
-    # Every row of every key is written once by the scan.
-    masks = [np.empty((map_shape[0], -(-nx_map // 8)), dtype=np.uint8) for _ in keys]
 
     xs, ys = lattice_axes(full, spec)
     for rows, i, values in evaluator.scan(xs, ys, keys):
+        if i == 0:
+            starts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist()]
+            runs = [(a, b, int(rows[a])) for a, b in zip(starts, starts[1:] + [rows.size])]
+            packed = np.empty((rows.size, len(keys), n_bytes), dtype=np.uint8)
         # Threshold compares on a column slice cost more than one copy of
         # it and compares on the copy.
         cov = np.ascontiguousarray(values[:, :nx_cov])
@@ -217,25 +289,25 @@ def scan_totals(evaluator: SinrEvaluator, groups: list[list[tuple]],
             covered[i][t] += int(np.count_nonzero(cov >= threshold))
         mask = values[:, :nx_map] >= map_threshold_db
         map_covered[i] += int(np.count_nonzero(mask))
-        masks[i][rows] = np.packbits(mask, axis=1)
-        if spill is not None:
-            levels = sinr_levels(values[:, :nx_map])
-            starts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist()]
-            for a, b in zip(starts, starts[1:] + [rows.size]):
-                offset = (i * map_shape[0] + int(rows[a])) * nx_map
-                # A short write would leave a hole that reads back as level 0.
-                if os.pwrite(spill.fileno(), levels[a:b], offset) != (b - a) * nx_map:
-                    raise OSError("short write to the SINR level spill file")
+        packed[:, i] = np.packbits(mask, axis=1)
+        if levels:
+            block_levels = sinr_levels(values[:, :nx_map])
+            for a, b, r in runs:
+                _pwrite(spill, block_levels[a:b], ny * row_bytes + (i * ny + r) * nx_map)
+        if i == len(keys) - 1:
+            for a, b, r in runs:
+                _pwrite(spill, packed[a:b], r * row_bytes)
 
     n_cov = ny_cov * nx_cov
-    n_map = map_shape[0] * nx_map
+    n_map = ny * nx_map
     thresholds = tuple(float(t) for t in thresholds_db)
     return ScanTotals(
         reports={key: CoverageReport(thresholds, tuple(c / n_cov for c in covered[i]))
                  for i, key in enumerate(keys)},
         map_fractions={key: map_covered[i] / n_map for i, key in enumerate(keys)},
-        masks=dict(zip(keys, masks)),
+        keys=tuple(keys),
         map_shape=map_shape,
+        spill=spill,
     )
 
 
@@ -357,11 +429,8 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
         files.append(name)
         return os.path.join(out_dir, name)
 
-    if not cfg.emit_sinr_maps:
-        totals = scan_totals(evaluator, keys, coverage_area, map_area, cfg.thresholds_db,
-                             threshold)
-    else:
-        rasters: dict[tuple, list[str]] = {}
+    rasters: dict[tuple, list[str]] = {}
+    if cfg.emit_sinr_maps:
         for scheme, scheme_keys in zip(cfg.schemes, keys):
             for m, key in zip(contents, scheme_keys):
                 name = f"sinr_{scheme.label}_content{m}.pgm"
@@ -370,18 +439,6 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
                     handle.write(f"{_SINR_SIDECAR}scheme {scheme.label}\ncontent {m}\n"
                                  f"area {map_area.kind.value}\n")
                 rasters.setdefault(key, []).append(out_path(name))
-        # Unlinked when made, so it is never one of the run's files.
-        with tempfile.TemporaryFile(dir=out_dir) as spill:
-            totals = scan_totals(evaluator, keys, coverage_area, map_area,
-                                 cfg.thresholds_db, threshold, spill)
-            ny, nx = totals.map_shape
-            for i, key in enumerate(totals.masks):
-                levels = os.pread(spill.fileno(), ny * nx, i * ny * nx)
-                first, *copies = rasters[key]
-                emit_heatmap(np.frombuffer(levels, np.uint8).reshape(ny, nx), 255, first)
-                del levels  # one key's levels at a time
-                for path in copies:
-                    shutil.copyfile(first, path)
 
     _write_json(out_path("manifest.json"),
                 {"format": MANIFEST_FORMAT, "config": cfg.to_mapping()})
@@ -391,37 +448,47 @@ def _write_run(cfg: ExperimentConfig, out_dir: str) -> tuple[tuple[str, ...], di
     summary_maps: dict[str, dict] = {}
     per_scheme_xi: dict[str, float] = {}
 
-    for scheme, tp, scheme_keys in zip(cfg.schemes, plans, keys):
-        per_scheme_xi[scheme.label] = round9(
-            spectral_efficiency_from_plan(tp, cfg.plan)
-        )
+    # Unlinked when made, so it is never one of the run's files.
+    with tempfile.TemporaryFile(dir=out_dir) as spill:
+        totals = scan_totals(evaluator, keys, coverage_area, map_area, cfg.thresholds_db,
+                             threshold, spill, cfg.emit_sinr_maps)
+        # In scan order, so the level reads run through the spill file once.
+        for key, (first, *copies) in rasters.items():
+            emit_heatmap(totals.level_blocks(key), totals.map_shape, 255, first)
+            for path in copies:
+                shutil.copyfile(first, path)
 
-        reports = [totals.reports[key] for key in scheme_keys]
-        csv_rows.extend(_coverage_rows(scheme.label, coverage_area, reports))
-        summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
+        for scheme, tp, scheme_keys in zip(cfg.schemes, plans, keys):
+            per_scheme_xi[scheme.label] = round9(
+                spectral_efficiency_from_plan(tp, cfg.plan)
+            )
 
-        cmap = totals.count_map(scheme_keys)
-        histogram = cmap.histogram()
-        map_doc = {
-            "scheme": scheme.label,
-            "area": map_area.kind.value,
-            "threshold_db": round9(threshold),
-            "n_points": int(cmap.counts.size),
-            "histogram_pct": {
-                str(k): round9(100.0 * histogram[k]) for k in range(cfg.plan.m_count + 1)
-            },
-            "at_least_pct": {
-                str(k): round9(100.0 * cmap.fraction_at_least(k))
-                for k in range(1, cfg.plan.m_count + 1)
-            },
-            "mean_count": round9(cmap.mean_count()),
-            "pct_global": round9(100.0 * totals.map_fractions[scheme_keys[0]]),
-        }
-        _write_json(out_path(f"content_counts_{scheme.label}.json"), map_doc)
-        emit_heatmap(cmap.as_image(), cmap.m_count,
-                     out_path(f"content_counts_{scheme.label}.pgm"))
-        del cmap  # one scheme's count map at a time
-        summary_maps[scheme.label] = map_doc
+            reports = [totals.reports[key] for key in scheme_keys]
+            csv_rows.extend(_coverage_rows(scheme.label, coverage_area, reports))
+            summary_coverage[scheme.label] = _coverage_pct(cfg, reports)
+
+            # Integer sums, so each fraction is the float a whole map gives.
+            histogram = [0] * (cfg.plan.m_count + 1)
+            emit_heatmap(totals.count_blocks(scheme_keys, histogram), totals.map_shape,
+                         cfg.plan.m_count, out_path(f"content_counts_{scheme.label}.pgm"))
+            n_points = sum(histogram)
+            map_doc = {
+                "scheme": scheme.label,
+                "area": map_area.kind.value,
+                "threshold_db": round9(threshold),
+                "n_points": n_points,
+                "histogram_pct": {
+                    str(k): round9(100.0 * (h / n_points)) for k, h in enumerate(histogram)
+                },
+                "at_least_pct": {
+                    str(k): round9(100.0 * (sum(histogram[k:]) / n_points))
+                    for k in range(1, cfg.plan.m_count + 1)
+                },
+                "mean_count": round9(sum(k * h for k, h in enumerate(histogram)) / n_points),
+                "pct_global": round9(100.0 * totals.map_fractions[scheme_keys[0]]),
+            }
+            _write_json(out_path(f"content_counts_{scheme.label}.json"), map_doc)
+            summary_maps[scheme.label] = map_doc
 
     with open(os.path.join(out_dir, "coverage.csv"), "w",
               encoding="utf-8", newline="") as handle:

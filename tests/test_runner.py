@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import final_mismatches
-from sfn_lsi_sim import runner, sinr
+from sfn_lsi_sim import cli, runner, sinr
 from sfn_lsi_sim.allocation import allocate
 from sfn_lsi_sim.config import apply_overrides, parse_config
 from sfn_lsi_sim.errors import ConfigValidationError
@@ -38,6 +39,10 @@ CONFIG_DIR = ROOT / "configs"
 DATA = ROOT / "tests" / "data"
 SMOKE = str(CONFIG_DIR / "smoke_1x2.cfg")
 SCHEME_LABELS = ("olsi", "reuse1", "ps_beta0.5", "imo_beta0.5")
+SLAB_BOUND = (len(ZONES) * 8 * sinr._CHUNK  # one slab of zone gains
+              + 8 * sinr._KERNEL_CHUNK      # one kernel slab
+              + 4 * 8 * sinr._CHUNK)        # key block temporaries
+"""Bytes a scan may hold at its peak: none of them grows with the lattice."""
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +50,12 @@ def smoke_run(tmp_path_factory) -> RunResult:
     out = tmp_path_factory.mktemp("smoke")
     cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
     return run_experiment(cfg)
+
+
+def emit_image(image: np.ndarray, maxval: int, path: Path) -> None:
+    """``emit_heatmap`` of a whole image (row index increasing with y),
+    handed over as one block of rows, top to bottom."""
+    emit_heatmap([image[::-1]], image.shape, maxval, str(path))
 
 
 def read_pgm(path: Path) -> tuple[np.ndarray, int]:
@@ -253,26 +264,29 @@ print(f"exit {cli.main(['run', '--config', 'unused.cfg'])}")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_scan_failing_after_a_block_closes_every_raster(self, tmp_path, monkeypatch):
-        # With SINR maps on, the level spill file is open while the scan runs
-        # and one block of levels has gone to it when the scan fails.
+        # The spill file is open while the scan runs, with SINR maps off or
+        # on, and one key's block has been reduced (with maps on, its levels
+        # have gone to the spill file) when the scan fails.
         out = tmp_path / "out"
-        cfg = apply_overrides(parse_config(SMOKE), out_dir=str(out))
-        assert cfg.emit_sinr_maps
-        run_experiment(cfg)
-        before = digests(out)
         scan = SinrEvaluator.scan
 
         def failing(self, *args, **kwargs):
             yield next(scan(self, *args, **kwargs))
             raise RuntimeError("scan failed")
 
-        monkeypatch.setattr(SinrEvaluator, "scan", failing)
-        open_fds = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(RuntimeError, match="scan failed"):
+        for maps in (False, True):
+            cfg = replace(apply_overrides(parse_config(SMOKE), out_dir=str(out)),
+                          emit_sinr_maps=maps)
             run_experiment(cfg)
-        assert len(os.listdir("/proc/self/fd")) == open_fds
-        assert digests(out) == before
-        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+            before = digests(out)
+            with monkeypatch.context() as patch:
+                patch.setattr(SinrEvaluator, "scan", failing)
+                open_fds = len(os.listdir("/proc/self/fd"))
+                with pytest.raises(RuntimeError, match="scan failed"):
+                    run_experiment(cfg)
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+            assert digests(out) == before
+            assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_raster_failing_after_the_scan_closes_every_file(self, tmp_path, monkeypatch):
@@ -286,12 +300,12 @@ print(f"exit {cli.main(['run', '--config', 'unused.cfg'])}")
         before = digests(out)
         written = []
 
-        def failing(image, maxval, path):
+        def failing(blocks, shape, maxval, path):
             assert maxval == 255 and os.path.basename(path).startswith("sinr_")
             if written:
                 Path(path).write_bytes(b"P2\n")
                 raise RuntimeError("raster failed")
-            emit_heatmap(image, maxval, path)
+            emit_heatmap(blocks, shape, maxval, path)
             written.append(path)
 
         monkeypatch.setattr(runner, "emit_heatmap", failing)
@@ -302,6 +316,21 @@ print(f"exit {cli.main(['run', '--config', 'unused.cfg'])}")
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert digests(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("maps", [False, True], ids=["maps-off", "maps-on"])
+    def test_short_spill_read_exits_two(self, tmp_path, monkeypatch, capsys, maps):
+        # A read of the spill file that returns less than it asked for
+        # (masks first with maps off, levels first with maps on) fails the
+        # run with one line, and no staging directory is left.
+        pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, size, offset: pread(fd, size, offset)[:-1])
+        config = tmp_path / "smoke.cfg"
+        config.write_text(Path(SMOKE).read_text().replace(
+            "emit_sinr_maps = true", f"emit_sinr_maps = {str(maps).lower()}"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: short read from the SINR spill file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["smoke.cfg"]
 
     def test_rasters_beyond_the_open_file_limit_are_written(self, tmp_path):
         # 40 contents under 4 schemes make 160 SINR rasters, more than the
@@ -425,7 +454,7 @@ class TestDistinctFields:
                     for area in (cfg.coverage_area(), cfg.map_area()))
                 reports.append(coverage(cov_field, cfg.thresholds_db))
                 name = f"sinr_{label}_content{m}.pgm"
-                emit_heatmap(sinr_levels(map_field.as_image()), 255, str(tmp_path / name))
+                emit_image(sinr_levels(map_field.as_image()), 255, tmp_path / name)
                 assert (everything / name).read_bytes() == (tmp_path / name).read_bytes(), name
                 assert (everything / f"{name}.hdr.txt").read_text() == (
                     "kind sinr_db\ndb_min -10\ndb_max 40\nlevels 256\n"
@@ -436,7 +465,7 @@ class TestDistinctFields:
     @pytest.mark.parametrize("coverage_area,map_area",
                              [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2")])
     def test_maps_off_counts_match_one_scheme_runs(self, tmp_path, coverage_area, map_area):
-        # Without SINR maps the run keeps only masks of the map fields.
+        # Without SINR maps the run spills only masks of the map fields.
         path = tmp_path / "shared.cfg"
         text = SHARED_KEYS_CFG.format(coverage_area=coverage_area, map_area=map_area)
         path.write_text(text.replace("emit_sinr_maps = true", "emit_sinr_maps = false"))
@@ -460,7 +489,7 @@ class TestDistinctFields:
             fields = [SinrEvaluator(grid, cfg.env()).field(cfg.map_area(), m, tp, cfg.plan)
                       for m in cfg.plan.content_ids]
             cmap = content_count_map(fields, threshold)
-            emit_heatmap(cmap.as_image(), cmap.m_count, str(tmp_path / f"{label}.pgm"))
+            emit_image(cmap.as_image(), cmap.m_count, tmp_path / f"{label}.pgm")
             assert ((everything / f"content_counts_{label}.pgm").read_bytes()
                     == (tmp_path / f"{label}.pgm").read_bytes())
             doc = json.loads((everything / f"content_counts_{label}.json").read_text())
@@ -606,39 +635,50 @@ class TestDistinctFields:
 
     def test_paper_scan_peak_holds_one_slab_of_zone_gains(self, tmp_path, monkeypatch):
         # A maps-off paper run at resolution 100 scans the 800 x 1000 A2
-        # lattice once.  At its peak the scan may hold the packed mask of
-        # every distinct key, one kernel slab, the zone gains of one slab
-        # (four per point, at most one key block of points) and a few key
-        # block temporaries: no slab's gains outlive the next slab.
+        # lattice once.  At its peak the scan may hold one kernel slab, the
+        # zone gains of one slab (four per point, at most one key block of
+        # points) and a few key block temporaries: no slab's gains outlive
+        # the next slab, and the masks go to the spill file.
         cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
                               out_dir=str(tmp_path / "paper"), resolution=100)
         assert not cfg.emit_sinr_maps
-        peaks, n_keys = [], []
+        peaks = []
         scan_totals = runner.scan_totals
 
-        def traced(evaluator, groups, *args):
-            n_keys.append(len({key for group in groups for key in group}))
+        def traced(*args):
             tracemalloc.start()
             try:
-                return scan_totals(evaluator, groups, *args)
+                return scan_totals(*args)
             finally:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
         monkeypatch.setattr(runner, "scan_totals", traced)
         run_experiment(cfg)
-        ny, nx = sample_shape(cfg.map_area(), cfg.grid)
-        masks = n_keys[0] * ny * -(-nx // 8)
-        zone_gains = len(ZONES) * 8 * sinr._CHUNK
-        kernel_slab = 8 * sinr._KERNEL_CHUNK
-        block_temporaries = 4 * 8 * sinr._CHUNK
-        bound = masks + zone_gains + kernel_slab + block_temporaries
-        assert peaks[0] < bound, (peaks[0], bound)
+        assert peaks[0] < SLAB_BOUND, (peaks[0], SLAB_BOUND)
+
+    def test_paper_run_peak_has_no_lattice_term(self, tmp_path):
+        # A maps-off paper run at resolution 100 once held one packed mask
+        # per distinct key (0.98 MiB) and one scheme's count map beside the
+        # scan's buffers.  Masks now go to the spill file and count maps are
+        # summed, counted and written a block of rows at a time, so the
+        # traced peak of the whole run stays under the scan's own bound,
+        # which has no term in the lattice's size.
+        cfg = apply_overrides(parse_config(str(CONFIG_DIR / "paper_table1.cfg")),
+                              out_dir=str(tmp_path / "paper"), resolution=100)
+        assert not cfg.emit_sinr_maps
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < SLAB_BOUND, (peak, SLAB_BOUND)
 
     def test_paper_run_peak_stays_below_the_old_count_maps(self, tmp_path, monkeypatch):
         # A run once held one uint8 count map per scheme from the first scan
-        # block to the last file.  It now holds one packed mask per distinct
-        # key and builds each scheme's map only while it writes it, so with
+        # block to the last file.  It now sums each scheme's map a block of
+        # rows at a time from the spilled masks while it writes it, so with
         # one kernel residue per slab the traced peak of a paper run at
         # resolution 100 stays below those maps alone.
         monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
@@ -658,8 +698,8 @@ class TestDistinctFields:
     def test_maps_on_run_peak_stays_below_the_old_raster_levels(self, tmp_path, monkeypatch):
         # A maps-on run once held one uint8 raster level per distinct key and
         # map point from the first scan block to the last file.  It now
-        # spills each block's levels to a file and reads back one key's
-        # levels at a time, so with one kernel residue per slab the traced
+        # spills each block's levels to a file and reads back a block of one
+        # key's rows at a time, so with one kernel residue per slab the traced
         # peak of a maps-on run at resolution 100, 9 distinct keys over 12
         # rasters, stays below those levels alone.
         monkeypatch.setattr(sinr, "_KERNEL_CHUNK", 1)
@@ -739,19 +779,32 @@ def assert_run_holds_no_field(cfg, monkeypatch) -> None:
 @pytest.mark.parametrize("unpack_block", [1, 30, 1 << 16])
 def test_count_map_sums_packed_masks_in_row_blocks(monkeypatch, unpack_block):
     # 300 keys over five masks, so keys repeat and the map is uint16, on a
-    # 9 x 13 map, whose rows are not a whole number of bytes, unpacked one
-    # row, two rows (the last block one) or the whole map at a time.
+    # 9 x 13 map, whose rows are not a whole number of bytes, read from a
+    # spill file laid out as the scan writes it one row, two rows (the
+    # bottom block one) or the whole map at a time, from the top row.
     monkeypatch.setattr(runner, "_UNPACK_BLOCK", unpack_block)
     rng = np.random.default_rng(3)
     shape = (9, 13)
     masks = [rng.random(shape) < 0.5 for _ in range(5)]
     keys = [("key", i % 5) for i in range(300)]
-    totals = runner.ScanTotals(
-        reports={}, map_fractions={}, map_shape=shape,
-        masks={("key", i): np.packbits(mask, axis=1) for i, mask in enumerate(masks)})
-    cmap = totals.count_map(keys)
-    assert (cmap.m_count, cmap.shape, cmap.counts.dtype) == (300, shape, np.uint16)
-    assert (cmap.as_image() == 60 * sum(mask.astype(int) for mask in masks)).all()
+    want = 60 * sum(mask.astype(int) for mask in masks)
+    with tempfile.TemporaryFile() as spill:
+        spill.write(np.stack([np.packbits(mask, axis=1) for mask in masks], axis=1).tobytes())
+        spill.flush()
+        totals = runner.ScanTotals(reports={}, map_fractions={},
+                                   keys=tuple(("key", i) for i in range(5)),
+                                   map_shape=shape, spill=spill)
+        histogram = [0] * 301
+        blocks = list(totals.count_blocks(keys, histogram))
+        # Every group from one read; the five keys once each make a uint8 map.
+        once = sum(mask.astype(int) for mask in masks)
+        assert totals.histograms([keys, keys[:5]]) == [
+            histogram, np.bincount(once.ravel(), minlength=6).tolist()]
+    heights = {1: [1] * 9, 30: [2, 2, 2, 2, 1], 1 << 16: [9]}[unpack_block]
+    assert [len(block) for block in blocks] == heights
+    assert all(block.dtype == np.uint16 for block in blocks)
+    assert (np.concatenate(blocks)[::-1] == want).all()
+    assert histogram == np.bincount(want.ravel(), minlength=301).tolist()
 
 
 class TestSummary:
@@ -804,21 +857,21 @@ class TestEmitHeatmap:
     def test_count_map_golden(self, tmp_path):
         cmap = ContentCountMap(m_count=3, counts=np.array([1, 3, 3, 1]), shape=(2, 2))
         path = tmp_path / "counts.pgm"
-        emit_heatmap(cmap.as_image(), cmap.m_count, str(path))
+        emit_image(cmap.as_image(), cmap.m_count, path)
         # bottom lattice row [1, 3] lands on the last raster line
         assert path.read_text() == "P2\n2 2\n3\n3 1\n1 3\n"
 
     def test_count_map_beyond_255_levels(self, tmp_path):
         cmap = ContentCountMap(m_count=300, counts=np.array([0, 256, 300, 9]), shape=(2, 2))
         path = tmp_path / "counts.pgm"
-        emit_heatmap(cmap.as_image(), cmap.m_count, str(path))
+        emit_image(cmap.as_image(), cmap.m_count, path)
         assert path.read_text() == "P2\n2 2\n300\n300 9\n0 256\n"
 
     def test_sinr_quantization(self, tmp_path):
         levels = sinr_levels(np.array([[-10.0, 15.0, 40.0], [90.0, -55.0, 0.0]]))
         assert levels.dtype == np.uint8
         path = tmp_path / "sinr.pgm"
-        emit_heatmap(levels, 255, str(path))
+        emit_image(levels, 255, path)
         # the run writes the sidecar itself: see test_sinr_pgm_dimensions_and_sidecar
         assert [p.name for p in tmp_path.iterdir()] == ["sinr.pgm"]
         pixels, maxval = read_pgm(path)
@@ -842,8 +895,14 @@ class TestPgmEncoder:
 
     @staticmethod
     def assert_matches_reference(tmp_path, image, maxval):
+        # Whole, and in blocks of two rows (the last block one where the
+        # height is odd), as a run hands rows over.
         path = tmp_path / "x.pgm"
-        emit_heatmap(image, maxval, str(path))
+        emit_image(image, maxval, path)
+        assert path.read_bytes() == reference_pgm(image, maxval)
+        top = image[::-1]
+        emit_heatmap((top[r:r + 2] for r in range(0, len(top), 2)), image.shape, maxval,
+                     str(path))
         assert path.read_bytes() == reference_pgm(image, maxval)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -897,7 +956,7 @@ class TestPgmEncoder:
         path = tmp_path / "x.pgm"
         tracemalloc.start()
         try:
-            emit_heatmap(image, 3, str(path))
+            emit_image(image, 3, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
